@@ -30,7 +30,7 @@ from .pairs import (
     poincare_x,
     variable_betti,
 )
-from .ring import LPoly, TPoly, is_palindromic, projective_class, to_poincare
+from .ring import LPoly, TPoly, projective_class
 from .schubert import (
     ChowClass,
     ChowRing,
@@ -70,7 +70,6 @@ __all__ = [
     "grassmannian_class",
     "hyperplane_section_class",
     "hypersurface_poincare_oracle",
-    "is_palindromic",
     "lefschetz_shift",
     "lr_count",
     "make_pair",
@@ -83,6 +82,5 @@ __all__ = [
     "tangent_chern",
     "tautological_chern",
     "tensor_chern",
-    "to_poincare",
     "variable_betti",
 ]

@@ -17,7 +17,6 @@ paths are independent enough that their agreement at y = -1 is a real check.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -207,7 +206,6 @@ def tensor_chern(e_data: ChernData, f_data: ChernData) -> ChernData:
 
 
 _TANGENT: dict = {}
-_TANGENT_LOCK = threading.Lock()
 
 
 def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
@@ -215,12 +213,8 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
     key = (n, engine)
     hit = _TANGENT.get(key)
     if hit is None:
-        with _TANGENT_LOCK:
-            hit = _TANGENT.get(key)
-            if hit is None:
-                s_dual, q = tautological_chern(n, engine)
-                hit = tensor_chern(s_dual, q)
-                _TANGENT[key] = hit
+        s_dual, q = tautological_chern(n, engine)
+        hit = _TANGENT[key] = tensor_chern(s_dual, q)
     return hit
 
 
@@ -231,11 +225,11 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
 class _SectionState:
     """Per-(n, engine) caches shared by the section invariants; multiplication
     happens once per power of the hyperplane series and is then reused for
-    every k.  Construction is serialized by the lock, reads are lock-free."""
+    every k.  The caches are per process and unlocked, so they are not for
+    concurrent threads."""
 
     def __init__(self, n: int, engine: str):
         self.ring = get_ring(n, engine)
-        self.lock = threading.Lock()
         tangent = tangent_chern(n, engine)
         self.tangent = tangent
         self.psums = _power_sums(tangent, self.ring.dim)
@@ -254,10 +248,9 @@ class _SectionState:
         self.chi_nodes: dict = {}
 
     def euler_integrand(self, k: int) -> ChowClass:
-        with self.lock:
-            while len(self.euler_pows) <= k:
-                self.euler_pows.append(self.euler_pows[-1] * self.lefschetz)
-            return self.euler_pows[k]
+        while len(self.euler_pows) <= k:
+            self.euler_pows.append(self.euler_pows[-1] * self.lefschetz)
+        return self.euler_pows[k]
 
     def _node(self, y0: int):
         node = self.chi_nodes.get(y0)
@@ -286,11 +279,10 @@ class _SectionState:
         return node
 
     def chi_value(self, y0: int, k: int) -> Fraction:
-        with self.lock:
-            node = self._node(y0)
-            while len(node["pows"]) <= k:
-                node["pows"].append(node["pows"][-1] * node["normal"])
-            return node["pows"][k].integrate()
+        node = self._node(y0)
+        while len(node["pows"]) <= k:
+            node["pows"].append(node["pows"][-1] * node["normal"])
+        return node["pows"][k].integrate()
 
 
 def _factorial(j: int) -> int:
@@ -301,21 +293,17 @@ def _factorial(j: int) -> int:
 
 
 _STATES: dict = {}
-_STATES_LOCK = threading.Lock()
 
 
 def _state(n: int, engine: str) -> _SectionState:
     key = (n, engine)
     st = _STATES.get(key)
     if st is None:
-        with _STATES_LOCK:
-            st = _STATES.get(key)
-            if st is None:
-                st = _SectionState(n, engine)
-                _STATES[key] = st
+        st = _STATES[key] = _SectionState(n, engine)
     return st
 
 
+# Not shared with pairs._section_params: this domain has no smooth bound.
 def _validate_section(n: int, k: int):
     if n < 4:
         raise InvalidParameter(f"Gr(2,{n}) needs n >= 4")

@@ -8,13 +8,11 @@ inconsistency.  Diagnostics go to stderr as one JSON object per error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
+import re
 import sys
 from dataclasses import dataclass
 
-from .cache import load_table, save_table
 from .dsl import eval_dsl
 from .errors import (
     EvalError,
@@ -25,9 +23,6 @@ from .errors import (
 )
 from .pairs import SCHEMA_VERSION, build_pair_report, make_pair
 from .ring import LPoly
-from .schubert import get_ring
-
-CACHE_DIR_ENV = "PGPAIRS_CACHE_DIR"
 
 CHECK_NAMES = (
     "fiber_shift",
@@ -44,6 +39,7 @@ CHECK_NAMES = (
 )
 
 _SAFE_INT = 2**53 - 1
+_CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,6 @@ class GridRequest:
     k_max: int
     checks: tuple
     output_format: str = "json"
-    parallelism: int = 1
-    cache_dir: str = ""
     engine: str = "pieri"
 
 
@@ -74,8 +68,9 @@ def _encode(obj):
 
 
 def decode_ints(obj):
-    """Inverse of the decimal-string escape for report payloads."""
-    if isinstance(obj, str) and (obj.isdigit() or (obj[:1] == "-" and obj[1:].isdigit())):
+    """Inverse of `_encode`: only strings it can write, the canonical decimal
+    text of an integer beyond the 53-bit range, become integers again."""
+    if isinstance(obj, str) and _CANONICAL_INT.fullmatch(obj) and abs(int(obj)) > _SAFE_INT:
         return int(obj)
     if isinstance(obj, list):
         return [decode_ints(x) for x in obj]
@@ -210,8 +205,8 @@ def _grid_row(n: int, k: int, engine: str, checks) -> dict:
 def run_grid(request: GridRequest):
     """Sweep the requested (n, k) rectangle; returns (text, exit_code).
 
-    Rows are one per valid pair in lexicographic (n, k) order regardless of
-    parallelism; failures are recorded per row and never abort the sweep.
+    Rows are one per valid pair in lexicographic (n, k) order; failures are
+    recorded per row and never abort the sweep.
     """
     if request.n_min > request.n_max or request.k_min > request.k_max:
         raise PGError("empty parameter ranges")
@@ -219,25 +214,11 @@ def run_grid(request: GridRequest):
     if unknown:
         raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
 
-    if request.cache_dir:
-        for n in range(max(request.n_min, 4), request.n_max + 1):
-            load_table(get_ring(n, request.engine), request.cache_dir)
-
-    combos = [
-        (n, k)
+    rows = [
+        _grid_row(n, k, request.engine, request.checks)
         for n in range(request.n_min, request.n_max + 1)
         for k in range(request.k_min, request.k_max + 1)
     ]
-    rows = []
-    if request.parallelism > 1:
-        with concurrent.futures.ThreadPoolExecutor(request.parallelism) as pool:
-            futures = [
-                pool.submit(_grid_row, n, k, request.engine, request.checks)
-                for n, k in combos
-            ]
-            rows = [f.result() for f in futures]  # submission order = (n,k) lex order
-    else:
-        rows = [_grid_row(n, k, request.engine, request.checks) for n, k in combos]
 
     kept = [r for r in rows if r["status"] != "skip"]
     skipped = len(rows) - len(kept)
@@ -259,10 +240,6 @@ def run_grid(request: GridRequest):
         "rows": kept,
         "summary": summary,
     }
-
-    if request.cache_dir:
-        for n in range(max(request.n_min, 4), request.n_max + 1):
-            save_table(get_ring(n, request.engine), request.cache_dir)
 
     code = 0 if summary["fail"] == 0 else 1
     if request.output_format == "json":
@@ -336,13 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--k-max", type=int, required=True)
     grid.add_argument("--checks", default="", help="comma-separated check names")
     grid.add_argument("--format", default="json", choices=("json", "markdown", "csv"))
-    grid.add_argument("--jobs", type=int, default=1)
     grid.add_argument("--engine", default="pieri", choices=("pieri", "lr"))
-    grid.add_argument(
-        "--cache-dir",
-        default=os.environ.get(CACHE_DIR_ENV, ""),
-        help=f"multiplication-table cache directory (default: ${CACHE_DIR_ENV})",
-    )
 
     ev = sub.add_parser("eval", help="evaluate a class expression")
     ev.add_argument("expression")
@@ -377,8 +348,6 @@ def main(argv=None) -> int:
                 k_max=args.k_max,
                 checks=tuple(c for c in args.checks.split(",") if c),
                 output_format=args.format,
-                parallelism=max(1, args.jobs),
-                cache_dir=args.cache_dir,
                 engine=args.engine,
             )
             text, code = run_grid(request)

@@ -60,16 +60,10 @@ class PGPair:
 
 
 def make_pair(n: int, k: int) -> PGPair:
-    if n < 4 or k < 1:
-        raise InvalidParameter(f"pair ({n},{k}) needs n >= 4 and k >= 1")
-    if k > smooth_bound(n):
-        raise OutOfSmoothRange(
-            f"k = {k} exceeds {smooth_bound(n)}, the smooth bound for n = {n}"
-        )
-    dim_x = 2 * (n - 2) - k
+    if k < 1:
+        raise InvalidParameter(f"pair ({n},{k}) needs k >= 1")
+    dim_x = _section_params(n, k)
     dim_y = k - 2 if n % 2 == 0 else k - 4
-    if dim_x < 0:
-        raise NegativeDimension(f"dim X = {dim_x} for pair ({n},{k})")
     if dim_y < 0:
         raise NegativeDimension(f"dim Y = {dim_y} for pair ({n},{k})")
     s = lefschetz_shift(n)
@@ -129,13 +123,17 @@ def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
     return TPoly(coeffs)
 
 
+def _variable_part(n: int, d: int, p_x: TPoly) -> int:
+    v = p_x.coefficient(d) - betti(n, d)
+    assert v >= 0
+    return v
+
+
 def variable_betti(n: int, k: int, engine: str = "pieri") -> int:
     """Dimension of the variable middle cohomology of X: its middle Betti
     number minus the ambient one."""
     d = _section_params(n, k)
-    v = poincare_x(n, k, engine).coefficient(d) - betti(n, d)
-    assert v >= 0
-    return v
+    return _variable_part(n, d, poincare_x(n, k, engine))
 
 
 def cayley_hypersurface_class(pair: PGPair, p_x: TPoly) -> TPoly:
@@ -199,6 +197,16 @@ def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
     return p_y
 
 
+def _link_covered(pair: PGPair) -> bool:
+    return (pair.n % 2 == 0 and pair.k in (2, 4)) or (
+        pair.n % 2 == 1 and pair.k in (2, 4, 6)
+    )
+
+
+def _link_holds(pair: PGPair, v: int, p_y: TPoly) -> bool:
+    return v == p_y.coefficient(pair.dim_y) - 1
+
+
 def check_variable_betti_link(pair: PGPair, engine: str = "pieri") -> bool:
     """The middle-cohomology link between the two sides: the variable middle
     Betti number of X equals the middle Betti number of Y minus one.
@@ -206,14 +214,11 @@ def check_variable_betti_link(pair: PGPair, engine: str = "pieri") -> bool:
     Established for n even with k in {2,4} and n odd with k in {2,4,6}; other
     pairs raise UncoveredPair.
     """
-    if not (
-        (pair.n % 2 == 0 and pair.k in (2, 4))
-        or (pair.n % 2 == 1 and pair.k in (2, 4, 6))
-    ):
+    if not _link_covered(pair):
         raise UncoveredPair(f"({pair.n},{pair.k}) is outside the verified range")
     p_x = poincare_x(pair.n, pair.k, engine)
-    p_y = derive_poincare_y(pair, p_x)
-    return variable_betti(pair.n, pair.k, engine) == p_y.coefficient(pair.dim_y) - 1
+    v = _variable_part(pair.n, pair.dim_x, p_x)
+    return _link_holds(pair, v, derive_poincare_y(pair, p_x))
 
 
 def check_l_equivalence(n: int) -> bool:
@@ -260,7 +265,10 @@ def motivic_equivalence_status(n: int, k: int, engine: str = "pieri") -> str:
     nonzero transcendental cohomology); a vanishing variable Betti number is
     'hypothesis_fails'; anything else is 'not_covered'.
     """
-    v = variable_betti(n, k, engine)
+    return _motivic_status(n, k, variable_betti(n, k, engine))
+
+
+def _motivic_status(n: int, k: int, v: int) -> str:
     if v == 0:
         return "hypothesis_fails"
     if (k <= 6 or (n, k) == (7, 7)) and nl_status(n, k) == "satisfied":
@@ -349,8 +357,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     p_x = poincare_x(n, k, engine)
     p_y = derive_poincare_y(pair, p_x)
     hodge = middle_hodge(n, k, engine)
-    v = variable_betti(n, k, engine)
-    status = motivic_equivalence_status(n, k, engine)
+    v = _variable_part(n, pair.dim_x, p_x)
 
     checks = []
 
@@ -410,16 +417,15 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
 
     checks.append(_check("variable_nonneg", v >= 0, f"variable Betti number {v}"))
 
-    try:
-        link = check_variable_betti_link(pair, engine)
+    if _link_covered(pair):
         checks.append(
             _check(
                 "middle_betti_link",
-                link,
+                _link_holds(pair, v, p_y),
                 f"{v} = {p_y.coefficient(pair.dim_y)} - 1",
             )
         )
-    except UncoveredPair:
+    else:
         checks.append(_skip("middle_betti_link", "outside the verified (n,k) range"))
 
     if n % 2 == 1:
@@ -467,7 +473,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     if (n, k) == (6, 6):
         # bookkeeping of the known decomposition of the dual cubic fourfold:
         # a K3 surface summand shifted by one plus two Tate classes
-        stated = p_x.coefficient(2) + (1 if 4 == 0 else 0) + (1 if 4 == 8 else 0)
+        stated = p_x.coefficient(2)
         derived = p_y.coefficient(4)
         if stated != derived:
             findings.append(
@@ -501,7 +507,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
         },
         "nl_status": nl_status(n, k),
         "motivic_equivalence": {
-            "status": status,
+            "status": _motivic_status(n, k, v),
             "transcendental_proxy": transcendental_proxy(k),
         },
         "checks": checks,

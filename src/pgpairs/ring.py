@@ -29,8 +29,9 @@ class LPoly:
     """Polynomial in one formal variable with exact arbitrary-precision
     integer coefficients.
 
-    Instances are immutable and hashable, hence safe to share between
-    concurrent workers without synchronization.
+    Instances are immutable and hashable.  They hold no memo table; the
+    memo tables of `schubert` and `chern` are per process and are not for
+    concurrent threads.
     """
 
     __slots__ = ("_c",)
@@ -297,11 +298,3 @@ def projective_class(n: int) -> LPoly:
     if n < -1:
         raise InvalidParameter(f"projective space of dimension {n}")
     return LPoly({j: 1 for j in range(n + 1)})
-
-
-def to_poincare(a: LPoly) -> TPoly:
-    return a.to_poincare()
-
-
-def is_palindromic(p: TPoly, d: int) -> bool:
-    return p.is_palindromic(d)

@@ -11,7 +11,6 @@ each by two routes that must agree.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .errors import AmbientMismatch, InvalidParameter
@@ -131,9 +130,8 @@ def lr_count(lam, mu, nu) -> int:
 class ChowRing:
     """The Chow ring of Gr(2,n) with a memoized multiplication table.
 
-    The table is filled on demand under a lock (construction is serialized per
-    ring); completed entries are immutable and read-shared, so concurrent
-    lookups need no further synchronization.
+    The table is filled on demand and lives as long as the ring, in one
+    process; it has no locking and is not for concurrent threads.
     """
 
     def __init__(self, n: int, engine: str = "pieri"):
@@ -147,7 +145,6 @@ class ChowRing:
         self.dim = 2 * (n - 2)
         self.point = (self.max_col, self.max_col)
         self._table = {}
-        self._lock = threading.Lock()
 
     # -- class constructors ------------------------------------------------
 
@@ -207,34 +204,13 @@ class ChowRing:
         """Structure constants sigma_lam * sigma_mu as {nu: coefficient}."""
         key = (lam, mu) if lam <= mu else (mu, lam)
         hit = self._table.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            hit = self._table.get(key)
-            if hit is None:
-                if self.engine == "pieri":
-                    hit = self._product_pieri(key[0], key[1])
-                else:
-                    hit = self._product_lr(key[0], key[1])
-                self._table[key] = hit
+        if hit is None:
+            if self.engine == "pieri":
+                hit = self._product_pieri(key[0], key[1])
+            else:
+                hit = self._product_lr(key[0], key[1])
+            self._table[key] = hit
         return hit
-
-    # -- cache file support ---------------------------------------------------
-
-    def table_entries(self) -> list:
-        """Snapshot of the computed table as (lam, mu, [(nu, coeff), ...]) triples."""
-        with self._lock:
-            items = sorted(self._table.items())
-        return [
-            [list(lam), list(mu), [[list(nu), c] for nu, c in sorted(exp.items())]]
-            for (lam, mu), exp in items
-        ]
-
-    def preload(self, entries) -> None:
-        with self._lock:
-            for lam, mu, exp in entries:
-                key = (tuple(lam), tuple(mu))
-                self._table[key] = {tuple(nu): int(c) for nu, c in exp}
 
 
 class ChowClass:
@@ -334,17 +310,15 @@ class ChowClass:
 
 
 _RINGS: dict = {}
-_RINGS_LOCK = threading.Lock()
 
 
 def get_ring(n: int, engine: str = "pieri") -> ChowRing:
-    """Shared per-(n, engine) ring, built once and then read-shared."""
+    """The per-(n, engine) ring of this process, built on first use.
+
+    The memo is per process and unlocked, so it is not for concurrent threads.
+    """
     key = (n, engine)
     ring = _RINGS.get(key)
     if ring is None:
-        with _RINGS_LOCK:
-            ring = _RINGS.get(key)
-            if ring is None:
-                ring = ChowRing(n, engine)
-                _RINGS[key] = ring
+        ring = _RINGS[key] = ChowRing(n, engine)
     return ring

@@ -347,6 +347,22 @@ def test_report_eightfold():
     assert checks["hypersurface_oracle"] == "pass"
 
 
+def test_report_builds_each_polynomial_once(monkeypatch):
+    import pgpairs.pairs as pairs_module
+
+    calls = {"poincare_x": 0, "derive_poincare_y": 0}
+    for name in calls:
+        original = getattr(pairs_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pairs_module, name, counted)
+    build_pair_report(8, 4)
+    assert calls == {"poincare_x": 1, "derive_poincare_y": 1}
+
+
 def test_report_check_statuses():
     rep = build_pair_report(9, 4)
     checks = {c["name"]: c["status"] for c in rep["checks"]}

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pgpairs.errors import InvalidParameter, NegativeCoefficient, NonExactDivision
-from pgpairs.ring import LPoly, TPoly, is_palindromic, projective_class, to_poincare
+from pgpairs.ring import LPoly, TPoly, projective_class
 
 
 def L(coeffs):
@@ -59,17 +59,17 @@ def test_projective_class_values():
 
 
 def test_to_poincare_examples():
-    assert to_poincare(L([1, 1])) == TPoly.from_coeffs([1, 0, 1])
-    assert to_poincare(L([1, 1, 2, 1, 1])) == TPoly.from_coeffs([1, 0, 1, 0, 2, 0, 1, 0, 1])
+    assert L([1, 1]).to_poincare() == TPoly.from_coeffs([1, 0, 1])
+    assert L([1, 1, 2, 1, 1]).to_poincare() == TPoly.from_coeffs([1, 0, 1, 0, 2, 0, 1, 0, 1])
     with pytest.raises(NegativeCoefficient):
-        to_poincare(L([-1, 1]))
+        L([-1, 1]).to_poincare()
 
 
 def test_is_palindromic_examples():
-    assert is_palindromic(TPoly.from_coeffs([1, 0, 1, 0, 2, 0, 1, 0, 1]), 4)
-    assert not is_palindromic(TPoly.from_coeffs([1, 0, 1]), 2)
-    assert is_palindromic(TPoly.from_coeffs([1]), 0)
-    assert not is_palindromic(TPoly.from_coeffs([1, 0, 1]), 0)  # support above 2d
+    assert TPoly.from_coeffs([1, 0, 1, 0, 2, 0, 1, 0, 1]).is_palindromic(4)
+    assert not TPoly.from_coeffs([1, 0, 1]).is_palindromic(2)
+    assert TPoly.from_coeffs([1]).is_palindromic(0)
+    assert not TPoly.from_coeffs([1, 0, 1]).is_palindromic(0)  # support above 2d
 
 
 def test_tpoly_rejects_negative():
@@ -109,7 +109,7 @@ def test_to_poincare_is_multiplicative():
     for _ in range(60):
         a = LPoly({rng.randrange(20): rng.randrange(0, 9) for _ in range(6)})
         b = LPoly({rng.randrange(20): rng.randrange(0, 9) for _ in range(6)})
-        assert to_poincare(a * b) == to_poincare(a) * to_poincare(b)
+        assert (a * b).to_poincare() == a.to_poincare() * b.to_poincare()
 
 
 def test_evaluate_at_one_is_coefficient_sum():

@@ -205,14 +205,3 @@ def test_sigma_validation():
         r.sigma(3, 0)
     with pytest.raises(InvalidParameter):
         r.sigma(1, 2)
-
-
-def test_table_entries_round_trip():
-    r = ChowRing(5, "pieri")
-    r.product((1, 0), (1, 0))
-    r.product((2, 1), (3, 0))
-    entries = r.table_entries()
-    fresh = ChowRing(5, "pieri")
-    fresh.preload(entries)
-    assert fresh.product((1, 0), (1, 0)) == r.product((1, 0), (1, 0))
-    assert fresh.table_entries() == entries
