@@ -21,22 +21,8 @@ from .errors import (
     ParseError,
     PGError,
 )
-from .pairs import SCHEMA_VERSION, build_pair_report, make_pair
+from .pairs import CHECK_NAMES, SCHEMA_VERSION, build_pair_report, make_pair
 from .ring import LPoly
-
-CHECK_NAMES = (
-    "fiber_shift",
-    "cayley_balance",
-    "cayley_palindromic",
-    "section_shape",
-    "dual_shape",
-    "variable_nonneg",
-    "middle_betti_link",
-    "l_equivalence",
-    "chi_euler_match",
-    "hodge_consistency",
-    "hypersurface_oracle",
-)
 
 _SAFE_INT = 2**53 - 1
 _CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
@@ -85,6 +71,12 @@ def _dump_json(payload) -> str:
 
 # ---------------------------------------------------------------------------
 # pair command
+
+
+def _validate_checks(names) -> None:
+    unknown = [c for c in names if c not in CHECK_NAMES]
+    if unknown:
+        raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
 
 
 def _filter_checks(report: dict, names) -> dict:
@@ -156,6 +148,7 @@ def _csv_quote(text: str) -> str:
 
 def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri", checks=()):
     """Build and serialize one pair report; returns (text, exit_code)."""
+    _validate_checks(checks)
     report = _filter_checks(build_pair_report(n, k, engine), tuple(checks))
     code = 0 if report["all_checks_pass"] else 1
     if output_format == "json":
@@ -210,9 +203,7 @@ def run_grid(request: GridRequest):
     """
     if request.n_min > request.n_max or request.k_min > request.k_max:
         raise PGError("empty parameter ranges")
-    unknown = [c for c in request.checks if c not in CHECK_NAMES]
-    if unknown:
-        raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
+    _validate_checks(request.checks)
 
     rows = [
         _grid_row(n, k, request.engine, request.checks)
@@ -334,9 +325,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "pair":
             checks = tuple(c for c in args.checks.split(",") if c)
-            unknown = [c for c in checks if c not in CHECK_NAMES]
-            if unknown:
-                raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
             text, code = run_pair(args.n, args.k, args.format, args.engine, checks)
             sys.stdout.write(text)
             return code

@@ -25,7 +25,6 @@ from .errors import (
     InconsistentEuler,
     InvalidParameter,
     NegativeDimension,
-    NonExactDivision,
     OutOfSmoothRange,
     UncoveredPair,
 )
@@ -38,6 +37,21 @@ from .schubert import (
 )
 
 SCHEMA_VERSION = 1
+
+# the checks of a full pair report, in report order
+CHECK_NAMES = (
+    "fiber_shift",
+    "cayley_balance",
+    "cayley_palindromic",
+    "section_shape",
+    "dual_shape",
+    "variable_nonneg",
+    "middle_betti_link",
+    "l_equivalence",
+    "chi_euler_match",
+    "hodge_consistency",
+    "hypersurface_oracle",
+)
 
 
 def smooth_bound(n: int) -> int:
@@ -141,46 +155,31 @@ def cayley_hypersurface_class(pair: PGPair, p_x: TPoly) -> TPoly:
     Grassmannian-side fibration: [Gr][P^(k-2)] + [X] L^(k-1)."""
     if not p_x.is_palindromic(pair.dim_x):
         raise InvalidParameter("poincare_x is not palindromic about dim X")
-    decomposable = grassmannian_class(pair.n).to_poincare() * projective_class(
-        pair.k - 2
-    ).to_poincare()
+    decomposable = (grassmannian_class(pair.n) * projective_class(pair.k - 2)).to_poincare()
     return decomposable + p_x.shift(2 * (pair.k - 1))
 
 
 def cayley_hypersurface_class_dual(pair: PGPair, p_y: TPoly) -> TPoly:
     """The same divisor class computed from the dual-side fibration:
     [P^(k-1)][H] + [Y] L^s."""
-    decomposable = hyperplane_section_class(pair.n).to_poincare() * projective_class(
-        pair.k - 1
-    ).to_poincare()
+    decomposable = (hyperplane_section_class(pair.n) * projective_class(pair.k - 1)).to_poincare()
     return decomposable + p_y.shift(2 * pair.s)
 
 
 def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
-    """Solve the cut-and-paste relation for the Poincare polynomial of Y.
+    """Solve the cut-and-paste relation for the Poincare polynomial of Y:
+    the incidence divisor class from the Grassmannian side minus the
+    dual-side class of an empty Y, [P^(k-1)][H], divided by t^(2s).
 
-    The division by t^(2s) must be exact and the result must be a genuine
-    Poincare polynomial; any failure signals an inconsistent input rather than
-    being repaired.
+    The division must be exact and the result must be a genuine Poincare
+    polynomial; any failure signals an inconsistent input rather than being
+    repaired.
     """
-    if not p_x.is_palindromic(pair.dim_x):
-        raise InvalidParameter("poincare_x is not palindromic about dim X")
-    n, k, s = pair.n, pair.k, pair.s
-    num = (
-        p_x.as_signed().shift(2 * (k - 1))
-        + grassmannian_class(n).to_poincare().as_signed()
-        * projective_class(k - 2).to_poincare().as_signed()
-        - hyperplane_section_class(n).to_poincare().as_signed()
-        * projective_class(k - 1).to_poincare().as_signed()
+    num = LPoly(cayley_hypersurface_class(pair, p_x).coeffs()) - cayley_hypersurface_class_dual(
+        pair, TPoly.zero()
     )
-    quot = {}
-    for deg, c in num.coeffs().items():
-        if deg < 2 * s:
-            raise NonExactDivision(
-                f"coefficient {c} in degree {deg} below the twist t^{2 * s}"
-            )
-        quot[deg - 2 * s] = c
-    p_y = TPoly.from_signed(LPoly(quot))  # NegativeCoefficient on a bad relation
+    # NonExactDivision below the twist, NegativeCoefficient on a bad relation
+    p_y = TPoly(num.div_exact(LPoly.monomial(2 * pair.s)).coeffs())
     if p_y.degree != 2 * pair.dim_y:
         raise InconsistentEuler(
             f"derived dual polynomial has degree {p_y.degree}, expected {2 * pair.dim_y}"

@@ -2,10 +2,12 @@
 
 LPoly models Z[L], where L is the class of the affine line: sums of classes of
 cellular varieties land here, and so do their differences, which is why
-negative coefficients are allowed.  TPoly models Betti-number generating
-polynomials in t, so its coefficients must be nonnegative.  Both are immutable
-values backed by finitely supported integer maps; no floating point is used
-anywhere.
+negative coefficients are allowed.  A Poincare polynomial in t is a TPoly: an
+LPoly checked to be nonnegative.  Every operation is defined once on LPoly and
+returns an instance of type(self), so a TPoly result is checked again and a
+negative coefficient raises NegativeCoefficient.  Values are immutable
+and backed by finitely supported maps of int to int; no floating point is used
+anywhere, and nothing else is accepted, so nothing is truncated.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from .errors import InvalidParameter, NegativeCoefficient, NonExactDivision
 def _clean(coeffs: dict) -> dict:
     out = {}
     for d, v in coeffs.items():
-        d = int(d)
-        v = int(v)
+        if type(d) is not int or type(v) is not int:
+            raise InvalidParameter(f"exponent {d!r} and coefficient {v!r} must be integers")
         if d < 0:
             raise InvalidParameter("exponents must be nonnegative")
         if v:
@@ -35,6 +37,7 @@ class LPoly:
     """
 
     __slots__ = ("_c",)
+    _var = "L"
 
     def __init__(self, coeffs=None):
         self._c = _clean(coeffs or {})
@@ -76,58 +79,50 @@ class LPoly:
         return max(self._c) if self._c else -1
 
     @property
-    def min_degree(self) -> int:
-        return min(self._c) if self._c else -1
+    def constant_term(self) -> int:
+        return self._c.get(0, 0)
 
-    def __add__(self, other: "LPoly") -> "LPoly":
+    def __add__(self, other):
+        if not isinstance(other, LPoly):
+            return NotImplemented
         out = dict(self._c)
         for d, v in other._c.items():
             out[d] = out.get(d, 0) + v
-        return LPoly(out)
+        return type(self)(out)
 
-    def __sub__(self, other: "LPoly") -> "LPoly":
+    def __sub__(self, other):
+        if not isinstance(other, LPoly):
+            return NotImplemented
         out = dict(self._c)
         for d, v in other._c.items():
             out[d] = out.get(d, 0) - v
-        return LPoly(out)
+        return type(self)(out)
 
     def __neg__(self) -> "LPoly":
-        return LPoly({d: -v for d, v in self._c.items()})
+        return type(self)({d: -v for d, v in self._c.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LPoly({d: v * other for d, v in self._c.items()})
+        if type(other) is int:
+            return type(self)({d: v * other for d, v in self._c.items()})
+        if not isinstance(other, LPoly):
+            return NotImplemented
         out = {}
         for d1, v1 in self._c.items():
             for d2, v2 in other._c.items():
                 d = d1 + d2
                 out[d] = out.get(d, 0) + v1 * v2
-        return LPoly(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LPoly":
-        if k < 0:
-            raise InvalidParameter("negative powers are not defined")
-        out = LPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, j: int) -> "LPoly":
         """Multiply by the degree-j monomial."""
-        return LPoly({d + j: v for d, v in self._c.items()})
+        return type(self)({d + j: v for d, v in self._c.items()})
 
     def div_exact(self, other: "LPoly") -> "LPoly":
         """Exact division; raises NonExactDivision unless other divides self."""
         if other.is_zero():
             raise InvalidParameter("division by the zero polynomial")
-        if self.is_zero():
-            return LPoly.zero()
         rem = dict(self._c)
         quot = {}
         db = other.degree
@@ -147,127 +142,11 @@ class LPoly:
                     rem[nd] = nv
                 else:
                     rem.pop(nd, None)
-        return LPoly(quot)
+        return type(self)(quot)
 
     def evaluate(self, x: int) -> int:
-        """Evaluate at an integer; at x = 1 this is the Euler characteristic
-        of a cellular class (the sum of the coefficients)."""
-        return sum(v * x**d for d, v in self._c.items())
-
-    def to_poincare(self) -> "TPoly":
-        """Realize a cellular class as its Poincare polynomial, degree j -> t^(2j).
-
-        Raises NegativeCoefficient for virtual classes with a negative
-        coefficient, which have no Betti-number interpretation.
-        """
-        for d, v in self._c.items():
-            if v < 0:
-                raise NegativeCoefficient(f"coefficient {v} in degree {d}")
-        return TPoly({2 * d: v for d, v in self._c.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LPoly) and self._c == other._c
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._c.items())))
-
-    def __repr__(self) -> str:
-        return f"LPoly({self._pretty('L')})"
-
-    def __str__(self) -> str:
-        return self._pretty("L")
-
-    def _pretty(self, var: str) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for d in sorted(self._c):
-            v = self._c[d]
-            if d == 0:
-                parts.append(str(v))
-            else:
-                head = "" if v == 1 else ("-" if v == -1 else f"{v}*")
-                parts.append(f"{head}{var}" + (f"^{d}" if d > 1 else ""))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
-
-class TPoly:
-    """Poincare polynomial: finitely supported map degree -> nonnegative integer."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        c = _clean(coeffs or {})
-        for d, v in c.items():
-            if v < 0:
-                raise NegativeCoefficient(f"coefficient {v} in degree {d}")
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "TPoly":
-        return cls()
-
-    @classmethod
-    def from_coeffs(cls, dense) -> "TPoly":
-        return cls({d: v for d, v in enumerate(dense)})
-
-    @classmethod
-    def from_signed(cls, p: LPoly) -> "TPoly":
-        """Reinterpret an exact signed polynomial as a TPoly; raises
-        NegativeCoefficient if any coefficient is negative."""
-        return cls(p.coeffs())
-
-    def as_signed(self) -> LPoly:
-        """Copy into the signed polynomial type, for relation arithmetic that
-        subtracts before re-validating."""
-        return LPoly(self._c)
-
-    def coefficient(self, degree: int) -> int:
-        return self._c.get(degree, 0)
-
-    def coeffs_dense(self) -> list:
-        if not self._c:
-            return [0]
-        top = max(self._c)
-        return [self._c.get(d, 0) for d in range(top + 1)]
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
-    def degree(self) -> int:
-        return max(self._c) if self._c else -1
-
-    @property
-    def constant_term(self) -> int:
-        return self._c.get(0, 0)
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self._c)
-        for d, v in other._c.items():
-            out[d] = out.get(d, 0) + v
-        return TPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other < 0:
-                raise NegativeCoefficient("scaling a TPoly by a negative integer")
-            return TPoly({d: v * other for d, v in self._c.items()})
-        out = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
-                d = d1 + d2
-                out[d] = out.get(d, 0) + v1 * v2
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, j: int) -> "TPoly":
-        return TPoly({d + j: v for d, v in self._c.items()})
-
-    def evaluate(self, x: int) -> int:
-        """Value at an integer; at x = -1 this is the Euler characteristic."""
+        """Value at an integer: at L = 1 the Euler characteristic of a
+        cellular class, at t = -1 that of a Poincare polynomial."""
         return sum(v * x**d for d, v in self._c.items())
 
     def is_palindromic(self, d: int) -> bool:
@@ -279,14 +158,49 @@ class TPoly:
             return False
         return all(self.coefficient(j) == self.coefficient(2 * d - j) for j in range(d + 1))
 
+    def to_poincare(self) -> "TPoly":
+        """Realize a cellular class as its Poincare polynomial, degree j -> t^(2j).
+
+        Raises NegativeCoefficient for virtual classes with a negative
+        coefficient, which have no Betti-number interpretation.
+        """
+        return TPoly({2 * d: v for d, v in self._c.items()})
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, TPoly) and self._c == other._c
+        return type(other) is type(self) and self._c == other._c
 
     def __hash__(self):
         return hash(tuple(sorted(self._c.items())))
 
     def __repr__(self) -> str:
-        return f"TPoly({LPoly(self._c)._pretty('t')})"
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self) -> str:
+        if not self._c:
+            return "0"
+        parts = []
+        for d in sorted(self._c):
+            v = self._c[d]
+            if d == 0:
+                parts.append(str(v))
+            else:
+                head = "" if v == 1 else ("-" if v == -1 else f"{v}*")
+                parts.append(f"{head}{self._var}" + (f"^{d}" if d > 1 else ""))
+        text = " + ".join(parts)
+        return text.replace("+ -", "- ")
+
+
+class TPoly(LPoly):
+    """Poincare polynomial: an LPoly in t whose coefficients are nonnegative."""
+
+    __slots__ = ()
+    _var = "t"
+
+    def __init__(self, coeffs=None):
+        super().__init__(coeffs)
+        for d, v in self._c.items():
+            if v < 0:
+                raise NegativeCoefficient(f"coefficient {v} in degree {d}")
 
 
 def projective_class(n: int) -> LPoly:

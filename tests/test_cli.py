@@ -13,6 +13,7 @@ from pgpairs.cli import (
     _dump_json,
 )
 from pgpairs.errors import PGError
+from pgpairs.pairs import CHECK_NAMES
 
 
 def test_run_pair_json_fields():
@@ -146,3 +147,14 @@ def test_grid_removed_flags_are_usage_errors(flag, capsys):
     argv = ["grid", "--n-min", "4", "--n-max", "5", "--k-min", "1", "--k-max", "6"]
     assert main(argv + flag) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_run_pair_unknown_check_rejected():
+    with pytest.raises(PGError, match="no_such_check"):
+        run_pair(7, 7, checks=("no_such_check",))
+
+
+@pytest.mark.parametrize("n,k", [(7, 7), (8, 4)])
+def test_full_report_check_names_match_check_names(n, k):
+    report = json.loads(run_pair(n, k)[0])
+    assert tuple(c["name"] for c in report["checks"]) == CHECK_NAMES

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: examples and algebraic properties."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -131,3 +132,37 @@ def test_pretty_printing():
     assert str(L([1, 1, 2, 1, 1])) == "1 + L + 2*L^2 + L^3 + L^4"
     assert str(LPoly.zero()) == "0"
     assert str(L([0, -1])) == "-L"
+
+
+@pytest.mark.parametrize(
+    "coeffs,cls",
+    [
+        ({0: Fraction(1, 2), 1: Fraction(7, 2)}, LPoly),
+        ({0: Fraction(4, 2)}, LPoly),
+        ({1.9: 1}, LPoly),
+        ({"1": 1}, LPoly),
+        ({0: 2.9}, TPoly),
+        ({0: 1, 1: 2.0}, LPoly),
+    ],
+    ids=["fraction_coeffs", "integral_fraction", "float_exponent", "str_exponent", "float_tpoly", "float_coeff"],
+)
+def test_non_integer_exponents_and_coefficients_rejected(coeffs, cls):
+    with pytest.raises(InvalidParameter):
+        cls(coeffs)
+
+
+@pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "L", None], ids=["fraction", "float", "str", "none"])
+def test_arithmetic_with_non_polynomial_is_type_error(other):
+    p = LPoly.one()
+    for op in (lambda: p * other, lambda: other * p, lambda: p + other, lambda: p - other):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_tpoly_negative_scaling_type_and_repr():
+    p = TPoly.from_coeffs([1, 0, 2])
+    with pytest.raises(NegativeCoefficient):
+        p * -1
+    assert type(3 * p) is TPoly
+    assert TPoly({0: 1}) != LPoly({0: 1})
+    assert repr(p) == "TPoly(1 + 2*t^2)"
