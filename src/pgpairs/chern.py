@@ -8,18 +8,22 @@ numbers.  Everything is exact: class coefficients are rationals, series
 coefficients are rationals, and integrality is asserted at the end rather
 than assumed.
 
-The Euler characteristic is integrated directly from the total Chern class
-(with the normal directions removed multiplicatively), while chi_y comes from
-the generating series x(1 + y e^-x)/(1 - e^-x) per Chern root, evaluated at
-integer values of y and reassembled by exact Lagrange interpolation.  The two
-paths are independent enough that their agreement at y = -1 is a real check.
+Both section integrands are a class on Gr(2,n) times the k-th power of a
+series in sigma_1, one factor per hyperplane normal direction.  So both read
+their class once through its sigma_1 moments [integral of cls * sigma_1^j]
+and pair them, for each k, with the k-th power of the scalar series.  What
+stays independent is the class: c(T) from Newton's identities for the Euler
+characteristic, and for chi_y the class T_y(T) of the per-root series
+x(1 + y e^-x)/(1 - e^-x), built from the power sums by log/exp, evaluated at
+integer y and reassembled by exact Lagrange interpolation.  Their agreement
+at y = -1 is therefore a real check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import (
     AmbientMismatch,
@@ -69,12 +73,7 @@ def _ser_log(a, trunc):
 
 def _exp_neg(trunc):
     # e^-x
-    out, fact = [], 1
-    for j in range(trunc + 1):
-        if j:
-            fact *= j
-        out.append(Fraction((-1) ** j, fact))
-    return out
+    return [Fraction((-1) ** j, factorial(j)) for j in range(trunc + 1)]
 
 
 def _chow_exp(arg: ChowClass, ring: ChowRing) -> ChowClass:
@@ -205,52 +204,53 @@ def tensor_chern(e_data: ChernData, f_data: ChernData) -> ChernData:
     return ChernData(ring, rank, tuple(elem[1 : min(rank, top) + 1]))
 
 
-_TANGENT: dict = {}
-
-
 def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
     """Chern data of the tangent bundle of Gr(2,n), i.e. S^dual tensor Q."""
-    key = (n, engine)
-    hit = _TANGENT.get(key)
-    if hit is None:
-        s_dual, q = tautological_chern(n, engine)
-        hit = _TANGENT[key] = tensor_chern(s_dual, q)
-    return hit
+    s_dual, q = tautological_chern(n, engine)
+    return tensor_chern(s_dual, q)
 
 
 # ---------------------------------------------------------------------------
 # invariants of a linear section X = Gr(2,n) cut by k general hyperplanes
 
 
+def _pair(moments, ser, k: int) -> Fraction:
+    """Integral of cls * F^k for F = sum_j ser[j] sigma_1^j, from the sigma_1
+    moments of cls: F^k = sum_j c_j sigma_1^j, so the integral is sum_j c_j
+    moments[j]."""
+    power = [Fraction(1)]
+    for _ in range(k):
+        power = _ser_mul(power, ser, len(moments) - 1)
+    return sum(c * m for c, m in zip(power, moments))
+
+
 class _SectionState:
-    """Per-(n, engine) caches shared by the section invariants; multiplication
-    happens once per power of the hyperplane series and is then reused for
-    every k.  The caches are per process and unlocked, so they are not for
-    concurrent threads."""
+    """Per-(n, engine) caches shared by the section invariants: the sigma_1
+    moments of c(T) and of each chi_y node's class, read once and paired with
+    the k-th power of a scalar series for every k.  The caches are per
+    process and unlocked, so they are not for concurrent threads."""
 
     def __init__(self, n: int, engine: str):
         self.ring = get_ring(n, engine)
+        dim = self.ring.dim
         tangent = tangent_chern(n, engine)
-        self.tangent = tangent
-        self.psums = _power_sums(tangent, self.ring.dim)
-        sigma1 = self.ring.sigma(1)
-        # sigma_1/(1 + sigma_1) = sigma_1 - sigma_1^2 + ... : the class whose
+        self.psums = _power_sums(tangent, dim)
+        self.sigma1_pows = [self.ring.one()]
+        for _ in range(dim):
+            self.sigma1_pows.append(self.sigma1_pows[-1] * self.ring.sigma(1))
+        self.euler_moments = self._moments(tangent.total())
+        # sigma_1/(1 + sigma_1) = sigma_1 - sigma_1^2 + ... : the series whose
         # k-th power removes k hyperplane normal directions from c(T)
-        pows = [self.ring.one()]
-        for _ in range(self.ring.dim):
-            pows.append(pows[-1] * sigma1)
-        self.sigma1_pows = pows
-        lef = self.ring.zero()
-        for j in range(1, self.ring.dim + 1):
-            lef = lef + pows[j].scale((-1) ** (j - 1))
-        self.lefschetz = lef
-        self.euler_pows = [tangent.total()]
+        self.euler_ser = [Fraction(0)] + [Fraction((-1) ** (j - 1)) for j in range(1, dim + 1)]
         self.chi_nodes: dict = {}
 
-    def euler_integrand(self, k: int) -> ChowClass:
-        while len(self.euler_pows) <= k:
-            self.euler_pows.append(self.euler_pows[-1] * self.lefschetz)
-        return self.euler_pows[k]
+    def _moments(self, cls: ChowClass) -> list:
+        """[integral of cls * sigma_1^j for j = 0..dim]."""
+        dim = self.ring.dim
+        return [(cls.component(dim - j) * self.sigma1_pows[j]).integrate() for j in range(dim + 1)]
+
+    def euler_value(self, k: int) -> Fraction:
+        return _pair(self.euler_moments, self.euler_ser, k)
 
     def _node(self, y0: int):
         node = self.chi_nodes.get(y0)
@@ -260,7 +260,7 @@ class _SectionState:
         exp_neg = _exp_neg(trunc)
         # B = (1 - e^-x)/x, so the root factor is x (1 + y e^-x) / (1 - e^-x) = A/B
         a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]
-        b_ser = [Fraction((-1) ** j) / _factorial(j + 1) for j in range(trunc + 1)]
+        b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(trunc + 1)]
         q_ser = _ser_div(a_ser, b_ser, trunc)
         g_ser = _ser_log([c / (1 + y0) for c in q_ser], trunc)  # log of Q_y/(1+y)
         arg = self.ring.zero()
@@ -270,26 +270,12 @@ class _SectionState:
         tangent_prod = _chow_exp(arg, self.ring).scale(Fraction(1 + y0) ** self.ring.dim)
         # normal factor per hyperplane: u/Q_y(u) = (1 - e^-u)/(1 + y e^-u)
         n_ser = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, trunc)
-        normal = self.ring.zero()
-        for j in range(1, trunc + 1):
-            if n_ser[j]:
-                normal = normal + self.sigma1_pows[j].scale(n_ser[j])
-        node = {"normal": normal, "pows": [tangent_prod]}
-        self.chi_nodes[y0] = node
+        node = self.chi_nodes[y0] = (self._moments(tangent_prod), n_ser)
         return node
 
     def chi_value(self, y0: int, k: int) -> Fraction:
-        node = self._node(y0)
-        while len(node["pows"]) <= k:
-            node["pows"].append(node["pows"][-1] * node["normal"])
-        return node["pows"][k].integrate()
-
-
-def _factorial(j: int) -> int:
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
-    return out
+        moments, n_ser = self._node(y0)
+        return _pair(moments, n_ser, k)
 
 
 _STATES: dict = {}
@@ -316,7 +302,7 @@ def euler_characteristic_ci(n: int, k: int, engine: str = "pieri") -> int:
     intersection of Gr(2,n) with k hyperplanes, by Gauss-Bonnet on the ambient
     Grassmannian."""
     _validate_section(n, k)
-    val = _state(n, engine).euler_integrand(k).integrate()
+    val = _state(n, engine).euler_value(k)
     if val.denominator != 1:
         raise NonIntegralGenus(f"Euler characteristic {val} is not an integer")
     return int(val)

@@ -25,6 +25,7 @@ from .pairs import CHECK_NAMES, SCHEMA_VERSION, build_pair_report, make_pair
 from .ring import LPoly
 
 _SAFE_INT = 2**53 - 1
+_FORMATS = ("json", "markdown", "csv")
 _CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
 
 
@@ -77,6 +78,11 @@ def _validate_checks(names) -> None:
     unknown = [c for c in names if c not in CHECK_NAMES]
     if unknown:
         raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
+
+
+def _validate_format(output_format: str) -> None:
+    if output_format not in _FORMATS:
+        raise PGError(f"unknown format {output_format!r}")
 
 
 def _filter_checks(report: dict, names) -> dict:
@@ -149,15 +155,11 @@ def _csv_quote(text: str) -> str:
 def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri", checks=()):
     """Build and serialize one pair report; returns (text, exit_code)."""
     _validate_checks(checks)
+    _validate_format(output_format)
     report = _filter_checks(build_pair_report(n, k, engine), tuple(checks))
     code = 0 if report["all_checks_pass"] else 1
-    if output_format == "json":
-        return _dump_json(report), code
-    if output_format == "markdown":
-        return _pair_markdown(report), code
-    if output_format == "csv":
-        return _pair_csv(report), code
-    raise PGError(f"unknown format {output_format!r}")
+    serialize = {"json": _dump_json, "markdown": _pair_markdown, "csv": _pair_csv}
+    return serialize[output_format](report), code
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,7 @@ def run_grid(request: GridRequest):
     if request.n_min > request.n_max or request.k_min > request.k_max:
         raise PGError("empty parameter ranges")
     _validate_checks(request.checks)
+    _validate_format(request.output_format)
 
     rows = [
         _grid_row(n, k, request.engine, request.checks)
@@ -233,13 +236,8 @@ def run_grid(request: GridRequest):
     }
 
     code = 0 if summary["fail"] == 0 else 1
-    if request.output_format == "json":
-        return _dump_json(payload), code
-    if request.output_format == "markdown":
-        return _grid_markdown(payload), code
-    if request.output_format == "csv":
-        return _grid_csv(payload), code
-    raise PGError(f"unknown format {request.output_format!r}")
+    serialize = {"json": _dump_json, "markdown": _grid_markdown, "csv": _grid_csv}
+    return serialize[request.output_format](payload), code
 
 
 def _grid_markdown(payload: dict) -> str:
@@ -293,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = sub.add_parser("pair", help="report on a single (n, k) pair")
     pair.add_argument("--n", type=int, required=True)
     pair.add_argument("--k", type=int, required=True)
-    pair.add_argument("--format", default="json", choices=("json", "markdown", "csv"))
+    pair.add_argument("--format", default="json", choices=_FORMATS)
     pair.add_argument("--engine", default="pieri", choices=("pieri", "lr"))
     pair.add_argument("--checks", default="", help="comma-separated check names")
 
@@ -303,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--k-min", type=int, required=True)
     grid.add_argument("--k-max", type=int, required=True)
     grid.add_argument("--checks", default="", help="comma-separated check names")
-    grid.add_argument("--format", default="json", choices=("json", "markdown", "csv"))
+    grid.add_argument("--format", default="json", choices=_FORMATS)
     grid.add_argument("--engine", default="pieri", choices=("pieri", "lr"))
 
     ev = sub.add_parser("eval", help="evaluate a class expression")

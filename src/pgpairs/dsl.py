@@ -10,6 +10,10 @@ Grammar (whitespace-insensitive, decimal integers):
 
 Constructors: P(n), Gr(2,n), H(2,n), F1(n), F2(n), SumEven(n).  `div` is exact
 division; a comparison yields a boolean, anything else an LPoly.
+
+Nesting is bounded by MAX_DEPTH = 100 levels: each parenthesis and each
+operator in a chain counts one level, so "1+1+...+1" may have at most 100
+operators.  Deeper input is a ParseError at the token that crosses the bound.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .schubert import grassmannian_class, hyperplane_section_class, sum_even_pow
 from .pairs import fiber_classes
 
 _SYMBOLS = ("==", "+", "-", "*", "(", ")", ",")
+MAX_DEPTH = 100
 
 
 class _Token:
@@ -90,6 +95,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -105,6 +111,11 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.column)
         return tok
 
+    def deeper(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+
     def parse(self):
         node = self.cmp()
         tok = self.peek()
@@ -117,28 +128,36 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "==":
             self.next()
+            self.deeper(tok)
             rhs = self.sum()
+            self.depth -= 1
             return ("bin", "==", lhs, rhs)
         return lhs
 
     def sum(self):
+        start = self.depth
         node = self.prod()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in ("+", "-"):
                 self.next()
+                self.deeper(tok)
                 node = ("bin", tok.value, node, self.prod())
             else:
+                self.depth = start
                 return node
 
     def prod(self):
+        start = self.depth
         node = self.atom()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in ("*", "div"):
                 self.next()
+                self.deeper(tok)
                 node = ("bin", tok.value, node, self.atom())
             else:
+                self.depth = start
                 return node
 
     def atom(self):
@@ -158,8 +177,10 @@ class _Parser:
                 return ("ctor", tok.value, args)
             raise ParseError(f"unknown name {tok.value!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.value == "(":
+            self.deeper(tok)
             node = self.cmp()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.column)
 

@@ -1,7 +1,12 @@
 """Characteristic classes: tautological bundles, tensor formula, section invariants."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgpairs import chern
 from pgpairs.chern import (
     ChernData,
     HodgeSummary,
@@ -14,7 +19,7 @@ from pgpairs.chern import (
 )
 from pgpairs.errors import AmbientMismatch, InconsistentEuler, InvalidParameter
 from pgpairs.pairs import hypersurface_poincare_oracle
-from pgpairs.schubert import betti, get_ring, grassmannian_class
+from pgpairs.schubert import ENGINES, ChowClass, betti, box_partitions, get_ring, grassmannian_class
 
 
 def test_tautological_chern_small():
@@ -202,3 +207,44 @@ def test_engines_agree_on_invariants():
         assert euler_characteristic_ci(n, k, "pieri") == euler_characteristic_ci(n, k, "lr")
         assert chi_y_ci(n, k, "pieri") == chi_y_ci(n, k, "lr")
         assert middle_hodge(n, k, "pieri") == middle_hodge(n, k, "lr")
+
+
+def _sigma1_series(ring, ser):
+    """The class sum_j ser[j] sigma_1^j, built by full Chow-ring products."""
+    out = ring.zero()
+    for j, c in enumerate(ser):
+        out = out + (ring.sigma(1) ** j).scale(c)
+    return out
+
+
+def test_euler_pairing_matches_full_product_oracle():
+    # Gauss-Bonnet with the normal directions removed by full class products:
+    # chi(X) = integral of c(T) * lef^k, lef = sigma_1/(1 + sigma_1)
+    for engine in ENGINES:
+        for n in range(4, 10):
+            ring = get_ring(n, engine)
+            lef = _sigma1_series(ring, [0] + [(-1) ** (j - 1) for j in range(1, ring.dim + 1)])
+            integrand = tangent_chern(n, engine).total()
+            for k in range(2 * (n - 2) + 1):
+                assert euler_characteristic_ci(n, k, engine) == integrand.integrate(), (engine, n, k)
+                integrand = integrand * lef
+
+
+@st.composite
+def _class_series_power(draw):
+    n = draw(st.integers(4, 8))
+    ring = get_ring(n)
+    terms = draw(st.dictionaries(st.sampled_from(box_partitions(n)), st.integers(-20, 20), max_size=10))
+    tail = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    ser = [Fraction(0)] + draw(st.lists(tail, max_size=ring.dim))
+    return n, terms, ser, draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_class_series_power())
+def test_moment_pairing_matches_full_product(case):
+    n, terms, ser, k = case
+    ring = get_ring(n)
+    cls = ChowClass(ring, terms)
+    expected = (cls * _sigma1_series(ring, ser) ** k).integrate()
+    assert chern._pair(chern._state(n, "pieri")._moments(cls), ser, k) == expected

@@ -158,3 +158,24 @@ def test_run_pair_unknown_check_rejected():
 def test_full_report_check_names_match_check_names(n, k):
     report = json.loads(run_pair(n, k)[0])
     assert tuple(c["name"] for c in report["checks"]) == CHECK_NAMES
+
+
+def test_unknown_format_rejected_before_any_report(monkeypatch):
+    def no_report(*args):
+        raise AssertionError("a report was built for an unknown format")
+
+    monkeypatch.setattr("pgpairs.cli.build_pair_report", no_report)
+    with pytest.raises(PGError, match="unknown format 'xml'"):
+        run_pair(8, 4, output_format="xml")
+    with pytest.raises(PGError, match="unknown format 'xml'"):
+        run_grid(GridRequest(4, 7, 1, 10, (), output_format="xml"))
+
+
+@pytest.mark.parametrize(
+    "source", ["+".join(["1"] * 1000), "(" * 300 + "1" + ")" * 300], ids=["long_sum", "deep_parens"]
+)
+def test_eval_too_deep_is_a_parse_error(source, capsys):
+    assert main(["eval", source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ParseError"

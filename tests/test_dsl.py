@@ -2,7 +2,7 @@
 
 import pytest
 
-from pgpairs.dsl import eval_dsl
+from pgpairs.dsl import MAX_DEPTH, eval_dsl
 from pgpairs.errors import EvalError, ParseError
 from pgpairs.ring import LPoly, projective_class
 from pgpairs.schubert import grassmannian_class, hyperplane_section_class
@@ -90,3 +90,26 @@ def test_eval_error_ranges():
 def test_comparison_cannot_feed_arithmetic():
     with pytest.raises(EvalError):
         eval_dsl("(Gr(2,4) == Gr(2,4)) + 1")
+
+
+def test_nesting_up_to_the_bound_evaluates():
+    assert eval_dsl("+".join(["1"] * (MAX_DEPTH + 1))) == LPoly({0: MAX_DEPTH + 1})
+    assert eval_dsl("(" * MAX_DEPTH + "L" + ")" * MAX_DEPTH) == LPoly.monomial(1)
+    assert eval_dsl("(" * (MAX_DEPTH - 1) + "1 + L" + ")" * (MAX_DEPTH - 1)) == LPoly.from_coeffs([1, 1])
+
+
+@pytest.mark.parametrize(
+    "source, column",
+    [
+        ("+".join(["1"] * 1000), 2 * (MAX_DEPTH + 1)),  # the first "+" past the bound
+        ("*".join(["L"] * 1000), 2 * (MAX_DEPTH + 1)),
+        ("(" * 300 + "1" + ")" * 300, MAX_DEPTH + 1),  # the first "(" past the bound
+        ("(" * MAX_DEPTH + "1 + 1" + ")" * MAX_DEPTH, MAX_DEPTH + 3),
+    ],
+    ids=["long_sum", "long_product", "deep_parens", "sum_in_deep_parens"],
+)
+def test_nesting_past_the_bound_is_a_parse_error(source, column):
+    with pytest.raises(ParseError) as exc:
+        eval_dsl(source)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert f"deeper than {MAX_DEPTH}" in str(exc.value)
