@@ -9,8 +9,6 @@ from .chern import (
     euler_characteristic_ci,
     middle_hodge,
     tangent_chern,
-    tautological_chern,
-    tensor_chern,
 )
 from .dsl import eval_dsl
 from .pairs import (
@@ -80,7 +78,5 @@ __all__ = [
     "projective_class",
     "sum_even_powers",
     "tangent_chern",
-    "tautological_chern",
-    "tensor_chern",
     "variable_betti",
 ]

@@ -1,36 +1,41 @@
 """Characteristic-class calculus on Gr(2,n).
 
-Chern classes of the tautological bundles, tensor-product Chern classes
-through the splitting principle (power sums and Newton's identities), and the
-three invariants of a linear section X = Gr(2,n) cut by k general hyperplanes:
-the topological Euler characteristic, the chi_y genus, and the middle Hodge
-numbers.  Everything is exact: class coefficients are rationals, series
-coefficients are rationals, and integrality is asserted at the end rather
-than assumed.
+The tangent bundle T = Hom(S, Q) and three invariants of a linear section
+X = Gr(2,n) cut by k general hyperplanes: the topological Euler
+characteristic, the chi_y genus, and the middle Hodge numbers.  Everything is
+exact: class coefficients are rationals, series coefficients are rationals,
+and integrality is asserted at the end rather than assumed.
+
+T enters only through the K-theory identity T = n S^dual - End(S), where
+End(S) = S^dual (x) S has Chern roots 0, 0, +-(x1 - x2) and
+delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1}.  Each invariant takes its own
+route from there:
+
+- Euler characteristic: the total Chern class
+  c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...), built by
+  products with a sparse factor (`tangent_chern`);
+- chi_y: the power sums p_m(T) = n p_m(S^dual) - 2 delta^(m/2) (the delta
+  term for even m only) feed the log/exp of the per-root series
+  x(1 + y e^-x)/(1 - e^-x), which gives the class T_y(T) at integer y; the
+  polynomial in y comes back by exact Lagrange interpolation;
+- middle Hodge numbers: solved from the chi_y coefficients, with the
+  off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
 
 Both section integrands are a class on Gr(2,n) times the k-th power of a
 series in sigma_1, one factor per hyperplane normal direction.  So both read
 their class once through its sigma_1 moments [integral of cls * sigma_1^j]
-and pair them, for each k, with the k-th power of the scalar series.  What
-stays independent is the class: c(T) from Newton's identities for the Euler
-characteristic, and for chi_y the class T_y(T) of the per-root series
-x(1 + y e^-x)/(1 - e^-x), built from the power sums by log/exp, evaluated at
-integer y and reassembled by exact Lagrange interpolation.  Their agreement
-at y = -1 is therefore a real check.
+and pair them, for each k, with the k-th power of the scalar series.  Euler
+and chi_y share only the identity for T and this pairing, so their agreement
+at y = -1 is a real check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
-from .errors import (
-    AmbientMismatch,
-    InconsistentEuler,
-    InvalidParameter,
-    NonIntegralGenus,
-)
+from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
 from .schubert import ChowClass, ChowRing, betti, get_ring
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ def _chow_exp(arg: ChowClass, ring: ChowRing) -> ChowClass:
 
 
 # ---------------------------------------------------------------------------
-# Chern data and the splitting-principle calculus
+# Chern data of the tangent bundle, from T = n S^dual - End(S) in K-theory
 
 
 @dataclass(frozen=True)
@@ -123,91 +128,50 @@ class ChernData:
         return out
 
 
-def _power_sums(data: ChernData, upto: int) -> list:
-    """Newton's identities: power sums p_1..p_upto from the Chern classes."""
-    ring = data.ring
-    p = [ring.zero()] * (upto + 1)
-    for m in range(1, upto + 1):
-        acc = data.chern(m).scale((-1) ** (m - 1) * m)
-        for i in range(1, m):
-            acc = acc + (data.chern(i) * p[m - i]).scale((-1) ** (i - 1))
-        p[m] = acc
-    return p
-
-
-def _elementaries(power_sums, ring: ChowRing, upto: int) -> list:
-    """Inverse Newton: elementary symmetric classes e_1..e_upto from power sums."""
-    e = [ring.one()] + [ring.zero()] * upto
-    for m in range(1, upto + 1):
-        acc = ring.zero()
-        for i in range(1, m + 1):
-            acc = acc + (e[m - i] * power_sums[i]).scale((-1) ** (i - 1))
-        e[m] = acc.scale(Fraction(1, m))
-    return e
-
-
-def tautological_chern(n: int, engine: str = "pieri"):
-    """Chern data of the dual tautological subbundle and of the quotient bundle.
-
-    c(S^dual) = 1 + sigma_1 + sigma_{1,1}; the quotient is pinned by the
-    Whitney identity c(S) c(Q) = 1, which is re-checked to top degree.
-    """
-    ring = get_ring(n, engine)
-    s_dual = ChernData(ring, 2, (ring.sigma(1), ring.sigma(1, 1)))
-    # c(S) = 1 - sigma_1 + sigma_{1,1} = 1 - x;  c(Q) = sum x^j
-    x = ring.sigma(1) - ring.sigma(1, 1)
-    inv = ring.one()
-    cur = ring.one()
-    for _ in range(ring.dim):
-        cur = cur * x
-        if cur.is_zero():
-            break
-        inv = inv + cur
-    q_classes = []
-    for i in range(1, ring.dim + 1):
-        comp = inv.component(i)
-        if i <= n - 2:
-            q_classes.append(comp)
-        elif not comp.is_zero():
-            raise InconsistentEuler(f"c_{i} of the quotient bundle does not vanish")
-    q = ChernData(ring, n - 2, tuple(q_classes))
-    c_s = ring.one() - ring.sigma(1) + ring.sigma(1, 1)
-    if c_s * q.total() != ring.one():
-        raise InconsistentEuler("Whitney identity c(S) c(Q) = 1 fails")
-    return s_dual, q
-
-
-def tensor_chern(e_data: ChernData, f_data: ChernData) -> ChernData:
-    """Chern data of a tensor product via the splitting principle.
-
-    Power sums of the root multiset {x_i + y_j} expand binomially in the power
-    sums of the factors; elementary symmetric classes come back through
-    Newton's identities.  Exact in both ranks.
-    """
-    if e_data.ring is not f_data.ring:
-        if (e_data.ring.n, e_data.ring.engine) != (f_data.ring.n, f_data.ring.engine):
-            raise AmbientMismatch("tensor factors over different rings")
-    ring = e_data.ring
-    top = ring.dim
-    pe = _power_sums(e_data, top)
-    pf = _power_sums(f_data, top)
-    pe[0] = ring.one().scale(e_data.rank)
-    pf[0] = ring.one().scale(f_data.rank)
-    p_tensor = [ring.zero()] * (top + 1)
-    for m in range(1, top + 1):
-        acc = ring.zero()
-        for t in range(m + 1):
-            acc = acc + (pe[t] * pf[m - t]).scale(comb(m, t))
-        p_tensor[m] = acc
-    rank = e_data.rank * f_data.rank
-    elem = _elementaries(p_tensor, ring, min(rank, top))
-    return ChernData(ring, rank, tuple(elem[1 : min(rank, top) + 1]))
+def _delta(ring: ChowRing) -> ChowClass:
+    """delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1} for the Chern roots x1, x2
+    of S^dual.  End(S) = S^dual (x) S has Chern roots 0, 0 and +-(x1 - x2)."""
+    return ring.sigma(1) * ring.sigma(1) - ring.sigma(1, 1).scale(4)
 
 
 def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
-    """Chern data of the tangent bundle of Gr(2,n), i.e. S^dual tensor Q."""
-    s_dual, q = tautological_chern(n, engine)
-    return tensor_chern(s_dual, q)
+    """Chern data of the tangent bundle T = Hom(S, Q) of Gr(2,n).
+
+    In K-theory T = n S^dual - End(S), and c(End S) = 1 - delta, so
+    c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...); every
+    product has a sparse factor.  The top class must integrate to the Euler
+    characteristic of Gr(2,n), the number of Schubert cells.
+    """
+    ring = get_ring(n, engine)
+    c_dual_n = (ring.one() + ring.sigma(1) + ring.sigma(1, 1)) ** n
+    # c(T) solves c = c_dual_n + delta c; delta has degree 2, so dim/2 rounds reach the top
+    delta = _delta(ring)
+    total = c_dual_n
+    for _ in range(ring.dim // 2):
+        total = c_dual_n + delta * total
+    if total.integrate() != len(ring.basis()):
+        raise InconsistentEuler(f"c_top(T) of Gr(2,{n}) does not integrate to the number of Schubert cells")
+    return ChernData(ring, ring.dim, tuple(total.component(i) for i in range(1, ring.dim + 1)))
+
+
+def _tangent_power_sums(ring: ChowRing) -> list:
+    """Power sums p_0..p_dim of the Chern roots of T, from the same identity:
+    p_m(T) = n p_m(S^dual) - p_m(End S), where p_m(S^dual) = sigma_1 p_(m-1) -
+    sigma_{1,1} p_(m-2) and p_m(End S) = 2 delta^(m/2) for even m, 0 for odd m."""
+    s1, s11 = ring.sigma(1), ring.sigma(1, 1)
+    dual = [ring.one().scale(2), s1]
+    for m in range(2, ring.dim + 1):
+        dual.append(s1 * dual[m - 1] - s11 * dual[m - 2])
+    delta = _delta(ring)
+    delta_pow = ring.one()
+    out = [ring.one().scale(ring.dim)]  # p_0 = rank T
+    for m in range(1, ring.dim + 1):
+        p = dual[m].scale(ring.n)
+        if m % 2 == 0:
+            delta_pow = delta_pow * delta
+            p = p - delta_pow.scale(2)
+        out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +198,7 @@ class _SectionState:
         self.ring = get_ring(n, engine)
         dim = self.ring.dim
         tangent = tangent_chern(n, engine)
-        self.psums = _power_sums(tangent, dim)
+        self.psums = _tangent_power_sums(self.ring)
         self.sigma1_pows = [self.ring.one()]
         for _ in range(dim):
             self.sigma1_pows.append(self.sigma1_pows[-1] * self.ring.sigma(1))

@@ -14,6 +14,9 @@ division; a comparison yields a boolean, anything else an LPoly.
 Nesting is bounded by MAX_DEPTH = 100 levels: each parenthesis and each
 operator in a chain counts one level, so "1+1+...+1" may have at most 100
 operators.  Deeper input is a ParseError at the token that crosses the bound.
+An integer literal has at most MAX_DIGITS = 1000 digits, and a constructor
+argument is at most MAX_ARG = 1000; a longer literal or a larger argument is a
+ParseError at that literal.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .pairs import fiber_classes
 
 _SYMBOLS = ("==", "+", "-", "*", "(", ")", ",")
 MAX_DEPTH = 100
+MAX_DIGITS = 1000
+MAX_ARG = 1000
 
 
 class _Token:
@@ -69,6 +74,8 @@ def _tokenize(source: str):
             j = i
             while j < len(source) and source[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)
             tokens.append(_Token("int", int(source[i:j]), line, col))
             col += j - i
             i = j
@@ -192,6 +199,8 @@ class _Parser:
                 tok.line,
                 tok.column,
             )
+        if tok.value > MAX_ARG:
+            raise ParseError(f"constructor argument {tok.value} exceeds {MAX_ARG}", tok.line, tok.column)
         return tok.value
 
 

@@ -1,4 +1,4 @@
-"""Characteristic classes: tautological bundles, tensor formula, section invariants."""
+"""Characteristic classes: the tangent bundle of Gr(2,n) and the section invariants."""
 
 from fractions import Fraction
 
@@ -14,48 +14,59 @@ from pgpairs.chern import (
     euler_characteristic_ci,
     middle_hodge,
     tangent_chern,
-    tautological_chern,
-    tensor_chern,
 )
-from pgpairs.errors import AmbientMismatch, InconsistentEuler, InvalidParameter
+from pgpairs.errors import InconsistentEuler, InvalidParameter
 from pgpairs.pairs import hypersurface_poincare_oracle
 from pgpairs.schubert import ENGINES, ChowClass, betti, box_partitions, get_ring, grassmannian_class
 
 
-def test_tautological_chern_small():
-    s_dual, q = tautological_chern(4)
+def test_tangent_chern_of_gr24_is_classical():
     r = get_ring(4)
-    assert s_dual.rank == 2
-    assert s_dual.chern(1) == r.sigma(1)
-    assert s_dual.chern(2) == r.sigma(1, 1)
-    assert q.rank == 2
-    assert q.chern(1) == r.sigma(1)
-    assert q.chern(2) == r.sigma(2)
-
-
-def test_quotient_chern_is_special_class():
-    for n in (5, 6, 7):
-        _, q = tautological_chern(n)
-        r = get_ring(n)
-        for i in range(1, n - 1):
-            assert q.chern(i) == r.sigma(i)
+    expected = {(0, 0): 1, (1, 0): 4, (1, 1): 7, (2, 0): 7, (2, 1): 12, (2, 2): 6}
+    for engine in ENGINES:
+        t = tangent_chern(4, engine)
+        assert t.rank == 4
+        assert t.total() == ChowClass(r, expected)
 
 
 def test_whitney_identity_to_top_degree():
-    for n in range(4, 13):
-        s_dual, q = tautological_chern(n)
-        r = get_ring(n)
-        c_s = r.one() - r.sigma(1) + r.sigma(1, 1)
-        assert c_s * q.total() == r.one()
+    # 0 -> End(S) -> S^dual (x) C^n -> T -> 0 and c(End S) = 1 - delta, so
+    # c(T) (1 - delta) = c(S^dual)^n in every degree
+    for engine in ENGINES:
+        for n in range(4, 13):
+            r = get_ring(n, engine)
+            delta = r.sigma(1) * r.sigma(1) - r.sigma(1, 1).scale(4)
+            assert tangent_chern(n, engine).total() * (r.one() - delta) == (
+                r.one() + r.sigma(1) + r.sigma(1, 1)
+            ) ** n, (engine, n)
 
 
-def test_tensor_line_bundles():
-    r = get_ring(5)
-    e = ChernData(r, 1, (r.sigma(1),))
-    f = ChernData(r, 1, (r.sigma(1).scale(3),))
-    t = tensor_chern(e, f)
-    assert t.rank == 1
-    assert t.chern(1) == r.sigma(1).scale(4)
+def _newton_power_sums(data, upto):
+    """Newton's identities: p_m = (-1)^(m-1) m c_m + sum_{i<m} (-1)^(i-1) c_i p_(m-i)."""
+    p = [None]
+    for m in range(1, upto + 1):
+        acc = data.chern(m).scale((-1) ** (m - 1) * m)
+        for i in range(1, m):
+            acc = acc + (data.chern(i) * p[m - i]).scale((-1) ** (i - 1))
+        p.append(acc)
+    return p[1:]
+
+
+def test_direct_power_sums_match_newton_on_tangent_chern():
+    for engine in ENGINES:
+        for n in range(4, 11):
+            ring = get_ring(n, engine)
+            newton = _newton_power_sums(tangent_chern(n, engine), ring.dim)
+            assert chern._tangent_power_sums(ring)[1:] == newton, (engine, n)
+
+
+def test_tangent_top_class_is_checked(monkeypatch):
+    # drop the -4 sigma_{1,1}: c(T) changes and its top class no longer
+    # integrates to the number of Schubert cells
+    monkeypatch.setattr(chern, "_delta", lambda ring: ring.sigma(1) * ring.sigma(1))
+    for n in (4, 5, 7):
+        with pytest.raises(InconsistentEuler):
+            tangent_chern(n)
 
 
 def test_tangent_first_chern_class():
@@ -69,13 +80,6 @@ def test_tangent_top_chern_integrates_to_cell_count():
         top = tangent_chern(n).chern(2 * (n - 2))
         assert top.integrate() == n * (n - 1) // 2
         assert top.integrate() == grassmannian_class(n).evaluate(1)
-
-
-def test_tensor_rank_and_mismatch():
-    s_dual, q = tautological_chern(6)
-    assert tensor_chern(s_dual, q).rank == 2 * 4
-    with pytest.raises(AmbientMismatch):
-        tensor_chern(s_dual, tautological_chern(5)[0])
 
 
 def test_chern_data_homogeneity_enforced():

@@ -179,3 +179,13 @@ def test_eval_too_deep_is_a_parse_error(source, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "source", ["1" * 5000, "P(1001)", "Gr(2,1001) == Gr(2,1001)"], ids=["long_literal", "P", "Gr"]
+)
+def test_eval_out_of_bounds_is_a_parse_error(source, capsys):
+    assert main(["eval", source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ParseError"

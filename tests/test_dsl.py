@@ -2,7 +2,7 @@
 
 import pytest
 
-from pgpairs.dsl import MAX_DEPTH, eval_dsl
+from pgpairs.dsl import MAX_ARG, MAX_DEPTH, MAX_DIGITS, eval_dsl
 from pgpairs.errors import EvalError, ParseError
 from pgpairs.ring import LPoly, projective_class
 from pgpairs.schubert import grassmannian_class, hyperplane_section_class
@@ -113,3 +113,41 @@ def test_nesting_past_the_bound_is_a_parse_error(source, column):
         eval_dsl(source)
     assert (exc.value.line, exc.value.column) == (1, column)
     assert f"deeper than {MAX_DEPTH}" in str(exc.value)
+
+
+def test_literal_up_to_the_digit_bound_evaluates():
+    assert eval_dsl("9" * MAX_DIGITS + " + 1") == LPoly({0: 10**MAX_DIGITS})
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("1" * (MAX_DIGITS + 1), (1, 1)),
+        ("1" * 5000, (1, 1)),  # past the interpreter's own 4300-digit conversion limit
+        ("L +\n  " + "7" * (MAX_DIGITS + 1) + " * L", (2, 3)),
+    ],
+    ids=["one_past", "5000_digits", "second_line"],
+)
+def test_literal_past_the_digit_bound_is_a_parse_error(source, position):
+    with pytest.raises(ParseError) as exc:
+        eval_dsl(source)
+    assert (exc.value.line, exc.value.column) == position
+    assert f"longer than {MAX_DIGITS} digits" in str(exc.value)
+
+
+def test_constructor_argument_up_to_the_bound_evaluates():
+    assert eval_dsl(f"P({MAX_ARG})") == projective_class(MAX_ARG)
+    assert eval_dsl(f"SumEven({MAX_ARG})") == LPoly({2 * k: 1 for k in range(MAX_ARG // 2)})
+
+
+@pytest.mark.parametrize(
+    "source, column",
+    [("P(1001)", 3), ("Gr(2,1001)", 6), ("Gr(1001,4)", 4), ("F1(1001)", 4), ("H(2, 5) * SumEven(1001)", 19)],
+    ids=["P", "Gr_n", "Gr_first", "F1", "SumEven_in_product"],
+)
+def test_constructor_argument_past_the_bound_is_a_parse_error(source, column):
+    assert MAX_ARG == 1000
+    with pytest.raises(ParseError) as exc:
+        eval_dsl(source)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert f"exceeds {MAX_ARG}" in str(exc.value)

@@ -9,6 +9,7 @@ import pytest
 from pgpairs.errors import AmbientMismatch, InvalidParameter
 from pgpairs.ring import LPoly, projective_class
 from pgpairs.schubert import (
+    ENGINES,
     ChowRing,
     betti,
     box_partitions,
@@ -109,6 +110,17 @@ def test_multiply_pieri_examples():
         rn = get_ring(n)
         top = rn.sigma(n - 2, n - 2)
         assert (top * rn.sigma(1)).is_zero()
+
+
+def test_whitney_identity_for_the_tautological_sequence():
+    # c(S) c(Q) = 1 with c(S) = 1 - sigma_1 + sigma_{1,1} and c_i(Q) = sigma_i
+    for engine in ENGINES:
+        for n in range(4, 13):
+            r = get_ring(n, engine)
+            c_q = r.one()
+            for i in range(1, n - 1):
+                c_q = c_q + r.sigma(i)
+            assert (r.one() - r.sigma(1) + r.sigma(1, 1)) * c_q == r.one(), (engine, n)
 
 
 def test_multiply_respects_grading_with_truncation():
