@@ -7,17 +7,18 @@ exact: class coefficients are rationals, series coefficients are rationals,
 and integrality is asserted at the end rather than assumed.
 
 T enters only through the K-theory identity T = n S^dual - End(S), where
-End(S) = S^dual (x) S has Chern roots 0, 0, +-(x1 - x2) and
-delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1}.  Each invariant takes its own
-route from there:
+End(S) = S^dual (x) S has Chern roots 0, 0, +-u with u = x1 - x2, x1 and x2
+the Chern roots of S^dual.  Each invariant takes its own route from there:
 
-- Euler characteristic: the total Chern class
-  c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...), built by
-  products with a sparse factor (`tangent_chern`);
-- chi_y: the power sums p_m(T) = n p_m(S^dual) - 2 delta^(m/2) (the delta
-  term for even m only) feed the log/exp of the per-root series
-  x(1 + y e^-x)/(1 - e^-x), which gives the class T_y(T) at integer y; the
-  polynomial in y comes back by exact Lagrange interpolation;
+- Euler characteristic, on the Schubert ring of the chosen engine: the total
+  Chern class c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...)
+  with delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built by products with a
+  sparse factor (`tangent_chern`);
+- chi_y, by residue extraction in x1, x2 with no Schubert product: with the
+  per-root series Q(x) = x(1 + y e^-x)/(1 - e^-x) at integer y,
+  Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), and a class f integrates to
+  -1/2 [x1^(n-1) x2^(n-1)] f u^2; the polynomial in y comes back by exact
+  Lagrange interpolation;
 - middle Hodge numbers: solved from the chi_y coefficients, with the
   off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
 
@@ -25,18 +26,19 @@ Both section integrands are a class on Gr(2,n) times the k-th power of a
 series in sigma_1, one factor per hyperplane normal direction.  So both read
 their class once through its sigma_1 moments [integral of cls * sigma_1^j]
 and pair them, for each k, with the k-th power of the scalar series.  Euler
-and chi_y share only the identity for T and this pairing, so their agreement
-at y = -1 is a real check.
+and chi_y share only the identity for T and this pairing, and they integrate
+by different engines, so their agreement at y = -1 is a real check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import comb, factorial
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
-from .schubert import ChowClass, ChowRing, betti, get_ring
+from .schubert import ENGINES, ChowClass, ChowRing, betti, get_ring
 
 # ---------------------------------------------------------------------------
 # truncated power series over Q (dense lists of Fractions, index = degree)
@@ -66,31 +68,29 @@ def _ser_div(a, b, trunc):
         out[m] = acc / b[0]
     return out
 
-def _ser_log(a, trunc):
-    # a[0] must be 1; from a = exp(l):  m*a_m = sum_{j<=m} j*l_j*a_{m-j}
-    out = [Fraction(0)] * (trunc + 1)
-    for m in range(1, trunc + 1):
-        acc = m * (a[m] if m < len(a) else Fraction(0))
-        for j in range(1, m):
-            acc -= j * out[j] * (a[m - j] if m - j < len(a) else Fraction(0))
-        out[m] = acc / m
-    return out
-
 def _exp_neg(trunc):
     # e^-x
     return [Fraction((-1) ** j, factorial(j)) for j in range(trunc + 1)]
 
 
-def _chow_exp(arg: ChowClass, ring: ChowRing) -> ChowClass:
-    """exp of a class with no degree-zero part, truncated at the ring dimension."""
-    out = ring.one()
-    cur = ring.one()
-    for i in range(1, ring.dim + 1):
-        cur = (cur * arg).scale(Fraction(1, i))
-        if cur.is_zero():
-            break
-        out = out + cur
-    return out
+# ---------------------------------------------------------------------------
+# integration over Gr(2,n) by the Chern roots x1, x2 of S^dual
+
+
+@cache
+def _root_coefficient(a: int, c: int, p: int, q: int) -> int:
+    """[x1^p x2^q] (x1 - x2)^a (x1 + x2)^c, an integer."""
+    if p < 0 or q < 0 or p + q != a + c:
+        return 0
+    return sum((-1) ** (a - s) * comb(a, s) * comb(c, p - s) for s in range(max(0, p - c), min(a, p) + 1))
+
+
+def _integrate_roots(n: int, terms) -> Fraction:
+    """Integral over Gr(2,n) of the class sum coeff x1^i x2^j (x1 - x2)^a
+    (x1 + x2)^c, summed over ((i, j, a, c), coeff) in terms:
+    -1/2 [x1^(n-1) x2^(n-1)] of the class times (x1 - x2)^2."""
+    total = sum((coeff * _root_coefficient(a + 2, c, n - 1 - i, n - 1 - j) for (i, j, a, c), coeff in terms), Fraction(0))
+    return total / -2
 
 
 # ---------------------------------------------------------------------------
@@ -154,103 +154,89 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
     return ChernData(ring, ring.dim, tuple(total.component(i) for i in range(1, ring.dim + 1)))
 
 
-def _tangent_power_sums(ring: ChowRing) -> list:
-    """Power sums p_0..p_dim of the Chern roots of T, from the same identity:
-    p_m(T) = n p_m(S^dual) - p_m(End S), where p_m(S^dual) = sigma_1 p_(m-1) -
-    sigma_{1,1} p_(m-2) and p_m(End S) = 2 delta^(m/2) for even m, 0 for odd m."""
-    s1, s11 = ring.sigma(1), ring.sigma(1, 1)
-    dual = [ring.one().scale(2), s1]
-    for m in range(2, ring.dim + 1):
-        dual.append(s1 * dual[m - 1] - s11 * dual[m - 2])
-    delta = _delta(ring)
-    delta_pow = ring.one()
-    out = [ring.one().scale(ring.dim)]  # p_0 = rank T
-    for m in range(1, ring.dim + 1):
-        p = dual[m].scale(ring.n)
-        if m % 2 == 0:
-            delta_pow = delta_pow * delta
-            p = p - delta_pow.scale(2)
-        out.append(p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # invariants of a linear section X = Gr(2,n) cut by k general hyperplanes
 
 
-def _pair(moments, ser, k: int) -> Fraction:
-    """Integral of cls * F^k for F = sum_j ser[j] sigma_1^j, from the sigma_1
-    moments of cls: F^k = sum_j c_j sigma_1^j, so the integral is sum_j c_j
-    moments[j]."""
-    power = [Fraction(1)]
-    for _ in range(k):
-        power = _ser_mul(power, ser, len(moments) - 1)
-    return sum(c * m for c, m in zip(power, moments))
+class _Pairing:
+    """Integrals of cls * F^k for F = sum_j ser[j] sigma_1^j, from the sigma_1
+    moments of cls: F^k = sum_j c_j sigma_1^j, so the integral is
+    sum_j c_j moments[j].  The powers of F are kept, and extended only when a
+    larger k asks."""
+
+    def __init__(self, moments: list, ser: list):
+        self.moments = moments
+        self.ser = ser
+        self.powers = [[Fraction(1)]]
+
+    def value(self, k: int) -> Fraction:
+        while len(self.powers) <= k:
+            self.powers.append(_ser_mul(self.powers[-1], self.ser, len(self.moments) - 1))
+        return sum(c * m for c, m in zip(self.powers[k], self.moments))
 
 
-class _SectionState:
-    """Per-(n, engine) caches shared by the section invariants: the sigma_1
-    moments of c(T) and of each chi_y node's class, read once and paired with
-    the k-th power of a scalar series for every k.  The caches are per
-    process and unlocked, so they are not for concurrent threads."""
-
-    def __init__(self, n: int, engine: str):
-        self.ring = get_ring(n, engine)
-        dim = self.ring.dim
-        tangent = tangent_chern(n, engine)
-        self.psums = _tangent_power_sums(self.ring)
-        self.sigma1_pows = [self.ring.one()]
-        for _ in range(dim):
-            self.sigma1_pows.append(self.sigma1_pows[-1] * self.ring.sigma(1))
-        self.euler_moments = self._moments(tangent.total())
-        # sigma_1/(1 + sigma_1) = sigma_1 - sigma_1^2 + ... : the series whose
-        # k-th power removes k hyperplane normal directions from c(T)
-        self.euler_ser = [Fraction(0)] + [Fraction((-1) ** (j - 1)) for j in range(1, dim + 1)]
-        self.chi_nodes: dict = {}
-
-    def _moments(self, cls: ChowClass) -> list:
-        """[integral of cls * sigma_1^j for j = 0..dim]."""
-        dim = self.ring.dim
-        return [(cls.component(dim - j) * self.sigma1_pows[j]).integrate() for j in range(dim + 1)]
-
-    def euler_value(self, k: int) -> Fraction:
-        return _pair(self.euler_moments, self.euler_ser, k)
-
-    def _node(self, y0: int):
-        node = self.chi_nodes.get(y0)
-        if node is not None:
-            return node
-        trunc = self.ring.dim
-        exp_neg = _exp_neg(trunc)
-        # B = (1 - e^-x)/x, so the root factor is x (1 + y e^-x) / (1 - e^-x) = A/B
-        a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]
-        b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(trunc + 1)]
-        q_ser = _ser_div(a_ser, b_ser, trunc)
-        g_ser = _ser_log([c / (1 + y0) for c in q_ser], trunc)  # log of Q_y/(1+y)
-        arg = self.ring.zero()
-        for m in range(1, trunc + 1):
-            if g_ser[m]:
-                arg = arg + self.psums[m].scale(g_ser[m])
-        tangent_prod = _chow_exp(arg, self.ring).scale(Fraction(1 + y0) ** self.ring.dim)
-        # normal factor per hyperplane: u/Q_y(u) = (1 - e^-u)/(1 + y e^-u)
-        n_ser = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, trunc)
-        node = self.chi_nodes[y0] = (self._moments(tangent_prod), n_ser)
-        return node
-
-    def chi_value(self, y0: int, k: int) -> Fraction:
-        moments, n_ser = self._node(y0)
-        return _pair(moments, n_ser, k)
+def _sigma1_moments(cls: ChowClass) -> list:
+    """[integral of cls * sigma_1^j for j = 0..dim] by Schubert products."""
+    ring = cls.ring
+    out, power = [], ring.one()
+    for j in range(ring.dim + 1):
+        out.append((cls.component(ring.dim - j) * power).integrate())
+        power = power * ring.sigma(1)
+    return out
 
 
-_STATES: dict = {}
+# The memos below are per process and unlocked, so they are not for
+# concurrent threads.
 
 
-def _state(n: int, engine: str) -> _SectionState:
-    key = (n, engine)
-    st = _STATES.get(key)
-    if st is None:
-        st = _STATES[key] = _SectionState(n, engine)
-    return st
+@cache
+def _euler_pairing(n: int, engine: str) -> _Pairing:
+    """c(T) on the Schubert ring of `engine`, paired with the series
+    sigma_1/(1 + sigma_1) = sigma_1 - sigma_1^2 + ..., whose k-th power
+    removes k hyperplane normal directions."""
+    dim = 2 * (n - 2)
+    lef = [Fraction(0)] + [Fraction((-1) ** (j - 1)) for j in range(1, dim + 1)]
+    return _Pairing(_sigma1_moments(tangent_chern(n, engine).total()), lef)
+
+
+def _chi_node(n: int, y0: int) -> _Pairing:
+    """The chi_y integrand at y = y0 as a pairing.  With u = x1 - x2 and the
+    root factor Q(x) = x (1 + y e^-x)/(1 - e^-x),
+    Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)): the two zero roots of End(S)
+    give Q(0)^2.  Each moment [integral of Q(T) sigma_1^c] is one coefficient
+    extraction, a sum over the coefficients of Q^n and of the even series
+    1/(Q(0)^2 Q(u) Q(-u)).  The normal factor per hyperplane is h/Q(h) =
+    (1 - e^-h)/(1 + y e^-h) in h = sigma_1."""
+    dim = 2 * (n - 2)
+    exp_neg = _exp_neg(dim)
+    # B = (1 - e^-x)/x, so Q = A/B
+    a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]
+    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)]
+    q_ser = _ser_div(a_ser, b_ser, dim)
+    q_pow = [Fraction(1)]
+    for _ in range(n):
+        q_pow = _ser_mul(q_pow, q_ser, n - 1)
+    q_even = _ser_mul(q_ser, [(-1) ** j * c for j, c in enumerate(q_ser)], dim)
+    r_ser = _ser_div([1 / q_ser[0] ** 2], q_even, dim)
+    moments = []
+    for c in range(dim + 1):
+        # every term has degree i + j + a + c = dim, which fixes the u-degree a
+        terms = []
+        for i in range(n):
+            for j in range(n):
+                a = dim - i - j - c
+                if a >= 0 and r_ser[a]:
+                    terms.append(((i, j, a, c), q_pow[i] * q_pow[j] * r_ser[a]))
+        moments.append(_integrate_roots(n, terms))
+    n_ser = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
+    return _Pairing(moments, n_ser)
+
+
+@cache
+def _chi_nodes(n: int) -> list:
+    """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k and
+    engine."""
+    return [_chi_node(n, y0) for y0 in range(2 * (n - 2) + 1)]
 
 
 # Not shared with pairs._section_params: this domain has no smooth bound.
@@ -266,7 +252,7 @@ def euler_characteristic_ci(n: int, k: int, engine: str = "pieri") -> int:
     intersection of Gr(2,n) with k hyperplanes, by Gauss-Bonnet on the ambient
     Grassmannian."""
     _validate_section(n, k)
-    val = _state(n, engine).euler_value(k)
+    val = _euler_pairing(n, engine).value(k)
     if val.denominator != 1:
         raise NonIntegralGenus(f"Euler characteristic {val} is not an integer")
     return int(val)
@@ -290,13 +276,14 @@ def _interpolate(values) -> list:
 
 def chi_y_ci(n: int, k: int, engine: str = "pieri") -> list:
     """Hirzebruch chi_y genus of the same section, as the integer coefficient
-    list [chi(O), chi(Omega^1), ...] of length dim X + 1."""
+    list [chi(O), chi(Omega^1), ...] of length dim X + 1.  It is computed by
+    residue extraction, so `engine` is only validated: the Schubert engine
+    confirms it through the Euler characteristic in `middle_hodge`."""
     _validate_section(n, k)
-    st = _state(n, engine)
-    top = st.ring.dim
-    dim = top - k
-    values = [st.chi_value(y0, k) for y0 in range(top + 1)]
-    coeffs = _interpolate(values)
+    if engine not in ENGINES:
+        raise InvalidParameter(f"unknown engine {engine!r}")
+    dim = 2 * (n - 2) - k
+    coeffs = _interpolate([node.value(k) for node in _chi_nodes(n)])
     out = []
     for p, c in enumerate(coeffs):
         if c.denominator != 1:

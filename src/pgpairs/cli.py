@@ -17,6 +17,7 @@ from .dsl import eval_dsl
 from .errors import (
     EvalError,
     InconsistentEuler,
+    InvalidParameter,
     NonIntegralGenus,
     ParseError,
     PGError,
@@ -352,7 +353,11 @@ def main(argv=None) -> int:
             sys.stdout.write(("true" if result else "false") + "\n")
             return 0 if result else 1
         assert isinstance(result, LPoly)
-        sys.stdout.write(str(result) + "\n")
+        try:
+            text = str(result)
+        except ValueError as exc:  # Python's bound on int-to-text conversion
+            raise InvalidParameter("the result has a coefficient too long to print") from exc
+        sys.stdout.write(text + "\n")
         return 0
     except (InconsistentEuler, NonIntegralGenus) as exc:
         sys.stderr.write(_diag(exc))

@@ -1,6 +1,6 @@
 """A small expression language for classes in Z[L].
 
-Grammar (whitespace-insensitive, decimal integers):
+Grammar (whitespace-insensitive, decimal integers in the ASCII digits 0-9):
 
     expr := cmp
     cmp  := sum ("==" sum)?
@@ -26,7 +26,7 @@ from .ring import LPoly, projective_class
 from .schubert import grassmannian_class, hyperplane_section_class, sum_even_powers
 from .pairs import fiber_classes
 
-_SYMBOLS = ("==", "+", "-", "*", "(", ")", ",")
+_DIGITS = "0123456789"
 MAX_DEPTH = 100
 MAX_DIGITS = 1000
 MAX_ARG = 1000
@@ -70,9 +70,9 @@ def _tokenize(source: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(source) and source[j].isdigit():
+            while j < len(source) and source[j] in _DIGITS:
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)

@@ -1,6 +1,7 @@
 """Characteristic classes: the tangent bundle of Gr(2,n) and the section invariants."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -39,25 +40,6 @@ def test_whitney_identity_to_top_degree():
             assert tangent_chern(n, engine).total() * (r.one() - delta) == (
                 r.one() + r.sigma(1) + r.sigma(1, 1)
             ) ** n, (engine, n)
-
-
-def _newton_power_sums(data, upto):
-    """Newton's identities: p_m = (-1)^(m-1) m c_m + sum_{i<m} (-1)^(i-1) c_i p_(m-i)."""
-    p = [None]
-    for m in range(1, upto + 1):
-        acc = data.chern(m).scale((-1) ** (m - 1) * m)
-        for i in range(1, m):
-            acc = acc + (data.chern(i) * p[m - i]).scale((-1) ** (i - 1))
-        p.append(acc)
-    return p[1:]
-
-
-def test_direct_power_sums_match_newton_on_tangent_chern():
-    for engine in ENGINES:
-        for n in range(4, 11):
-            ring = get_ring(n, engine)
-            newton = _newton_power_sums(tangent_chern(n, engine), ring.dim)
-            assert chern._tangent_power_sums(ring)[1:] == newton, (engine, n)
 
 
 def test_tangent_top_class_is_checked(monkeypatch):
@@ -251,4 +233,148 @@ def test_moment_pairing_matches_full_product(case):
     ring = get_ring(n)
     cls = ChowClass(ring, terms)
     expected = (cls * _sigma1_series(ring, ser) ** k).integrate()
-    assert chern._pair(chern._state(n, "pieri")._moments(cls), ser, k) == expected
+    pairing = chern._Pairing(chern._sigma1_moments(cls), ser)
+    assert pairing.value(k) == expected
+    # a smaller k afterwards reads the kept powers
+    assert pairing.value(k // 2) == (cls * _sigma1_series(ring, ser) ** (k // 2)).integrate()
+
+
+# ---------------------------------------------------------------------------
+# chi_y by the Schubert route, kept as an oracle for the residue extraction:
+# power sums of T -> log of the root series -> exp in the Chow ring -> sigma_1
+# moments by Schubert products
+
+
+def _tangent_power_sums(ring):
+    """Power sums p_0..p_dim of the Chern roots of T = n S^dual - End(S):
+    p_m(T) = n p_m(S^dual) - p_m(End S), where p_m(S^dual) = sigma_1 p_(m-1) -
+    sigma_{1,1} p_(m-2) and p_m(End S) = 2 delta^(m/2) for even m, 0 for odd m."""
+    s1, s11 = ring.sigma(1), ring.sigma(1, 1)
+    dual = [ring.one().scale(2), s1]
+    for m in range(2, ring.dim + 1):
+        dual.append(s1 * dual[m - 1] - s11 * dual[m - 2])
+    delta = s1 * s1 - s11.scale(4)
+    delta_pow = ring.one()
+    out = [ring.one().scale(ring.dim)]  # p_0 = rank T
+    for m in range(1, ring.dim + 1):
+        p = dual[m].scale(ring.n)
+        if m % 2 == 0:
+            delta_pow = delta_pow * delta
+            p = p - delta_pow.scale(2)
+        out.append(p)
+    return out
+
+
+def _newton_power_sums(data, upto):
+    """Newton's identities: p_m = (-1)^(m-1) m c_m + sum_{i<m} (-1)^(i-1) c_i p_(m-i)."""
+    p = [None]
+    for m in range(1, upto + 1):
+        acc = data.chern(m).scale((-1) ** (m - 1) * m)
+        for i in range(1, m):
+            acc = acc + (data.chern(i) * p[m - i]).scale((-1) ** (i - 1))
+        p.append(acc)
+    return p[1:]
+
+
+def test_direct_power_sums_match_newton_on_tangent_chern():
+    for engine in ENGINES:
+        for n in range(4, 11):
+            ring = get_ring(n, engine)
+            newton = _newton_power_sums(tangent_chern(n, engine), ring.dim)
+            assert _tangent_power_sums(ring)[1:] == newton, (engine, n)
+
+
+def _ser_log(a, trunc):
+    # a[0] must be 1; from a = exp(l):  m*a_m = sum_{j<=m} j*l_j*a_{m-j}
+    out = [Fraction(0)] * (trunc + 1)
+    for m in range(1, trunc + 1):
+        acc = m * (a[m] if m < len(a) else Fraction(0))
+        for j in range(1, m):
+            acc -= j * out[j] * (a[m - j] if m - j < len(a) else Fraction(0))
+        out[m] = acc / m
+    return out
+
+
+def _chow_exp(arg, ring):
+    """exp of a class with no degree-zero part, truncated at the ring dimension."""
+    out = ring.one()
+    cur = ring.one()
+    for i in range(1, ring.dim + 1):
+        cur = (cur * arg).scale(Fraction(1, i))
+        if cur.is_zero():
+            break
+        out = out + cur
+    return out
+
+
+def _schubert_chi_y(n, engine):
+    """chi_y coefficient lists of the sections of Gr(2,n) by k = 0..dim
+    hyperplanes, with T_y(T) = prod Q(t) over the roots t of T built in the
+    Chow ring of `engine` as (1 + y)^dim exp(sum_m g_m p_m(T)), where
+    g = log(Q/(1 + y)) and Q(x) = x (1 + y e^-x)/(1 - e^-x)."""
+    ring = get_ring(n, engine)
+    dim = ring.dim
+    psums = _tangent_power_sums(ring)
+    exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(dim + 1)]
+    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)]  # (1 - e^-x)/x
+    nodes = []
+    for y0 in range(dim + 1):
+        a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]  # 1 + y e^-x
+        q_ser = chern._ser_div(a_ser, b_ser, dim)
+        g_ser = _ser_log([c / (1 + y0) for c in q_ser], dim)
+        arg = ring.zero()
+        for m in range(1, dim + 1):
+            arg = arg + psums[m].scale(g_ser[m])
+        t_y = _chow_exp(arg, ring).scale(Fraction(1 + y0) ** dim)
+        normal = chern._ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
+        nodes.append(chern._Pairing(chern._sigma1_moments(t_y), normal))
+    out = []
+    for k in range(dim + 1):
+        coeffs = chern._interpolate([node.value(k) for node in nodes])
+        assert not any(coeffs[dim - k + 1 :]), (engine, n, k)
+        out.append(coeffs[: dim - k + 1])
+    return out
+
+
+def test_chi_y_matches_schubert_route_oracle():
+    for engine in ENGINES:
+        for n in range(4, 10):
+            for k, expected in enumerate(_schubert_chi_y(n, engine)):
+                assert chi_y_ci(n, k, engine) == expected, (engine, n, k)
+    # the Calabi-Yau threefold section behind the (7,7) pair
+    assert _schubert_chi_y(7, "lr")[7] == chi_y_ci(7, 7) == [0, 49, -49, 0]
+
+
+@st.composite
+def _sigma_polynomial(draw):
+    """n and {(a, b): coeff} for f = sum coeff sigma_1^a sigma_{1,1}^b of
+    degree dim Gr(2,n), with lower-degree terms that must integrate to 0."""
+    n = draw(st.integers(4, 10))
+    dim = 2 * (n - 2)
+    top = [(dim - 2 * b, b) for b in range(dim // 2 + 1)]
+    lower = [(a, b) for b in range(dim // 2) for a in range(dim - 2 * b)]
+    coeff = st.integers(-50, 50)
+    f = draw(st.dictionaries(st.sampled_from(top), coeff, min_size=1, max_size=4))
+    f.update(draw(st.dictionaries(st.sampled_from(lower), coeff, max_size=4)))
+    return n, f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sigma_polynomial())
+def test_root_extraction_matches_schubert_integral(case):
+    n, f = case
+    # sigma_{1,1}^b = x1^b x2^b
+    value = chern._integrate_roots(n, [((b, b, 0, a), c) for (a, b), c in f.items()])
+    # sigma_{1,1} = (sigma_1^2 - u^2)/4 with u = x1 - x2, so the same class in u and sigma_1
+    by_u = [
+        ((0, 0, 2 * t, a + 2 * (b - t)), Fraction(c * comb(b, t) * (-1) ** t, 4**b))
+        for (a, b), c in f.items()
+        for t in range(b + 1)
+    ]
+    assert chern._integrate_roots(n, by_u) == value
+    for engine in ENGINES:
+        ring = get_ring(n, engine)
+        cls = ring.zero()
+        for (a, b), c in f.items():
+            cls = cls + (ring.sigma(1) ** a * ring.sigma(1, 1) ** b).scale(c)
+        assert value == cls.integrate(), engine

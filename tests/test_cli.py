@@ -189,3 +189,20 @@ def test_eval_out_of_bounds_is_a_parse_error(source, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("source", ["1 + ²", "P(٣)"], ids=["superscript_two", "arabic_indic_three"])
+def test_eval_non_ascii_digit_is_a_parse_error(source, capsys):
+    assert main(["eval", source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ParseError"
+
+
+def test_eval_result_too_long_to_print_is_a_typed_error(capsys):
+    # five 1,000-digit literals, each within the DSL bound, multiply to a
+    # 5,000-digit coefficient, past Python's bound on int-to-text conversion
+    assert main(["eval", "*".join(["9" * 1000] * 5)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidParameter"

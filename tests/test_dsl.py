@@ -151,3 +151,15 @@ def test_constructor_argument_past_the_bound_is_a_parse_error(source, column):
         eval_dsl(source)
     assert (exc.value.line, exc.value.column) == (1, column)
     assert f"exceeds {MAX_ARG}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [("1 + ²", (1, 5)), ("P(٣)", (1, 3)), ("1 +\n 2٣", (2, 3))],
+    ids=["superscript_two", "arabic_indic_three", "after_ascii_digit"],
+)
+def test_non_ascii_digits_are_parse_errors(source, position):
+    # only 0-9 are digits: P(٣) must not evaluate as P(3)
+    with pytest.raises(ParseError) as exc:
+        eval_dsl(source)
+    assert (exc.value.line, exc.value.column) == position
