@@ -3,7 +3,6 @@ Gr(2,n) and their Pfaffian duals."""
 
 from . import errors
 from .chern import (
-    ChernData,
     HodgeSummary,
     chi_y_ci,
     euler_characteristic_ci,
@@ -44,7 +43,6 @@ from .schubert import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChernData",
     "ChowClass",
     "ChowRing",
     "HodgeSummary",

@@ -12,13 +12,14 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
 
 - Euler characteristic, on the Schubert ring of the chosen engine: the total
   Chern class c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...)
-  with delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built by products with a
-  sparse factor (`tangent_chern`);
-- chi_y, by residue extraction in x1, x2 with no Schubert product: with the
-  per-root series Q(x) = x(1 + y e^-x)/(1 - e^-x) at integer y,
-  Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), and a class f integrates to
-  -1/2 [x1^(n-1) x2^(n-1)] f u^2; the polynomial in y comes back by exact
-  Lagrange interpolation;
+  with delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, one class built by products
+  with a sparse factor (`tangent_chern`);
+- chi_y, by residue extraction in x1, x2 with no Schubert product and no
+  engine: with td(x) = x/(1 - e^-x) and, since td(x) e^-x = td(-x), the
+  per-root series Q(x) = x(1 + y e^-x)/(1 - e^-x) = td(x) + y td(-x) at
+  integer y, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), the normal factor
+  is h/Q(h), and a class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2; the
+  polynomial in y comes back by exact Lagrange interpolation;
 - middle Hodge numbers: solved from the chi_y coefficients, with the
   off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
 
@@ -38,7 +39,7 @@ from functools import cache
 from math import comb, factorial
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
-from .schubert import ENGINES, ChowClass, ChowRing, betti, get_ring
+from .schubert import ChowClass, ChowRing, betti, get_ring
 
 # ---------------------------------------------------------------------------
 # truncated power series over Q (dense lists of Fractions, index = degree)
@@ -68,10 +69,6 @@ def _ser_div(a, b, trunc):
         out[m] = acc / b[0]
     return out
 
-def _exp_neg(trunc):
-    # e^-x
-    return [Fraction((-1) ** j, factorial(j)) for j in range(trunc + 1)]
-
 
 # ---------------------------------------------------------------------------
 # integration over Gr(2,n) by the Chern roots x1, x2 of S^dual
@@ -94,38 +91,7 @@ def _integrate_roots(n: int, terms) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Chern data of the tangent bundle, from T = n S^dual - End(S) in K-theory
-
-
-@dataclass(frozen=True)
-class ChernData:
-    """Chern classes c_1..c_rank of a bundle over one Gr(2,n); c_0 = 1 implicit.
-
-    classes[i] is homogeneous of degree i+1; entries above the dimension of
-    the ambient ring are omitted since they vanish there.
-    """
-
-    ring: ChowRing
-    rank: int
-    classes: tuple
-
-    def __post_init__(self):
-        for i, c in enumerate(self.classes):
-            if c.component(i + 1) != c:
-                raise InvalidParameter(f"c_{i + 1} is not homogeneous of degree {i + 1}")
-
-    def chern(self, i: int) -> ChowClass:
-        if i == 0:
-            return self.ring.one()
-        if 1 <= i <= len(self.classes):
-            return self.classes[i - 1]
-        return self.ring.zero()
-
-    def total(self) -> ChowClass:
-        out = self.ring.one()
-        for c in self.classes:
-            out = out + c
-        return out
+# the total Chern class of the tangent bundle, from T = n S^dual - End(S)
 
 
 def _delta(ring: ChowRing) -> ChowClass:
@@ -134,8 +100,8 @@ def _delta(ring: ChowRing) -> ChowClass:
     return ring.sigma(1) * ring.sigma(1) - ring.sigma(1, 1).scale(4)
 
 
-def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
-    """Chern data of the tangent bundle T = Hom(S, Q) of Gr(2,n).
+def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
+    """Total Chern class c(T) of the tangent bundle T = Hom(S, Q) of Gr(2,n).
 
     In K-theory T = n S^dual - End(S), and c(End S) = 1 - delta, so
     c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...); every
@@ -151,7 +117,7 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChernData:
         total = c_dual_n + delta * total
     if total.integrate() != len(ring.basis()):
         raise InconsistentEuler(f"c_top(T) of Gr(2,{n}) does not integrate to the number of Schubert cells")
-    return ChernData(ring, ring.dim, tuple(total.component(i) for i in range(1, ring.dim + 1)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +162,25 @@ def _euler_pairing(n: int, engine: str) -> _Pairing:
     removes k hyperplane normal directions."""
     dim = 2 * (n - 2)
     lef = [Fraction(0)] + [Fraction((-1) ** (j - 1)) for j in range(1, dim + 1)]
-    return _Pairing(_sigma1_moments(tangent_chern(n, engine).total()), lef)
+    return _Pairing(_sigma1_moments(tangent_chern(n, engine)), lef)
 
 
-def _chi_node(n: int, y0: int) -> _Pairing:
+def _node_series(y0: int, td: list):
+    """The root series Q = td(x) + y0 td(-x) and the normal series h/Q(h), from
+    the coefficients of td(x) = x/(1 - e^-x)."""
+    q_ser = [c * (1 + (-1) ** j * y0) for j, c in enumerate(td)]
+    return q_ser, _ser_div([0, 1], q_ser, len(td) - 1)
+
+
+def _chi_node(n: int, y0: int, td: list) -> _Pairing:
     """The chi_y integrand at y = y0 as a pairing.  With u = x1 - x2 and the
-    root factor Q(x) = x (1 + y e^-x)/(1 - e^-x),
-    Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)): the two zero roots of End(S)
-    give Q(0)^2.  Each moment [integral of Q(T) sigma_1^c] is one coefficient
-    extraction, a sum over the coefficients of Q^n and of the even series
-    1/(Q(0)^2 Q(u) Q(-u)).  The normal factor per hyperplane is h/Q(h) =
-    (1 - e^-h)/(1 + y e^-h) in h = sigma_1."""
+    root factor Q of `_node_series`, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u)
+    Q(-u)): the two zero roots of End(S) give Q(0)^2.  Each moment [integral
+    of Q(T) sigma_1^c] is one coefficient extraction, a sum over the
+    coefficients of Q^n and of the even series 1/(Q(0)^2 Q(u) Q(-u)).  The
+    normal factor per hyperplane is h/Q(h) in h = sigma_1."""
     dim = 2 * (n - 2)
-    exp_neg = _exp_neg(dim)
-    # B = (1 - e^-x)/x, so Q = A/B
-    a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]
-    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)]
-    q_ser = _ser_div(a_ser, b_ser, dim)
+    q_ser, n_ser = _node_series(y0, td)
     q_pow = [Fraction(1)]
     for _ in range(n):
         q_pow = _ser_mul(q_pow, q_ser, n - 1)
@@ -228,15 +196,16 @@ def _chi_node(n: int, y0: int) -> _Pairing:
                 if a >= 0 and r_ser[a]:
                     terms.append(((i, j, a, c), q_pow[i] * q_pow[j] * r_ser[a]))
         moments.append(_integrate_roots(n, terms))
-    n_ser = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
     return _Pairing(moments, n_ser)
 
 
 @cache
 def _chi_nodes(n: int) -> list:
-    """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k and
-    engine."""
-    return [_chi_node(n, y0) for y0 in range(2 * (n - 2) + 1)]
+    """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k, from
+    one Todd series td(x) = x/(1 - e^-x)."""
+    dim = 2 * (n - 2)
+    td = _ser_div([1], [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)], dim)
+    return [_chi_node(n, y0, td) for y0 in range(dim + 1)]
 
 
 # Not shared with pairs._section_params: this domain has no smooth bound.
@@ -274,14 +243,12 @@ def _interpolate(values) -> list:
     return coeffs
 
 
-def chi_y_ci(n: int, k: int, engine: str = "pieri") -> list:
+def chi_y_ci(n: int, k: int) -> list:
     """Hirzebruch chi_y genus of the same section, as the integer coefficient
     list [chi(O), chi(Omega^1), ...] of length dim X + 1.  It is computed by
-    residue extraction, so `engine` is only validated: the Schubert engine
-    confirms it through the Euler characteristic in `middle_hodge`."""
+    residue extraction with no Schubert engine; `middle_hodge` confirms it
+    against the Euler characteristic of the chosen engine."""
     _validate_section(n, k)
-    if engine not in ENGINES:
-        raise InvalidParameter(f"unknown engine {engine!r}")
     dim = 2 * (n - 2) - k
     coeffs = _interpolate([node.value(k) for node in _chi_nodes(n)])
     out = []
@@ -321,9 +288,8 @@ def middle_hodge(n: int, k: int, engine: str = "pieri") -> HodgeSummary:
     h^{p, dim-p} is solved from the chi_y coefficients."""
     _validate_section(n, k)
     dim = 2 * (n - 2) - k
-    chi_list = chi_y_ci(n, k, engine)
-    chi_list = chi_list + [0] * (dim + 1 - len(chi_list))
     euler = euler_characteristic_ci(n, k, engine)
+    chi_list = chi_y_ci(n, k)
     if sum(c * (-1) ** p for p, c in enumerate(chi_list)) != euler:
         raise InconsistentEuler(
             f"chi_y(-1) = {sum(c * (-1) ** p for p, c in enumerate(chi_list))} "

@@ -1,8 +1,11 @@
 """Command-line surface: single-pair reports, grid sweeps, and the class DSL.
 
 Exit codes: 0 success, 1 check failure (including a false comparison or a
-non-exact division in `eval`), 2 usage or parse error, 3 internal
-inconsistency.  Diagnostics go to stderr as one JSON object per error.
+non-exact division or a zero divisor in `eval`), 2 usage or parse error, 3
+internal inconsistency.  Diagnostics go to stderr as one JSON object per error.
+
+Every n and k that a `pair` or `grid` request names lies in -MAX_NK..MAX_NK;
+anything past it is an InvalidParameter before any report is built.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from .errors import (
 )
 from .pairs import CHECK_NAMES, SCHEMA_VERSION, build_pair_report, make_pair
 from .ring import LPoly
+from .schubert import ENGINES
 
 _SAFE_INT = 2**53 - 1
 _FORMATS = ("json", "markdown", "csv")
 _CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
+MAX_NK = 24
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,12 @@ def _validate_checks(names) -> None:
 def _validate_format(output_format: str) -> None:
     if output_format not in _FORMATS:
         raise PGError(f"unknown format {output_format!r}")
+
+
+def _validate_bounds(**params) -> None:
+    for name, value in params.items():
+        if abs(value) > MAX_NK:
+            raise InvalidParameter(f"{name} = {value} is outside -{MAX_NK}..{MAX_NK}")
 
 
 def _filter_checks(report: dict, names) -> dict:
@@ -157,6 +168,7 @@ def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri",
     """Build and serialize one pair report; returns (text, exit_code)."""
     _validate_checks(checks)
     _validate_format(output_format)
+    _validate_bounds(n=n, k=k)
     report = _filter_checks(build_pair_report(n, k, engine), tuple(checks))
     code = 0 if report["all_checks_pass"] else 1
     serialize = {"json": _dump_json, "markdown": _pair_markdown, "csv": _pair_csv}
@@ -208,6 +220,7 @@ def run_grid(request: GridRequest):
         raise PGError("empty parameter ranges")
     _validate_checks(request.checks)
     _validate_format(request.output_format)
+    _validate_bounds(n_min=request.n_min, n_max=request.n_max, k_min=request.k_min, k_max=request.k_max)
 
     rows = [
         _grid_row(n, k, request.engine, request.checks)
@@ -293,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--n", type=int, required=True)
     pair.add_argument("--k", type=int, required=True)
     pair.add_argument("--format", default="json", choices=_FORMATS)
-    pair.add_argument("--engine", default="pieri", choices=("pieri", "lr"))
+    pair.add_argument("--engine", default="pieri", choices=ENGINES)
     pair.add_argument("--checks", default="", help="comma-separated check names")
 
     grid = sub.add_parser("grid", help="sweep a rectangle of pairs")
@@ -303,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--k-max", type=int, required=True)
     grid.add_argument("--checks", default="", help="comma-separated check names")
     grid.add_argument("--format", default="json", choices=_FORMATS)
-    grid.add_argument("--engine", default="pieri", choices=("pieri", "lr"))
+    grid.add_argument("--engine", default="pieri", choices=ENGINES)
 
     ev = sub.add_parser("eval", help="evaluate a class expression")
     ev.add_argument("expression")

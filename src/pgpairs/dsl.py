@@ -289,6 +289,8 @@ def _eval(node):
     if op == "==":
         return lhs == rhs
     if op == "div":
+        if rhs.is_zero():
+            raise EvalError("division by zero", _show(node))
         try:
             return lhs.div_exact(rhs)
         except NonExactDivision as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AmbientMismatch, InvalidParameter
-from .ring import LPoly
+from .ring import LPoly, projective_class
 
 ENGINES = ("pieri", "lr")
 
@@ -68,8 +68,6 @@ def grassmannian_class(n: int, method: str = "cells") -> LPoly:
             out[d] = out.get(d, 0) + 1
         return LPoly(out)
     if method == "product_formula":
-        from .ring import projective_class
-
         base = projective_class(n - 2) if n % 2 == 0 else projective_class(n - 1)
         return base * sum_even_powers(n)
     raise InvalidParameter(f"unknown method {method!r}")
@@ -80,8 +78,6 @@ def hyperplane_section_class(n: int) -> LPoly:
     [P^(n-3)] (n even) or [P^(n-2)] (n odd) times the even-power sum."""
     if n < 4:
         raise InvalidParameter(f"Gr(2,{n}) needs n >= 4")
-    from .ring import projective_class
-
     base = projective_class(n - 3) if n % 2 == 0 else projective_class(n - 2)
     return base * sum_even_powers(n)
 

@@ -173,7 +173,7 @@ def test_criterion_05_calabi_yau_threefold_pair_dual_engines():
 
 def test_criterion_06_characteristic_class_sanity():
     for n in range(4, 11):
-        assert tangent_chern(n).chern(2 * (n - 2)).integrate() == n * (n - 1) // 2, n
+        assert tangent_chern(n).component(2 * (n - 2)).integrate() == n * (n - 1) // 2, n
     for n in range(4, 11):
         for k in range(0, 2 * (n - 2) + 1):
             chi_y = chi_y_ci(n, k)

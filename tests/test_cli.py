@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pgpairs.cli import (
+    MAX_NK,
     GridRequest,
     decode_ints,
     main,
@@ -12,7 +13,7 @@ from pgpairs.cli import (
     run_pair,
     _dump_json,
 )
-from pgpairs.errors import PGError
+from pgpairs.errors import InvalidParameter, PGError
 from pgpairs.pairs import CHECK_NAMES
 
 
@@ -169,6 +170,35 @@ def test_unknown_format_rejected_before_any_report(monkeypatch):
         run_pair(8, 4, output_format="xml")
     with pytest.raises(PGError, match="unknown format 'xml'"):
         run_grid(GridRequest(4, 7, 1, 10, (), output_format="xml"))
+
+
+def test_n_and_k_past_the_bound_rejected_before_any_report(monkeypatch, capsys):
+    def no_report(*args):
+        raise AssertionError("a report was built for a request past the bound")
+
+    monkeypatch.setattr("pgpairs.cli.build_pair_report", no_report)
+    past = MAX_NK + 1
+    for n, k in ((past, 4), (8, past), (-past, 4)):
+        with pytest.raises(InvalidParameter, match=f"outside -{MAX_NK}..{MAX_NK}"):
+            run_pair(n, k)
+    for request in (GridRequest(4, past, 1, 4, ()), GridRequest(4, 5, 1, past, ()), GridRequest(-past, 5, 1, 4, ())):
+        with pytest.raises(InvalidParameter, match=f"outside -{MAX_NK}..{MAX_NK}"):
+            run_grid(request)
+    assert main(["pair", "--n", str(past), "--k", "4"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
+    assert main(["grid", "--n-min", "4", "--n-max", "5", "--k-min", "1", "--k-max", str(past)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
+    # on the bound every pair here is invalid, so the grid is all skip rows
+    text, code = run_grid(GridRequest(MAX_NK - 1, MAX_NK, -MAX_NK, -MAX_NK + 1, ()))
+    assert code == 0
+    assert json.loads(text)["summary"] == {"pass": 0, "fail": 0, "skip": 4}
+
+
+def test_eval_zero_divisor_is_an_eval_error(capsys):
+    assert main(["eval", "1 div 0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "EvalError", "message": "division by zero: (1 div 0)"}
 
 
 @pytest.mark.parametrize(

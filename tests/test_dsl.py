@@ -1,7 +1,14 @@
 """The class expression language: grammar, evaluation, error positions."""
 
-import pytest
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgpairs.cli import main
 from pgpairs.dsl import MAX_ARG, MAX_DEPTH, MAX_DIGITS, eval_dsl
 from pgpairs.errors import EvalError, ParseError
 from pgpairs.ring import LPoly, projective_class
@@ -40,6 +47,14 @@ def test_constructors():
 def test_exact_division():
     assert eval_dsl("Gr(2,4) div P(2)") == LPoly.from_coeffs([1, 0, 1])
     assert eval_dsl("(L*L*L + L*L*L*L) div (L*L*L)") == LPoly.from_coeffs([1, 1])
+
+
+@pytest.mark.parametrize("source, fragment", [("1 div 0", "(1 div 0)"), ("L div (L-L)", "(L div (L - L))")])
+def test_zero_divisor_is_an_eval_error(source, fragment):
+    with pytest.raises(EvalError) as exc:
+        eval_dsl(source)
+    assert exc.value.fragment == fragment
+    assert "division by zero" in str(exc.value)
 
 
 def test_comparison_false():
@@ -163,3 +178,47 @@ def test_non_ascii_digits_are_parse_errors(source, position):
     with pytest.raises(ParseError) as exc:
         eval_dsl(source)
     assert (exc.value.line, exc.value.column) == position
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: only ParseError and EvalError escape, and `eval` maps them to 2 and 1
+
+_CTOR_NAMES = ("P", "Gr", "H", "F1", "F2", "SumEven")
+_ctor = st.builds(
+    lambda name, args: f"{name}({','.join(map(str, args))})",
+    st.sampled_from(_CTOR_NAMES),
+    st.lists(st.integers(0, 8), min_size=1, max_size=2),
+)
+_atom = st.one_of(st.integers(0, 12).map(str), st.just("L"), st.just("(L - L)"), _ctor)
+_well_formed = st.recursive(
+    _atom,
+    lambda inner: st.builds(
+        lambda lhs, op, rhs: f"({lhs} {op} {rhs})", inner, st.sampled_from(["+", "-", "*", "div", "=="]), inner
+    ),
+    max_leaves=8,
+)
+_TOKENS = ("0", "1", "7", "L", *_CTOR_NAMES, "(", ")", ",", "+", "-", "*", "div", "==", "=", "x", "@", "\n", "²")
+_token_soup = st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
+_spliced = st.builds(lambda src, i, tok: src[:i] + tok + src[i:], _well_formed, st.integers(0, 60), st.sampled_from(_TOKENS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_well_formed, _token_soup, _spliced))
+def test_fuzzed_expressions_raise_only_typed_errors(source):
+    error = None
+    try:
+        result = eval_dsl(source)
+    except ParseError as exc:
+        error, expected = exc, 2
+        lines = source.split("\n")
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
+    except EvalError as exc:
+        error, expected = exc, 1
+    else:
+        expected = 1 if result is False else 0
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(["eval", source]) == expected, source
+    if error is not None:
+        assert json.loads(err.getvalue())["error"] == type(error).__name__
