@@ -3,8 +3,10 @@
 The tangent bundle T = Hom(S, Q) and three invariants of a linear section
 X = Gr(2,n) cut by k general hyperplanes: the topological Euler
 characteristic, the chi_y genus, and the middle Hodge numbers.  Everything is
-exact: class coefficients are rationals, series coefficients are rationals,
-and integrality is asserted at the end rather than assumed.
+exact and runs on integers: a class keeps integral coefficients as ints, a
+truncated power series is a list of integer numerators over one positive
+denominator, and a Fraction is made only where a value leaves its loop.
+Integrality is asserted at the end rather than assumed.
 
 T enters only through the K-theory identity T = n S^dual - End(S), where
 End(S) = S^dual (x) S has Chern roots 0, 0, +-u with u = x1 - x2, x1 and x2
@@ -36,38 +38,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
 from .schubert import ChowClass, ChowRing, betti, get_ring
 
 # ---------------------------------------------------------------------------
-# truncated power series over Q (dense lists of Fractions, index = degree)
+# truncated power series over Q, each one (nums, den): a dense list of ints
+# (index = degree) over one positive int, reduced so gcd(den, *nums) == 1
+
+
+def _reduced(nums: list, den: int) -> tuple:
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    g = gcd(den, *nums)
+    if g > 1:
+        nums, den = [x // g for x in nums], den // g
+    return nums, den
+
+
+def _over_one_den(values) -> tuple:
+    """Exact rationals (ints or Fractions) as (nums, den) over their least
+    common denominator, which leaves them reduced."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _ser_mul(a, b, trunc):
-    out = [Fraction(0)] * (trunc + 1)
-    for i, x in enumerate(a):
-        if i > trunc or not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j > trunc:
-                break
-            if y:
+    (an, ad), (bn, bd) = a, b
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(an[: trunc + 1]):
+        if x:
+            for j, y in enumerate(bn[: trunc + 1 - i]):
                 out[i + j] += x * y
-    return out
+    return _reduced(out, ad * bd)
+
 
 def _ser_div(a, b, trunc):
-    if not b[0]:
+    (an, ad), (bn, bd) = a, b
+    b0 = bn[0]
+    if not b0:
         raise InvalidParameter("series division by a series with zero constant term")
-    out = [Fraction(0)] * (trunc + 1)
+    pw = [b0**e for e in range(trunc + 2)]
+    # c[m] = b0^(m+1) [x^m] an/bn, so the recurrence divides by nothing
+    c = []
     for m in range(trunc + 1):
-        acc = a[m] if m < len(a) else Fraction(0)
-        for j in range(1, m + 1):
-            if j < len(b) and b[j]:
-                acc -= b[j] * out[m - j]
-        out[m] = acc / b[0]
-    return out
+        acc = an[m] * pw[m] if m < len(an) else 0
+        for j in range(1, min(m, len(bn) - 1) + 1):
+            if bn[j]:
+                acc -= bn[j] * c[m - j] * pw[j - 1]
+        c.append(acc)
+    # lift every coefficient to b0^(trunc+1); a/b = (an/bn) (bd/ad)
+    return _reduced([x * pw[trunc - m] * bd for m, x in enumerate(c)], pw[trunc + 1] * ad)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +102,6 @@ def _root_coefficient(a: int, c: int, p: int, q: int) -> int:
     if p < 0 or q < 0 or p + q != a + c:
         return 0
     return sum((-1) ** (a - s) * comb(a, s) * comb(c, p - s) for s in range(max(0, p - c), min(a, p) + 1))
-
-
-def _integrate_roots(n: int, terms) -> Fraction:
-    """Integral over Gr(2,n) of the class sum coeff x1^i x2^j (x1 - x2)^a
-    (x1 + x2)^c, summed over ((i, j, a, c), coeff) in terms:
-    -1/2 [x1^(n-1) x2^(n-1)] of the class times (x1 - x2)^2."""
-    total = sum((coeff * _root_coefficient(a + 2, c, n - 1 - i, n - 1 - j) for (i, j, a, c), coeff in terms), Fraction(0))
-    return total / -2
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +141,20 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
 class _Pairing:
     """Integrals of cls * F^k for F = sum_j ser[j] sigma_1^j, from the sigma_1
     moments of cls: F^k = sum_j c_j sigma_1^j, so the integral is
-    sum_j c_j moments[j].  The powers of F are kept, and extended only when a
-    larger k asks."""
+    sum_j c_j moments[j].  Moments and series are (nums, den) pairs.  The
+    powers of F are kept, and extended only when a larger k asks."""
 
-    def __init__(self, moments: list, ser: list):
+    def __init__(self, moments: tuple, ser: tuple):
         self.moments = moments
         self.ser = ser
-        self.powers = [[Fraction(1)]]
+        self.powers = [([1], 1)]
 
     def value(self, k: int) -> Fraction:
+        mn, md = self.moments
         while len(self.powers) <= k:
-            self.powers.append(_ser_mul(self.powers[-1], self.ser, len(self.moments) - 1))
-        return sum(c * m for c, m in zip(self.powers[k], self.moments))
+            self.powers.append(_ser_mul(self.powers[-1], self.ser, len(mn) - 1))
+        cn, cd = self.powers[k]
+        return Fraction(sum(c * m for c, m in zip(cn, mn)), cd * md)
 
 
 def _sigma1_moments(cls: ChowClass) -> list:
@@ -161,42 +177,47 @@ def _euler_pairing(n: int, engine: str) -> _Pairing:
     sigma_1/(1 + sigma_1) = sigma_1 - sigma_1^2 + ..., whose k-th power
     removes k hyperplane normal directions."""
     dim = 2 * (n - 2)
-    lef = [Fraction(0)] + [Fraction((-1) ** (j - 1)) for j in range(1, dim + 1)]
-    return _Pairing(_sigma1_moments(tangent_chern(n, engine)), lef)
+    lef = [0] + [(-1) ** (j - 1) for j in range(1, dim + 1)]
+    return _Pairing(_over_one_den(_sigma1_moments(tangent_chern(n, engine))), (lef, 1))
 
 
-def _node_series(y0: int, td: list):
+def _node_series(y0: int, td: tuple):
     """The root series Q = td(x) + y0 td(-x) and the normal series h/Q(h), from
-    the coefficients of td(x) = x/(1 - e^-x)."""
-    q_ser = [c * (1 + (-1) ** j * y0) for j, c in enumerate(td)]
-    return q_ser, _ser_div([0, 1], q_ser, len(td) - 1)
+    the series td(x) = x/(1 - e^-x)."""
+    nums, den = td
+    q_ser = _reduced([c * (1 + (-1) ** j * y0) for j, c in enumerate(nums)], den)
+    return q_ser, _ser_div(([0, 1], 1), q_ser, len(nums) - 1)
 
 
-def _chi_node(n: int, y0: int, td: list) -> _Pairing:
+def _chi_node(n: int, y0: int, td: tuple) -> _Pairing:
     """The chi_y integrand at y = y0 as a pairing.  With u = x1 - x2 and the
     root factor Q of `_node_series`, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u)
     Q(-u)): the two zero roots of End(S) give Q(0)^2.  Each moment [integral
     of Q(T) sigma_1^c] is one coefficient extraction, a sum over the
-    coefficients of Q^n and of the even series 1/(Q(0)^2 Q(u) Q(-u)).  The
+    coefficients of Q^n and of the even series 1/(Q(0)^2 Q(u) Q(-u)), and a
+    class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f (x1 - x2)^2.  The sums
+    run on the integer numerators of the two series, over the one
+    denominator -2 pd^2 rd that their denominators pd and rd give.  The
     normal factor per hyperplane is h/Q(h) in h = sigma_1."""
     dim = 2 * (n - 2)
     q_ser, n_ser = _node_series(y0, td)
-    q_pow = [Fraction(1)]
+    q_pow = ([1], 1)
     for _ in range(n):
         q_pow = _ser_mul(q_pow, q_ser, n - 1)
-    q_even = _ser_mul(q_ser, [(-1) ** j * c for j, c in enumerate(q_ser)], dim)
-    r_ser = _ser_div([1 / q_ser[0] ** 2], q_even, dim)
-    moments = []
-    for c in range(dim + 1):
-        # every term has degree i + j + a + c = dim, which fixes the u-degree a
-        terms = []
-        for i in range(n):
-            for j in range(n):
+    qn, qd = q_ser
+    q_even = _ser_mul(q_ser, ([(-1) ** j * c for j, c in enumerate(qn)], qd), dim)
+    r_ser = _ser_div(([qd * qd], qn[0] ** 2), q_even, dim)
+    (pn, pd), (rn, rd) = q_pow, r_ser
+    moments = [0] * (dim + 1)
+    for i in range(n):
+        for j in range(n):
+            pij = pn[i] * pn[j]
+            for c in range(dim - i - j + 1):
+                # every term has degree i + j + a + c = dim, which fixes the u-degree a
                 a = dim - i - j - c
-                if a >= 0 and r_ser[a]:
-                    terms.append(((i, j, a, c), q_pow[i] * q_pow[j] * r_ser[a]))
-        moments.append(_integrate_roots(n, terms))
-    return _Pairing(moments, n_ser)
+                if rn[a]:
+                    moments[c] += pij * rn[a] * _root_coefficient(a + 2, c, n - 1 - i, n - 1 - j)
+    return _Pairing(_reduced(moments, -2 * pd * pd * rd), n_ser)
 
 
 @cache
@@ -204,7 +225,10 @@ def _chi_nodes(n: int) -> list:
     """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k, from
     one Todd series td(x) = x/(1 - e^-x)."""
     dim = 2 * (n - 2)
-    td = _ser_div([1], [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)], dim)
+    # (1 - e^-x)/x = sum_j (-1)^j x^j/(j+1)!, over the denominator (dim+1)!
+    top = factorial(dim + 1)
+    inv_td = ([(-1) ** j * (top // factorial(j + 1)) for j in range(dim + 1)], top)
+    td = _ser_div(([1], 1), inv_td, dim)
     return [_chi_node(n, y0, td) for y0 in range(dim + 1)]
 
 
@@ -228,19 +252,24 @@ def euler_characteristic_ci(n: int, k: int, engine: str = "pieri") -> int:
 
 
 def _interpolate(values) -> list:
-    """Exact polynomial through (i, values[i]) for i = 0..m-1, as coefficients."""
+    """Exact polynomial through (i, values[i]) for i = 0..m-1, as Fraction
+    coefficients.  Newton's forward form p(x) = sum_i Delta^i p(0) C(x, i)
+    runs in integers: the values go over their lcm D and difference i is
+    scaled by (m-1)!/i!, so every coefficient is an integer over D (m-1)!."""
     m = len(values)
-    dd = [Fraction(v) for v in values]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j  # x_i - x_{i-j} = j on the integer grid
-    coeffs = [Fraction(0)] * m
+    diffs, den = _over_one_den(values)
+    top = factorial(m - 1)
+    newton = []
+    for i in range(m):
+        newton.append(diffs[0] * (top // factorial(i)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = [0] * m
     for i in range(m - 1, -1, -1):
-        # coeffs <- coeffs*(x - i) + dd[i]
-        shifted = [Fraction(0)] + coeffs[:-1]
+        # coeffs <- coeffs*(x - i) + newton[i]
+        shifted = [0] + coeffs[:-1]
         coeffs = [s - i * c for s, c in zip(shifted, coeffs)]
-        coeffs[0] += dd[i]
-    return coeffs
+        coeffs[0] += newton[i]
+    return [Fraction(c, den * top) for c in coeffs]
 
 
 def chi_y_ci(n: int, k: int) -> list:

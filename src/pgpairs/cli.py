@@ -86,6 +86,11 @@ def _validate_checks(names) -> None:
         raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
 
 
+def _validate_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise InvalidParameter(f"unknown engine {engine!r}")
+
+
 def _validate_format(output_format: str) -> None:
     if output_format not in _FORMATS:
         raise PGError(f"unknown format {output_format!r}")
@@ -169,6 +174,7 @@ def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri",
     _validate_checks(checks)
     _validate_format(output_format)
     _validate_bounds(n=n, k=k)
+    _validate_engine(engine)
     report = _filter_checks(build_pair_report(n, k, engine), tuple(checks))
     code = 0 if report["all_checks_pass"] else 1
     serialize = {"json": _dump_json, "markdown": _pair_markdown, "csv": _pair_csv}
@@ -221,6 +227,7 @@ def run_grid(request: GridRequest):
     _validate_checks(request.checks)
     _validate_format(request.output_format)
     _validate_bounds(n_min=request.n_min, n_max=request.n_max, k_min=request.k_min, k_max=request.k_max)
+    _validate_engine(request.engine)
 
     rows = [
         _grid_row(n, k, request.engine, request.checks)

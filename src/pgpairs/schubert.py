@@ -147,7 +147,7 @@ class ChowRing:
     def sigma(self, a: int, b: int = 0) -> "ChowClass":
         if not (self.max_col >= a >= b >= 0):
             raise InvalidParameter(f"({a},{b}) is not in the 2 x {self.max_col} box")
-        return ChowClass(self, {(a, b): Fraction(1)})
+        return ChowClass(self, {(a, b): 1})
 
     def one(self) -> "ChowClass":
         return self.sigma(0, 0)
@@ -209,18 +209,29 @@ class ChowRing:
         return hit
 
 
+def _exact(v):
+    """An int stays an int; any other exact value becomes a Fraction, and an
+    integral one an int."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class ChowClass:
     """Graded rational linear combination of Schubert classes of one Gr(2,n).
 
-    Immutable; components of degree above the dimension of the Grassmannian
-    are truncated silently, which is the ring structure rather than an error.
+    Integral coefficients are stored as ints and the others as Fractions, so
+    products of integral classes run on ints alone.  Immutable; components of
+    degree above the dimension of the Grassmannian are truncated silently,
+    which is the ring structure rather than an error.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: ChowRing, terms: dict):
         self.ring = ring
-        self.terms = {p: Fraction(v) for p, v in terms.items() if v}
+        self.terms = {p: _exact(v) for p, v in terms.items() if v}
 
     def _check(self, other: "ChowClass"):
         if self.ring.n != other.ring.n or self.ring.engine != other.ring.engine:
@@ -246,7 +257,7 @@ class ChowClass:
         return ChowClass(self.ring, {p: -v for p, v in self.terms.items()})
 
     def scale(self, c) -> "ChowClass":
-        c = Fraction(c)
+        c = _exact(c)
         return ChowClass(self.ring, {p: v * c for p, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -274,12 +285,12 @@ class ChowClass:
     def component(self, degree: int) -> "ChowClass":
         return ChowClass(self.ring, {p: v for p, v in self.terms.items() if p[0] + p[1] == degree})
 
-    def coefficient(self, part) -> Fraction:
-        return self.terms.get(tuple(part), Fraction(0))
+    def coefficient(self, part) -> int | Fraction:
+        return self.terms.get(tuple(part), 0)
 
-    def integrate(self) -> Fraction:
+    def integrate(self) -> int | Fraction:
         """Degree pairing against the point class sigma_{n-2,n-2}."""
-        return self.terms.get(self.ring.point, Fraction(0))
+        return self.terms.get(self.ring.point, 0)
 
     def is_zero(self) -> bool:
         return not self.terms

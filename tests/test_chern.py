@@ -1,7 +1,7 @@
 """Characteristic classes: the tangent bundle of Gr(2,n) and the section invariants."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -223,10 +223,108 @@ def test_moment_pairing_matches_full_product(case):
     ring = get_ring(n)
     cls = ChowClass(ring, terms)
     expected = (cls * _sigma1_series(ring, ser) ** k).integrate()
-    pairing = chern._Pairing(chern._sigma1_moments(cls), ser)
+    pairing = chern._Pairing(_encode(chern._sigma1_moments(cls)), _encode(ser))
     assert pairing.value(k) == expected
     # a smaller k afterwards reads the kept powers
     assert pairing.value(k // 2) == (cls * _sigma1_series(ring, ser) ** (k // 2)).integrate()
+
+
+# ---------------------------------------------------------------------------
+# the integer series kernels against Fraction references kept here
+
+
+def _encode(values):
+    """Rationals as the (nums, den) form of chern's series: ints over the
+    least common denominator."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [int(v * den) for v in values], den
+
+
+def _decode(ser):
+    nums, den = ser
+    assert den > 0 and gcd(den, *nums) == 1, ser
+    return [Fraction(x, den) for x in nums]
+
+
+def _ser_mul(a, b, trunc):
+    out = [Fraction(0)] * (trunc + 1)
+    for i, x in enumerate(a[: trunc + 1]):
+        for j, y in enumerate(b[: trunc + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _ser_div(a, b, trunc):
+    out = [Fraction(0)] * (trunc + 1)
+    for m in range(trunc + 1):
+        acc = Fraction(a[m] if m < len(a) else 0)
+        for j in range(1, min(m, len(b) - 1) + 1):
+            acc -= b[j] * out[m - j]
+        out[m] = acc / b[0]
+    return out
+
+
+def _interpolate_divided_differences(values):
+    """Newton's divided differences on the nodes 0..m-1, in Fractions."""
+    m = len(values)
+    dd = [Fraction(v) for v in values]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / j  # x_i - x_{i-j} = j on the integer grid
+    coeffs = [Fraction(0)] * m
+    for i in range(m - 1, -1, -1):
+        # coeffs <- coeffs*(x - i) + dd[i]
+        shifted = [Fraction(0)] + coeffs[:-1]
+        coeffs = [s - i * c for s, c in zip(shifted, coeffs)]
+        coeffs[0] += dd[i]
+    return coeffs
+
+
+_rational = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def _series_pair(draw):
+    a = draw(st.lists(_rational, min_size=1, max_size=12))
+    b = draw(st.lists(_rational, min_size=1, max_size=12))
+    return a, b, draw(st.integers(0, 14))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_series_pair())
+def test_integer_series_kernels_match_fraction_reference(case):
+    a, b, trunc = case
+    assert _decode(chern._over_one_den(a)) == a
+    assert _decode(chern._ser_mul(_encode(a), _encode(b), trunc)) == _ser_mul(a, b, trunc)
+    if b[0]:
+        assert _decode(chern._ser_div(_encode(a), _encode(b), trunc)) == _ser_div(a, b, trunc)
+    else:
+        with pytest.raises(InvalidParameter):
+            chern._ser_div(_encode(a), _encode(b), trunc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_rational, min_size=1, max_size=14))
+def test_integer_interpolation_matches_divided_differences(values):
+    coeffs = chern._interpolate(values)
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    assert coeffs == _interpolate_divided_differences(values)
+    for x, v in enumerate(values):
+        assert sum(c * x**p for p, c in enumerate(coeffs)) == v
+
+
+def test_integer_series_kernels_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    top = 12
+    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
+    td = _decode(chern._ser_div(([1], 1), _encode(b_ser), top))
+    expected = sympy.series(x / (1 - sympy.exp(-x)), x, 0, top + 1).removeO()
+    assert td == [Fraction(str(expected.coeff(x, j))) for j in range(top + 1)]
+    values = [Fraction(j**3 - 2, j + 1) for j in range(6)]
+    poly = sympy.interpolate([(j, sympy.Rational(str(v))) for j, v in enumerate(values)], x)
+    assert chern._interpolate(values) == [Fraction(str(sympy.Poly(poly, x).coeff_monomial(x**p))) for p in range(6)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +408,14 @@ def _schubert_chi_y(n, engine):
     nodes = []
     for y0 in range(dim + 1):
         a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]  # 1 + y e^-x
-        q_ser = chern._ser_div(a_ser, b_ser, dim)
+        q_ser = _ser_div(a_ser, b_ser, dim)
         g_ser = _ser_log([c / (1 + y0) for c in q_ser], dim)
         arg = ring.zero()
         for m in range(1, dim + 1):
             arg = arg + psums[m].scale(g_ser[m])
         t_y = _chow_exp(arg, ring).scale(Fraction(1 + y0) ** dim)
-        normal = chern._ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
-        nodes.append(chern._Pairing(chern._sigma1_moments(t_y), normal))
+        normal = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
+        nodes.append(chern._Pairing(_encode(chern._sigma1_moments(t_y)), _encode(normal)))
     out = []
     for k in range(dim + 1):
         coeffs = chern._interpolate([node.value(k) for node in nodes])
@@ -333,16 +431,16 @@ def test_node_series_match_their_definition():
     top = 32
     exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(top + 1)]
     b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
-    td = chern._ser_div([1], b_ser, top)
+    td = _ser_div([1], b_ser, top)
     for y in range(top + 1):
         a_ser = [Fraction(1 + y)] + [y * c for c in exp_neg[1:]]
-        q_def = chern._ser_div(a_ser, b_ser, top)
-        normal = chern._ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, top)
+        q_def = _ser_div(a_ser, b_ser, top)
+        normal = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, top)
         for dim in range(y, top + 1):
-            q_ser, n_ser = chern._node_series(y, td[: dim + 1])
+            q_ser, n_ser = (_decode(s) for s in chern._node_series(y, _encode(td[: dim + 1])))
             assert (q_ser, n_ser) == (q_def[: dim + 1], normal[: dim + 1]), (dim, y)
             if dim % 2 == 0 and dim <= 10:
-                assert chern._chi_nodes(dim // 2 + 2)[y].ser == n_ser, (dim, y)
+                assert _decode(chern._chi_nodes(dim // 2 + 2)[y].ser) == n_ser, (dim, y)
 
 
 def test_chi_y_matches_schubert_route_oracle():
@@ -352,6 +450,14 @@ def test_chi_y_matches_schubert_route_oracle():
                 assert chi_y_ci(n, k) == expected, (engine, n, k)
     # the Calabi-Yau threefold section behind the (7,7) pair
     assert _schubert_chi_y(7, "lr")[7] == chi_y_ci(7, 7) == [0, 49, -49, 0]
+
+
+def _integrate_roots(n, terms):
+    """Integral over Gr(2,n) of the class sum coeff x1^i x2^j (x1 - x2)^a
+    (x1 + x2)^c, summed over ((i, j, a, c), coeff) in terms:
+    -1/2 [x1^(n-1) x2^(n-1)] of the class times (x1 - x2)^2."""
+    total = sum((coeff * chern._root_coefficient(a + 2, c, n - 1 - i, n - 1 - j) for (i, j, a, c), coeff in terms), Fraction(0))
+    return total / -2
 
 
 @st.composite
@@ -373,14 +479,14 @@ def _sigma_polynomial(draw):
 def test_root_extraction_matches_schubert_integral(case):
     n, f = case
     # sigma_{1,1}^b = x1^b x2^b
-    value = chern._integrate_roots(n, [((b, b, 0, a), c) for (a, b), c in f.items()])
+    value = _integrate_roots(n, [((b, b, 0, a), c) for (a, b), c in f.items()])
     # sigma_{1,1} = (sigma_1^2 - u^2)/4 with u = x1 - x2, so the same class in u and sigma_1
     by_u = [
         ((0, 0, 2 * t, a + 2 * (b - t)), Fraction(c * comb(b, t) * (-1) ** t, 4**b))
         for (a, b), c in f.items()
         for t in range(b + 1)
     ]
-    assert chern._integrate_roots(n, by_u) == value
+    assert _integrate_roots(n, by_u) == value
     for engine in ENGINES:
         ring = get_ring(n, engine)
         cls = ring.zero()

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgpairs.cli import (
     MAX_NK,
@@ -12,6 +14,7 @@ from pgpairs.cli import (
     run_grid,
     run_pair,
     _dump_json,
+    _encode,
 )
 from pgpairs.errors import InvalidParameter, PGError
 from pgpairs.pairs import CHECK_NAMES
@@ -54,6 +57,20 @@ def test_json_round_trip_is_lossless():
     rendered = _dump_json(payload)
     assert f'"{huge}"' in rendered
     assert decode_ints(json.loads(rendered)) == payload
+
+
+_json_ints = st.recursive(
+    st.integers() | st.integers(2**53 - 2, 2**70) | st.integers(-(2**70), -(2**53) + 2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_json_ints)
+def test_encode_decode_round_trip_on_nested_ints(obj):
+    assert decode_ints(_encode(obj)) == obj
+    assert decode_ints(json.loads(_dump_json(obj))) == obj
 
 
 def test_json_round_trip_keeps_digit_strings():
@@ -170,6 +187,17 @@ def test_unknown_format_rejected_before_any_report(monkeypatch):
         run_pair(8, 4, output_format="xml")
     with pytest.raises(PGError, match="unknown format 'xml'"):
         run_grid(GridRequest(4, 7, 1, 10, (), output_format="xml"))
+
+
+def test_unknown_engine_rejected_before_any_report(monkeypatch):
+    def no_report(*args):
+        raise AssertionError("a report was built for an unknown engine")
+
+    monkeypatch.setattr("pgpairs.cli.build_pair_report", no_report)
+    with pytest.raises(InvalidParameter, match="unknown engine 'bad'"):
+        run_pair(7, 7, engine="bad")
+    with pytest.raises(InvalidParameter, match="unknown engine 'bad'"):
+        run_grid(GridRequest(4, 5, 1, 3, (), engine="bad"))
 
 
 def test_n_and_k_past_the_bound_rejected_before_any_report(monkeypatch, capsys):

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgpairs.errors import AmbientMismatch, InvalidParameter
 from pgpairs.ring import LPoly, projective_class
 from pgpairs.schubert import (
     ENGINES,
+    ChowClass,
     ChowRing,
     betti,
     box_partitions,
@@ -217,3 +220,36 @@ def test_sigma_validation():
         r.sigma(3, 0)
     with pytest.raises(InvalidParameter):
         r.sigma(1, 2)
+
+
+_coefficient = st.integers(-30, 30) | st.fractions(min_value=-8, max_value=8, max_denominator=9)
+
+
+@st.composite
+def _two_classes(draw):
+    n = draw(st.integers(4, 12))
+    cls = st.dictionaries(st.sampled_from(box_partitions(n)), _coefficient, max_size=6)
+    return n, draw(cls), draw(cls)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_two_classes())
+def test_pieri_and_lr_products_agree_on_random_classes(case):
+    n, a, b = case
+    products = [ChowClass(get_ring(n, e), a) * ChowClass(get_ring(n, e), b) for e in ENGINES]
+    assert products[0] == products[1]
+    for cls in (ChowClass(get_ring(n), a), *products):
+        for v in cls.terms.values():
+            # an integral coefficient is stored as an int, any other as a Fraction
+            assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), (v, type(v))
+
+
+def test_integral_classes_keep_int_coefficients():
+    r = get_ring(6)
+    c = (r.one() + r.sigma(1) + r.sigma(1, 1)) ** 6
+    assert all(type(v) is int for v in c.terms.values())
+    assert type(c.integrate()) is int and type(r.zero().integrate()) is int
+    half = c.scale(Fraction(1, 2))
+    assert half.scale(2) == c and all(type(v) is int for v in half.scale(2).terms.values())
+    assert repr(r.sigma(1).scale(Fraction(6, 2))) == "3*s(1, 0)"
+    assert hash(r.sigma(1).scale(3)) == hash(ChowClass(r, {(1, 0): Fraction(3)}))
