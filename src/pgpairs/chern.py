@@ -13,14 +13,15 @@ End(S) = S^dual (x) S has Chern roots 0, 0, +-u with u = x1 - x2, x1 and x2
 the Chern roots of S^dual.  Each invariant takes its own route from there:
 
 - Euler characteristic, on the Schubert ring of the chosen engine: the total
-  Chern class c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...)
-  with delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, one class built by products
-  with a sparse factor (`tangent_chern`);
+  Chern class c(T) = P/(1 - delta) with P = (1 + sigma_1 + sigma_{1,1})^n and
+  delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built degree by degree from
+  products by sigma_1 and sigma_{1,1} alone (`tangent_chern`), and read
+  through a degree vector filled by one Pieri step per Schubert cell;
 - chi_y, by residue extraction in x1, x2 with no Schubert product and no
   engine: with td(x) = x/(1 - e^-x) and, since td(x) e^-x = td(-x), the
   per-root series Q(x) = x(1 + y e^-x)/(1 - e^-x) = td(x) + y td(-x) at
   integer y, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), the normal factor
-  is h/Q(h), and a class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2; the
+  is h/Q(h), summed from the powers of 1 - e^-h, and a class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2; the
   polynomial in y comes back by exact Lagrange interpolation;
 - middle Hodge numbers: solved from the chi_y coefficients, with the
   off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
@@ -41,7 +42,7 @@ from functools import cache
 from math import comb, factorial, gcd, lcm
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
-from .schubert import ChowClass, ChowRing, betti, get_ring
+from .schubert import ChowClass, betti, get_ring
 
 # ---------------------------------------------------------------------------
 # truncated power series over Q, each one (nums, den): a dense list of ints
@@ -108,27 +109,54 @@ def _root_coefficient(a: int, c: int, p: int, q: int) -> int:
 # the total Chern class of the tangent bundle, from T = n S^dual - End(S)
 
 
-def _delta(ring: ChowRing) -> ChowClass:
-    """delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1} for the Chern roots x1, x2
-    of S^dual.  End(S) = S^dual (x) S has Chern roots 0, 0 and +-(x1 - x2)."""
-    return ring.sigma(1) * ring.sigma(1) - ring.sigma(1, 1).scale(4)
+def _delta(cls: ChowClass) -> ChowClass:
+    """delta * cls, where delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1} for the
+    Chern roots x1, x2 of S^dual.  End(S) = S^dual (x) S has Chern roots 0, 0
+    and +-(x1 - x2).  Applied as sigma_1 (sigma_1 cls) - 4 sigma_{1,1} cls, so
+    every product has a one-term factor."""
+    s1 = cls.ring.sigma(1)
+    return s1 * (s1 * cls) - cls.ring.sigma(1, 1) * cls.scale(4)
+
+
+def _miller(n: int, j: int, m: int) -> int:
+    """The weight of B_j P_(m-j) in m P_m for P = B^n, B = 1 + B_1 + B_2 graded
+    (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7)."""
+    return (n + 1) * j - m
+
+
+def _divide_exactly(cls: ChowClass, m: int) -> ChowClass:
+    """cls / m for an integral class, which must divide exactly."""
+    terms = {}
+    for p, v in cls.terms.items():
+        q, r = divmod(v, m)
+        if r:
+            raise InconsistentEuler(f"coefficient {v} of s{p} in a Chern class recurrence is not divisible by {m}")
+        terms[p] = q
+    return ChowClass(cls.ring, terms)
 
 
 def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
     """Total Chern class c(T) of the tangent bundle T = Hom(S, Q) of Gr(2,n).
 
     In K-theory T = n S^dual - End(S), and c(End S) = 1 - delta, so
-    c(T) = (1 + sigma_1 + sigma_{1,1})^n (1 + delta + delta^2 + ...); every
-    product has a sparse factor.  The top class must integrate to the Euler
-    characteristic of Gr(2,n), the number of Schubert cells.
+    c(T) = P/(1 - delta) with P = c(S^dual)^n = (1 + sigma_1 + sigma_{1,1})^n.
+    Both are built degree by degree with products by sigma_1 and sigma_{1,1}
+    only.  The degree derivation (d on degree d) gives Miller's recurrence
+    m P_m = (n - m + 1) sigma_1 P_(m-1) + (2n - m + 2) sigma_{1,1} P_(m-2),
+    divided exactly in integers, and c_d = P_d + delta c_(d-2).  The top
+    class must integrate to the Euler characteristic of Gr(2,n), the number
+    of Schubert cells.
     """
     ring = get_ring(n, engine)
-    c_dual_n = (ring.one() + ring.sigma(1) + ring.sigma(1, 1)) ** n
-    # c(T) solves c = c_dual_n + delta c; delta has degree 2, so dim/2 rounds reach the top
-    delta = _delta(ring)
-    total = c_dual_n
-    for _ in range(ring.dim // 2):
-        total = c_dual_n + delta * total
+    s1, s11 = ring.sigma(1), ring.sigma(1, 1)
+    # P_m and c_m for m = -1, 0, 1, ... at list index m + 1
+    power, chern = [ring.zero(), ring.one()], [ring.zero(), ring.one()]
+    for m in range(1, ring.dim + 1):
+        acc = s1 * power[m].scale(_miller(n, 1, m)) + s11 * power[m - 1].scale(_miller(n, 2, m))
+        power.append(_divide_exactly(acc, m))
+        chern.append(power[m + 1] + _delta(chern[m - 1]))
+    # the components have distinct degrees
+    total = ChowClass(ring, {p: v for c in chern for p, v in c.terms.items()})
     if total.integrate() != len(ring.basis()):
         raise InconsistentEuler(f"c_top(T) of Gr(2,{n}) does not integrate to the number of Schubert cells")
     return total
@@ -158,12 +186,18 @@ class _Pairing:
 
 
 def _sigma1_moments(cls: ChowClass) -> list:
-    """[integral of cls * sigma_1^j for j = 0..dim] by Schubert products."""
+    """[integral of cls * sigma_1^j for j = 0..dim], from the degree vector
+    d(lam) = integral of sigma_lam sigma_1^(dim - |lam|): d(point) = 1, and
+    below it d(lam) = sum_nu c_nu d(nu) over sigma_lam sigma_1 = sum c_nu
+    sigma_nu, one Pieri step per cell.  Moment j pairs the degree dim - j
+    part of cls with d."""
     ring = cls.ring
-    out, power = [], ring.one()
-    for j in range(ring.dim + 1):
-        out.append((cls.component(ring.dim - j) * power).integrate())
-        power = power * ring.sigma(1)
+    deg = {}
+    for lam in reversed(ring.basis()):
+        deg[lam] = 1 if lam == ring.point else sum(c * deg[nu] for nu, c in ring.product(lam, (1, 0)).items())
+    out = [0] * (ring.dim + 1)
+    for lam, v in cls.terms.items():
+        out[ring.dim - lam[0] - lam[1]] += v * deg[lam]
     return out
 
 
@@ -181,15 +215,37 @@ def _euler_pairing(n: int, engine: str) -> _Pairing:
     return _Pairing(_over_one_den(_sigma1_moments(tangent_chern(n, engine))), (lef, 1))
 
 
-def _node_series(y0: int, td: tuple):
+def _one_minus_exp_powers(dim: int) -> tuple:
+    """The powers t^1..t^dim of t = 1 - e^-h, truncated at h^dim, as rows of
+    integer numerators over one common denominator."""
+    top = factorial(dim)
+    t_ser = _reduced([0] + [(-1) ** (j + 1) * (top // factorial(j)) for j in range(1, dim + 1)], top)
+    pows = [t_ser]
+    for _ in range(dim - 1):
+        pows.append(_ser_mul(pows[-1], t_ser, dim))
+    den = lcm(*(d for _, d in pows))
+    return [[x * (den // d) for x in nums] for nums, d in pows], den
+
+
+def _node_series(y0: int, td: tuple, t_pows: tuple):
     """The root series Q = td(x) + y0 td(-x) and the normal series h/Q(h), from
-    the series td(x) = x/(1 - e^-x)."""
+    the series td(x) = x/(1 - e^-x) and the powers of t = 1 - e^-h.  With
+    1 + y0 e^-h = (1 + y0)(1 - y0 t/(1 + y0)), the normal series is
+    t/(1 + y0 e^-h) = sum_m y0^m t^(m+1)/(1 + y0)^(m+1), m < dim, so it
+    divides by nothing."""
     nums, den = td
+    dim = len(nums) - 1
     q_ser = _reduced([c * (1 + (-1) ** j * y0) for j, c in enumerate(nums)], den)
-    return q_ser, _ser_div(([0, 1], 1), q_ser, len(nums) - 1)
+    rows, t_den = t_pows
+    out = [0] * (dim + 1)
+    for m, row in enumerate(rows[:dim]):
+        w = y0**m * (1 + y0) ** (dim - 1 - m)
+        for j in range(m + 1, dim + 1):
+            out[j] += w * row[j]
+    return q_ser, _reduced(out, t_den * (1 + y0) ** dim)
 
 
-def _chi_node(n: int, y0: int, td: tuple) -> _Pairing:
+def _chi_node(n: int, y0: int, td: tuple, t_pows: tuple) -> _Pairing:
     """The chi_y integrand at y = y0 as a pairing.  With u = x1 - x2 and the
     root factor Q of `_node_series`, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u)
     Q(-u)): the two zero roots of End(S) give Q(0)^2.  Each moment [integral
@@ -200,7 +256,7 @@ def _chi_node(n: int, y0: int, td: tuple) -> _Pairing:
     denominator -2 pd^2 rd that their denominators pd and rd give.  The
     normal factor per hyperplane is h/Q(h) in h = sigma_1."""
     dim = 2 * (n - 2)
-    q_ser, n_ser = _node_series(y0, td)
+    q_ser, n_ser = _node_series(y0, td, t_pows)
     q_pow = ([1], 1)
     for _ in range(n):
         q_pow = _ser_mul(q_pow, q_ser, n - 1)
@@ -223,13 +279,14 @@ def _chi_node(n: int, y0: int, td: tuple) -> _Pairing:
 @cache
 def _chi_nodes(n: int) -> list:
     """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k, from
-    one Todd series td(x) = x/(1 - e^-x)."""
+    one Todd series td(x) = x/(1 - e^-x) and one list of powers of 1 - e^-h."""
     dim = 2 * (n - 2)
     # (1 - e^-x)/x = sum_j (-1)^j x^j/(j+1)!, over the denominator (dim+1)!
     top = factorial(dim + 1)
     inv_td = ([(-1) ** j * (top // factorial(j + 1)) for j in range(dim + 1)], top)
     td = _ser_div(([1], 1), inv_td, dim)
-    return [_chi_node(n, y0, td) for y0 in range(dim + 1)]
+    t_pows = _one_minus_exp_powers(dim)
+    return [_chi_node(n, y0, td, t_pows) for y0 in range(dim + 1)]
 
 
 # Not shared with pairs._section_params: this domain has no smooth bound.

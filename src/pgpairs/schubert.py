@@ -171,6 +171,9 @@ class ChowRing:
         return out
 
     def _product_pieri(self, lam, mu) -> dict:
+        # Giambelli on the factor with fewer boxes: sigma_1 * sigma_lam is one Pieri step
+        if mu[0] + mu[1] > lam[0] + lam[1]:
+            lam, mu = mu, lam
         c, d = mu
         acc = {}
         for nu1 in self._pieri(c, lam):
@@ -185,12 +188,14 @@ class ChowRing:
         return {nu: v for nu, v in acc.items() if v}
 
     def _product_lr(self, lam, mu) -> dict:
+        # a nonzero coefficient needs lam, mu inside nu and nu[0] <= lam[0] + mu[0]:
+        # in a lattice filling of nu/lam with content mu the first row holds only 1s
         total = lam[0] + lam[1] + mu[0] + mu[1]
+        low = max(lam[0], mu[0], (total + 1) // 2)
+        high = min(self.max_col, lam[0] + mu[0], total - max(lam[1], mu[1]))
         out = {}
-        for a2 in range(max(lam[0], (total + 1) // 2), min(self.max_col, total) + 1):
+        for a2 in range(low, high + 1):
             nu = (a2, total - a2)
-            if nu[1] > a2 or nu[1] < 0:
-                continue
             c = lr_count(lam, mu, nu)
             if c:
                 out[nu] = c

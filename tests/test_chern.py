@@ -40,12 +40,54 @@ def test_whitney_identity_to_top_degree():
 
 
 def test_tangent_top_class_is_checked(monkeypatch):
-    # drop the -4 sigma_{1,1}: c(T) changes and its top class no longer
-    # integrates to the number of Schubert cells
-    monkeypatch.setattr(chern, "_delta", lambda ring: ring.sigma(1) * ring.sigma(1))
+    # drop the -4 sigma_{1,1} from delta: c(T) changes and its top class no
+    # longer integrates to the number of Schubert cells
+    monkeypatch.setattr(chern, "_delta", lambda cls: cls.ring.sigma(1) * (cls.ring.sigma(1) * cls))
     for n in (4, 5, 7):
         with pytest.raises(InconsistentEuler):
             tangent_chern(n)
+
+
+def test_tangent_power_recurrence_is_checked(monkeypatch):
+    # weight 2n - m + 1 instead of 2n - m + 2 on sigma_{1,1} P_(m-2): either an
+    # exact division fails or the top class is off
+    monkeypatch.setattr(chern, "_miller", lambda n, j, m: (n + 1) * j - m - (j == 2))
+    for engine in ENGINES:
+        for n in (4, 5, 7):
+            with pytest.raises(InconsistentEuler):
+                tangent_chern(n, engine)
+
+
+# c(T) and its sigma_1 moments by full class products, the route before the
+# graded recurrences, kept here as an oracle
+
+
+def _tangent_chern_by_products(n, engine):
+    ring = get_ring(n, engine)
+    c_dual_n = (ring.one() + ring.sigma(1) + ring.sigma(1, 1)) ** n
+    delta = ring.sigma(1) * ring.sigma(1) - ring.sigma(1, 1).scale(4)
+    total = c_dual_n
+    for _ in range(ring.dim // 2):
+        total = c_dual_n + delta * total
+    return total
+
+
+def _sigma1_moments_by_products(cls):
+    ring = cls.ring
+    out, power = [], ring.one()
+    for j in range(ring.dim + 1):
+        out.append((cls.component(ring.dim - j) * power).integrate())
+        power = power * ring.sigma(1)
+    return out
+
+
+def test_graded_recurrences_match_full_product_oracle():
+    for engine in ENGINES:
+        for n in range(4, 17):
+            expected = _tangent_chern_by_products(n, engine)
+            assert tangent_chern(n, engine) == expected, (engine, n)
+            moments = _sigma1_moments_by_products(expected)
+            assert chern._euler_pairing(n, engine).moments == _encode(moments), (engine, n)
 
 
 def test_tangent_first_chern_class():
@@ -432,15 +474,26 @@ def test_node_series_match_their_definition():
     exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(top + 1)]
     b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
     td = _ser_div([1], b_ser, top)
+    t_pows = [chern._one_minus_exp_powers(dim) for dim in range(top + 1)]
     for y in range(top + 1):
         a_ser = [Fraction(1 + y)] + [y * c for c in exp_neg[1:]]
         q_def = _ser_div(a_ser, b_ser, top)
         normal = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, top)
         for dim in range(y, top + 1):
-            q_ser, n_ser = (_decode(s) for s in chern._node_series(y, _encode(td[: dim + 1])))
+            q_ser, n_ser = (_decode(s) for s in chern._node_series(y, _encode(td[: dim + 1]), t_pows[dim]))
             assert (q_ser, n_ser) == (q_def[: dim + 1], normal[: dim + 1]), (dim, y)
             if dim % 2 == 0 and dim <= 10:
                 assert _decode(chern._chi_nodes(dim // 2 + 2)[y].ser) == n_ser, (dim, y)
+
+
+def test_normal_series_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    h = sympy.symbols("h")
+    for dim, y in [(4, 0), (4, 3), (10, 7), (12, 12)]:
+        td = _encode([1] + [0] * dim)  # the root series plays no part here
+        _, n_ser = chern._node_series(y, td, chern._one_minus_exp_powers(dim))
+        expected = sympy.series((1 - sympy.exp(-h)) / (1 + y * sympy.exp(-h)), h, 0, dim + 1).removeO()
+        assert _decode(n_ser) == [Fraction(str(expected.coeff(h, j))) for j in range(dim + 1)], (dim, y)
 
 
 def test_chi_y_matches_schubert_route_oracle():

@@ -187,6 +187,22 @@ def test_engines_agree_on_full_tables():
                 assert rp.product(lam, mu) == rl.product(lam, mu), (n, lam, mu)
 
 
+def test_table_fill_matches_unpruned_lr_candidates():
+    # every (lam, mu) in the box, in both orders: the pruned candidate range of
+    # _product_lr misses no nonzero coefficient, and Pieri with Giambelli on
+    # the factor with fewer boxes gives the same structure constants
+    for n in range(4, 13):
+        lr, pieri = ChowRing(n, "lr"), ChowRing(n, "pieri")
+        cells = box_partitions(n)
+        for lam in cells:
+            for mu in cells:
+                total = sum(lam) + sum(mu)
+                counts = {nu: lr_count(lam, mu, nu) for nu in cells if sum(nu) == total}
+                unpruned = {nu: c for nu, c in counts.items() if c}
+                assert lr._product_lr(lam, mu) == unpruned, (n, lam, mu)
+                assert pieri._product_pieri(lam, mu) == unpruned, (n, lam, mu)
+
+
 def test_lr_count_values():
     assert lr_count((1, 0), (1, 0), (2, 0)) == 1
     assert lr_count((1, 0), (1, 0), (1, 1)) == 1
