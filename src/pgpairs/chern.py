@@ -20,18 +20,22 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
 - chi_y, by residue extraction in x1, x2 with no Schubert product and no
   engine: with td(x) = x/(1 - e^-x) and, since td(x) e^-x = td(-x), the
   per-root series Q(x) = x(1 + y e^-x)/(1 - e^-x) = td(x) + y td(-x) at
-  integer y, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), the normal factor
-  is h/Q(h), summed from the powers of 1 - e^-h, and a class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2; the
-  polynomial in y comes back by exact Lagrange interpolation;
+  integer y, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), and a class f
+  integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2.  Q^n comes from one pass of
+  Miller's recurrence.  The normal factor is N(h) = h/Q(h) = s/(1 - y s)
+  with s = t/(1 + y) and t = 1 - e^-h, and 1/Q(u) = N(u)/u, so both come
+  from the powers of t and no series is divided per node.  The polynomial
+  in y comes back by exact Lagrange interpolation;
 - middle Hodge numbers: solved from the chi_y coefficients, with the
   off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
 
-Both section integrands are a class on Gr(2,n) times the k-th power of a
-series in sigma_1, one factor per hyperplane normal direction.  So both read
-their class once through its sigma_1 moments [integral of cls * sigma_1^j]
-and pair them, for each k, with the k-th power of the scalar series.  Euler
-and chi_y share only the identity for T and this pairing, and they integrate
-by different engines, so their agreement at y = -1 is a real check.
+Both section integrands are a class on Gr(2,n) times N^k, one factor
+N = s/(1 - w s) per hyperplane normal direction: s = sigma_1 and w = -1 for
+Euler, s = t/(1 + y) and w = y for chi_y.  So both read their class once
+through its s-moments [integral of cls * s^j] and pair them, for each k, by
+the binomial sum N^k = sum_(j >= k) C(j - 1, k - 1) w^(j - k) s^j.  Euler and
+chi_y share only the identity for T and this pairing, and they integrate by
+different engines, so their agreement at y = -1 is a real check.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
 
-from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
+from .errors import InconsistentEuler, InvalidParameter, NonExactDivision, NonIntegralGenus
 from .schubert import ChowClass, betti, get_ring
 
 # ---------------------------------------------------------------------------
@@ -93,6 +97,28 @@ def _ser_div(a, b, trunc):
     return _reduced([x * pw[trunc - m] * bd for m, x in enumerate(c)], pw[trunc + 1] * ad)
 
 
+def _miller(n: int, j: int, m: int) -> int:
+    """The weight of a_j b_(m-j) in m a_0 b_m for b = a^n (J.C.P. Miller's
+    recurrence; Knuth, TAOCP vol. 2, 4.7).  `tangent_chern` runs it on a
+    graded class, `_ser_pow` on a series."""
+    return (n + 1) * j - m
+
+
+def _ser_pow(a, n: int, trunc: int):
+    """a^n for a series with a nonzero constant term, in one pass of Miller's
+    recurrence on the integer numerators: their power is integral, so each
+    division by m a_0 must be exact, and a remainder raises."""
+    an, ad = a
+    out = [an[0] ** n]
+    for m in range(1, trunc + 1):
+        acc = sum(_miller(n, j, m) * an[j] * out[m - j] for j in range(1, min(m, len(an) - 1) + 1))
+        q, r = divmod(acc, m * an[0])
+        if r:
+            raise NonExactDivision(f"coefficient {m} of a series power is not divisible by {m * an[0]}")
+        out.append(q)
+    return _reduced(out, ad**n)
+
+
 # ---------------------------------------------------------------------------
 # integration over Gr(2,n) by the Chern roots x1, x2 of S^dual
 
@@ -116,12 +142,6 @@ def _delta(cls: ChowClass) -> ChowClass:
     every product has a one-term factor."""
     s1 = cls.ring.sigma(1)
     return s1 * (s1 * cls) - cls.ring.sigma(1, 1) * cls.scale(4)
-
-
-def _miller(n: int, j: int, m: int) -> int:
-    """The weight of B_j P_(m-j) in m P_m for P = B^n, B = 1 + B_1 + B_2 graded
-    (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7)."""
-    return (n + 1) * j - m
 
 
 def _divide_exactly(cls: ChowClass, m: int) -> ChowClass:
@@ -167,22 +187,21 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
 
 
 class _Pairing:
-    """Integrals of cls * F^k for F = sum_j ser[j] sigma_1^j, from the sigma_1
-    moments of cls: F^k = sum_j c_j sigma_1^j, so the integral is
-    sum_j c_j moments[j].  Moments and series are (nums, den) pairs.  The
-    powers of F are kept, and extended only when a larger k asks."""
+    """Integrals of cls * N^k for N = s/(1 - w s), s a class of positive
+    degree and w an integer, from the s-moments S[j] = integral of cls * s^j:
+    N^k = sum_(j >= k) C(j - 1, k - 1) w^(j - k) s^j for k >= 1, so the
+    integral is that sum over S, and S[0] at k = 0.  The moments are a
+    (nums, den) pair; no power of N is formed."""
 
-    def __init__(self, moments: tuple, ser: tuple):
+    def __init__(self, moments: tuple, w: int):
         self.moments = moments
-        self.ser = ser
-        self.powers = [([1], 1)]
+        self.w = w
 
     def value(self, k: int) -> Fraction:
-        mn, md = self.moments
-        while len(self.powers) <= k:
-            self.powers.append(_ser_mul(self.powers[-1], self.ser, len(mn) - 1))
-        cn, cd = self.powers[k]
-        return Fraction(sum(c * m for c, m in zip(cn, mn)), cd * md)
+        nums, den = self.moments
+        if not k:
+            return Fraction(nums[0], den)
+        return Fraction(sum(comb(j - 1, k - 1) * self.w ** (j - k) * nums[j] for j in range(k, len(nums))), den)
 
 
 def _sigma1_moments(cls: ChowClass) -> list:
@@ -208,84 +227,83 @@ def _sigma1_moments(cls: ChowClass) -> list:
 @cache
 def _euler_pairing(n: int, engine: str) -> _Pairing:
     """c(T) on the Schubert ring of `engine`, paired with the series
-    sigma_1/(1 + sigma_1) = sigma_1 - sigma_1^2 + ..., whose k-th power
-    removes k hyperplane normal directions."""
-    dim = 2 * (n - 2)
-    lef = [0] + [(-1) ** (j - 1) for j in range(1, dim + 1)]
-    return _Pairing(_over_one_den(_sigma1_moments(tangent_chern(n, engine))), (lef, 1))
+    sigma_1/(1 + sigma_1), whose k-th power removes k hyperplane normal
+    directions: s = sigma_1 and w = -1."""
+    return _Pairing(_over_one_den(_sigma1_moments(tangent_chern(n, engine))), -1)
 
 
 def _one_minus_exp_powers(dim: int) -> tuple:
-    """The powers t^1..t^dim of t = 1 - e^-h, truncated at h^dim, as rows of
+    """The powers t^0..t^dim of t = 1 - e^-h, truncated at h^dim, as rows of
     integer numerators over one common denominator."""
     top = factorial(dim)
     t_ser = _reduced([0] + [(-1) ** (j + 1) * (top // factorial(j)) for j in range(1, dim + 1)], top)
-    pows = [t_ser]
-    for _ in range(dim - 1):
+    pows = [([1], 1)]
+    for _ in range(dim):
         pows.append(_ser_mul(pows[-1], t_ser, dim))
     den = lcm(*(d for _, d in pows))
     return [[x * (den // d) for x in nums] for nums, d in pows], den
 
 
-def _node_series(y0: int, td: tuple, t_pows: tuple):
-    """The root series Q = td(x) + y0 td(-x) and the normal series h/Q(h), from
-    the series td(x) = x/(1 - e^-x) and the powers of t = 1 - e^-h.  With
-    1 + y0 e^-h = (1 + y0)(1 - y0 t/(1 + y0)), the normal series is
-    t/(1 + y0 e^-h) = sum_m y0^m t^(m+1)/(1 + y0)^(m+1), m < dim, so it
-    divides by nothing."""
-    nums, den = td
-    dim = len(nums) - 1
-    q_ser = _reduced([c * (1 + (-1) ** j * y0) for j, c in enumerate(nums)], den)
+def _inverse_root_series(y0: int, t_pows: tuple):
+    """1/Q(u) = N(u)/u, truncated at u^dim, from the powers of t = 1 - e^-u
+    built to degree dim + 1.  The normal series N(u) = u/Q(u) =
+    t/((1 + y0) - y0 t) is s/(1 - y0 s) with s = t/(1 + y0), that is
+    sum_(j >= 1) y0^(j-1) t^j/(1 + y0)^j, so it divides by nothing."""
     rows, t_den = t_pows
-    out = [0] * (dim + 1)
-    for m, row in enumerate(rows[:dim]):
-        w = y0**m * (1 + y0) ** (dim - 1 - m)
-        for j in range(m + 1, dim + 1):
-            out[j] += w * row[j]
-    return q_ser, _reduced(out, t_den * (1 + y0) ** dim)
+    top = len(rows) - 1
+    out = [0] * top
+    for j, row in enumerate(rows[1:], 1):
+        w = y0 ** (j - 1) * (1 + y0) ** (top - j)
+        for m in range(j - 1, top):
+            out[m] += w * row[m + 1]
+    return _reduced(out, t_den * (1 + y0) ** top)
 
 
 def _chi_node(n: int, y0: int, td: tuple, t_pows: tuple) -> _Pairing:
     """The chi_y integrand at y = y0 as a pairing.  With u = x1 - x2 and the
-    root factor Q of `_node_series`, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u)
-    Q(-u)): the two zero roots of End(S) give Q(0)^2.  Each moment [integral
-    of Q(T) sigma_1^c] is one coefficient extraction, a sum over the
-    coefficients of Q^n and of the even series 1/(Q(0)^2 Q(u) Q(-u)), and a
-    class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f (x1 - x2)^2.  The sums
-    run on the integer numerators of the two series, over the one
-    denominator -2 pd^2 rd that their denominators pd and rd give.  The
-    normal factor per hyperplane is h/Q(h) in h = sigma_1."""
+    root series Q = td(x) + y0 td(-x), Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u)
+    Q(-u)): the two zero roots of End(S) give Q(0)^2 = (1 + y0)^2.  Q^n
+    comes from `_ser_pow`, and r = 1/(Q(0)^2 Q(u) Q(-u)) is one product of
+    1/Q(u) = N(u)/u with 1/Q(-u).  Each moment M[c] = integral of Q(T)
+    sigma_1^c is one coefficient extraction, a sum over the coefficients of
+    Q^n and of the even series r, and a class f integrates to -1/2
+    [x1^(n-1) x2^(n-1)] f (x1 - x2)^2.  The normal factor per hyperplane is
+    N(h) = s/(1 - y0 s) in h = sigma_1, s = t/(1 + y0), so the pairing takes
+    the s-moments S[j] = (1 + y0)^-j sum_c M[c] [h^c] t^j and w = y0."""
     dim = 2 * (n - 2)
-    q_ser, n_ser = _node_series(y0, td, t_pows)
-    q_pow = ([1], 1)
-    for _ in range(n):
-        q_pow = _ser_mul(q_pow, q_ser, n - 1)
-    qn, qd = q_ser
-    q_even = _ser_mul(q_ser, ([(-1) ** j * c for j, c in enumerate(qn)], qd), dim)
-    r_ser = _ser_div(([qd * qd], qn[0] ** 2), q_even, dim)
-    (pn, pd), (rn, rd) = q_pow, r_ser
+    td_nums, td_den = td
+    pn, pd = _ser_pow(([c * (1 + (-1) ** j * y0) for j, c in enumerate(td_nums)], td_den), n, n - 1)
+    iv, ivd = _inverse_root_series(y0, t_pows)
+    rn, rd = _ser_mul((iv, ivd), ([(-1) ** j * c for j, c in enumerate(iv)], ivd), dim)
     moments = [0] * (dim + 1)
     for i in range(n):
-        for j in range(n):
-            pij = pn[i] * pn[j]
-            for c in range(dim - i - j + 1):
-                # every term has degree i + j + a + c = dim, which fixes the u-degree a
-                a = dim - i - j - c
-                if rn[a]:
-                    moments[c] += pij * rn[a] * _root_coefficient(a + 2, c, n - 1 - i, n - 1 - j)
-    return _Pairing(_reduced(moments, -2 * pd * pd * rd), n_ser)
+        for j in range(i, n):
+            # every term has degree i + j + a + c = dim, which fixes c by the
+            # u-degree a; r is even, so only even a count, and for even a the
+            # root coefficient is symmetric in i and j
+            pij = pn[i] * pn[j] * (1 if i == j else 2)
+            top = dim - i - j
+            for a in range(0, top + 1, 2):
+                moments[top - a] += pij * rn[a] * _root_coefficient(a + 2, top - a, n - 1 - i, n - 1 - j)
+    rows, t_den = t_pows
+    s_moments = []
+    for j, row in enumerate(rows[: dim + 1]):
+        # t^j starts at h^j
+        s_moments.append((1 + y0) ** (dim - j) * sum(m * x for m, x in zip(moments[j:], row[j:])))
+    return _Pairing(_reduced(s_moments, -2 * pd * pd * rd * (1 + y0) ** (dim + 2) * t_den), y0)
 
 
 @cache
 def _chi_nodes(n: int) -> list:
     """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k, from
-    one Todd series td(x) = x/(1 - e^-x) and one list of powers of 1 - e^-h."""
+    one Todd series td(x) = x/(1 - e^-x) to x^(n-1) and one list of powers
+    of 1 - e^-h to degree dim + 1."""
     dim = 2 * (n - 2)
-    # (1 - e^-x)/x = sum_j (-1)^j x^j/(j+1)!, over the denominator (dim+1)!
-    top = factorial(dim + 1)
-    inv_td = ([(-1) ** j * (top // factorial(j + 1)) for j in range(dim + 1)], top)
-    td = _ser_div(([1], 1), inv_td, dim)
-    t_pows = _one_minus_exp_powers(dim)
+    # (1 - e^-x)/x = sum_j (-1)^j x^j/(j+1)!, over the denominator n!
+    top = factorial(n)
+    inv_td = ([(-1) ** j * (top // factorial(j + 1)) for j in range(n)], top)
+    td = _ser_div(([1], 1), inv_td, n - 1)
+    t_pows = _one_minus_exp_powers(dim + 1)
     return [_chi_node(n, y0, td, t_pows) for y0 in range(dim + 1)]
 
 

@@ -15,7 +15,7 @@ from pgpairs.chern import (
     middle_hodge,
     tangent_chern,
 )
-from pgpairs.errors import InconsistentEuler, InvalidParameter
+from pgpairs.errors import InconsistentEuler, InvalidParameter, NonExactDivision, NonIntegralGenus
 from pgpairs.pairs import hypersurface_poincare_oracle
 from pgpairs.schubert import ENGINES, ChowClass, betti, box_partitions, get_ring, grassmannian_class
 
@@ -165,6 +165,25 @@ def test_chi_y_at_zero_is_one_for_fano():
             assert chi_y_ci(n, k)[0] == 1, (n, k)
 
 
+@pytest.mark.parametrize("n", [13, 16, 19, 24])
+def test_chi_y_identities_past_the_golden_grid(n):
+    # identities that share no code with the residue extraction: Serre
+    # duality, chi(O) of a Fano (k < n) and of a Calabi-Yau (k = n) section,
+    # and chi_y(-1) against the Euler characteristic of both engines
+    for k in range(2 * (n - 2) + 1):
+        chi = chi_y_ci(n, k)
+        d = 2 * (n - 2) - k
+        assert len(chi) == d + 1
+        assert all(chi[p] == (-1) ** d * chi[d - p] for p in range(d + 1)), (n, k)
+        if k < n:
+            assert chi[0] == 1, (n, k)
+        elif k == n:
+            assert chi[0] == 1 + (-1) ** d, (n, k)
+        if n <= 16:
+            for engine in ENGINES:
+                assert sum(c * (-1) ** p for p, c in enumerate(chi)) == euler_characteristic_ci(n, k, engine), (n, k)
+
+
 def test_middle_hodge_known_values():
     h = middle_hodge(6, 6)
     assert h.middle_hodge == (1, 20, 1)
@@ -249,26 +268,32 @@ def test_euler_pairing_matches_full_product_oracle():
 
 
 @st.composite
-def _class_series_power(draw):
+def _class_normal_series(draw):
     n = draw(st.integers(4, 8))
-    ring = get_ring(n)
-    terms = draw(st.dictionaries(st.sampled_from(box_partitions(n)), st.integers(-20, 20), max_size=10))
-    tail = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    ser = [Fraction(0)] + draw(st.lists(tail, max_size=ring.dim))
-    return n, terms, ser, draw(st.integers(0, 4))
+    cells = box_partitions(n)
+    terms = draw(st.dictionaries(st.sampled_from(cells), st.integers(-20, 20), max_size=10))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    s_terms = draw(st.dictionaries(st.sampled_from(cells[1:]), coeff, max_size=4))
+    return n, terms, s_terms, draw(st.integers(-5, 5)), draw(st.integers(0, 2 * (n - 2)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_class_series_power())
+@given(_class_normal_series())
 def test_moment_pairing_matches_full_product(case):
-    n, terms, ser, k = case
+    # integral of cls * N^k for N = s/(1 - w s) = sum_i w^i s^(i+1), s a
+    # random class of positive degree, so nilpotent, by full class products
+    n, terms, s_terms, w, k = case
     ring = get_ring(n)
-    cls = ChowClass(ring, terms)
-    expected = (cls * _sigma1_series(ring, ser) ** k).integrate()
-    pairing = chern._Pairing(_encode(chern._sigma1_moments(cls)), _encode(ser))
-    assert pairing.value(k) == expected
-    # a smaller k afterwards reads the kept powers
-    assert pairing.value(k // 2) == (cls * _sigma1_series(ring, ser) ** (k // 2)).integrate()
+    cls, s = ChowClass(ring, terms), ChowClass(ring, s_terms)
+    s_pows = [ring.one()]
+    for _ in range(ring.dim):
+        s_pows.append(s_pows[-1] * s)
+    normal = ring.zero()
+    for i, power in enumerate(s_pows[1:]):
+        normal = normal + power.scale(w**i)
+    pairing = chern._Pairing(_encode([(cls * power).integrate() for power in s_pows]), w)
+    for kk in (k, k // 2):
+        assert pairing.value(kk) == (cls * normal**kk).integrate(), kk
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +369,41 @@ def test_integer_series_kernels_match_fraction_reference(case):
     else:
         with pytest.raises(InvalidParameter):
             chern._ser_div(_encode(a), _encode(b), trunc)
+
+
+@st.composite
+def _integer_series_power(draw):
+    a0 = draw(st.integers(-30, 30).filter(lambda v: v not in (-1, 0, 1)))
+    nums = [a0] + draw(st.lists(st.integers(-30, 30), max_size=10))
+    return nums, draw(st.integers(1, 12)), draw(st.integers(0, 12)), draw(st.integers(0, 14))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_integer_series_power())
+def test_miller_power_matches_repeated_products(case):
+    nums, den, e, trunc = case
+    a = [Fraction(x, den) for x in nums]
+    expected = [Fraction(1)] + [Fraction(0)] * trunc
+    for _ in range(e):
+        expected = _ser_mul(expected, a, trunc)
+    assert _decode(chern._ser_pow((nums, den), e, trunc)) == expected
+
+
+def test_series_power_recurrence_is_checked(monkeypatch):
+    # the wrong weight of test_tangent_power_recurrence_is_checked: a division
+    # by m a_0 leaves a remainder.  In a chi_y node a_0 = D (1 + y), D the
+    # Todd denominator, carries enough factors that every division can come
+    # out exact; the wrong power is then caught by the integrality of chi_y
+    monkeypatch.setattr(chern, "_miller", lambda n, j, m: (n + 1) * j - m - (j == 2))
+    with pytest.raises(NonExactDivision):
+        chern._ser_pow(([2, 1, 1], 1), 5, 6)
+    chern._chi_nodes.cache_clear()
+    try:
+        for n in (4, 5, 7):
+            with pytest.raises((NonExactDivision, NonIntegralGenus)):
+                chi_y_ci(n, 1)
+    finally:
+        chern._chi_nodes.cache_clear()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -437,6 +497,16 @@ def _chow_exp(arg, ring):
     return out
 
 
+def _series_power_pairings(moments, ser):
+    """[integral of cls * F^k for k = 0..dim] for F = sum_j ser[j] sigma_1^j,
+    from the sigma_1 moments of cls, through Fraction powers of F."""
+    out, power = [], [Fraction(1)]
+    for _ in moments:
+        out.append(sum(c * m for c, m in zip(power, moments)))
+        power = _ser_mul(power, ser, len(moments) - 1)
+    return out
+
+
 def _schubert_chi_y(n, engine):
     """chi_y coefficient lists of the sections of Gr(2,n) by k = 0..dim
     hyperplanes, with T_y(T) = prod Q(t) over the roots t of T built in the
@@ -457,43 +527,56 @@ def _schubert_chi_y(n, engine):
             arg = arg + psums[m].scale(g_ser[m])
         t_y = _chow_exp(arg, ring).scale(Fraction(1 + y0) ** dim)
         normal = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
-        nodes.append(chern._Pairing(_encode(chern._sigma1_moments(t_y)), _encode(normal)))
+        nodes.append(_series_power_pairings(chern._sigma1_moments(t_y), normal))
     out = []
     for k in range(dim + 1):
-        coeffs = chern._interpolate([node.value(k) for node in nodes])
+        coeffs = chern._interpolate([node[k] for node in nodes])
         assert not any(coeffs[dim - k + 1 :]), (engine, n, k)
         out.append(coeffs[: dim - k + 1])
     return out
 
 
 def test_node_series_match_their_definition():
-    # the definition, kept here: Q = A/B with A = 1 + y e^-x and B = (1 - e^-x)/x,
-    # and the normal series (1 - e^-h)/(1 + y e^-h); a series truncated at dim
-    # is the prefix of the same series truncated at 32
+    # the definitions, kept here: Q = A/B with A = 1 + y e^-x and
+    # B = (1 - e^-x)/x, so 1/Q = B/A, and the normal series
+    # N = (1 - e^-h)/(1 + y e^-h); a series truncated at dim is the prefix of
+    # the same series truncated at 32
     top = 32
     exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(top + 1)]
     b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
-    td = _ser_div([1], b_ser, top)
-    t_pows = [chern._one_minus_exp_powers(dim) for dim in range(top + 1)]
+    t_ser = [Fraction(0)] + [-c for c in exp_neg[1:]]
+    t_pows = [chern._one_minus_exp_powers(dim + 1) for dim in range(top + 1)]
     for y in range(top + 1):
         a_ser = [Fraction(1 + y)] + [y * c for c in exp_neg[1:]]
-        q_def = _ser_div(a_ser, b_ser, top)
-        normal = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, top)
+        inverse = _ser_div(b_ser, a_ser, top)
         for dim in range(y, top + 1):
-            q_ser, n_ser = (_decode(s) for s in chern._node_series(y, _encode(td[: dim + 1]), t_pows[dim]))
-            assert (q_ser, n_ser) == (q_def[: dim + 1], normal[: dim + 1]), (dim, y)
-            if dim % 2 == 0 and dim <= 10:
-                assert _decode(chern._chi_nodes(dim // 2 + 2)[y].ser) == n_ser, (dim, y)
+            assert _decode(chern._inverse_root_series(y, t_pows[dim])) == inverse[: dim + 1], (dim, y)
+    # the pairing of a node reads N^k through s = t/(1 + y) and w = y: paired
+    # with the rows [h^c] s^j it gives [h^c] N^k
+    dim = 12
+    for y in range(dim + 1):
+        a_ser = [Fraction(1 + y)] + [y * c for c in exp_neg[1 : dim + 1]]
+        normal = _ser_div(t_ser, a_ser, dim)
+        s_pows = [[Fraction(1)] + [Fraction(0)] * dim]
+        for _ in range(dim):
+            s_pows.append(_ser_mul(s_pows[-1], [c / (1 + y) for c in t_ser], dim))
+        n_pow = s_pows[0]
+        for k in range(dim + 1):
+            for c in range(dim + 1):
+                assert chern._Pairing(_encode([p[c] for p in s_pows]), y).value(k) == n_pow[c], (y, k, c)
+            n_pow = _ser_mul(n_pow, normal, dim)
+        if y <= 10:
+            assert chern._chi_nodes(7)[y].w == y
 
 
 def test_normal_series_match_sympy():
+    # 1/Q(u) = N(u)/u for the normal series N(u) = (1 - e^-u)/(1 + y e^-u)
     sympy = pytest.importorskip("sympy")
-    h = sympy.symbols("h")
+    u = sympy.symbols("u")
     for dim, y in [(4, 0), (4, 3), (10, 7), (12, 12)]:
-        td = _encode([1] + [0] * dim)  # the root series plays no part here
-        _, n_ser = chern._node_series(y, td, chern._one_minus_exp_powers(dim))
-        expected = sympy.series((1 - sympy.exp(-h)) / (1 + y * sympy.exp(-h)), h, 0, dim + 1).removeO()
-        assert _decode(n_ser) == [Fraction(str(expected.coeff(h, j))) for j in range(dim + 1)], (dim, y)
+        inverse = chern._inverse_root_series(y, chern._one_minus_exp_powers(dim + 1))
+        expected = sympy.series((1 - sympy.exp(-u)) / (u * (1 + y * sympy.exp(-u))), u, 0, dim + 1).removeO()
+        assert _decode(inverse) == [Fraction(str(expected.coeff(u, j))) for j in range(dim + 1)], (dim, y)
 
 
 def test_chi_y_matches_schubert_route_oracle():
