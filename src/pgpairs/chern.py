@@ -3,10 +3,8 @@
 The tangent bundle T = Hom(S, Q) and three invariants of a linear section
 X = Gr(2,n) cut by k general hyperplanes: the topological Euler
 characteristic, the chi_y genus, and the middle Hodge numbers.  Everything is
-exact and runs on integers: a class keeps integral coefficients as ints, a
-truncated power series is a list of integer numerators over one positive
-denominator, and a Fraction is made only where a value leaves its loop.
-Integrality is asserted at the end rather than assumed.
+exact: classes keep integral coefficients as ints, and chi_y is an int list
+in y from the start.
 
 T enters only through the K-theory identity T = n S^dual - End(S), where
 End(S) = S^dual (x) S has Chern roots 0, 0, +-u with u = x1 - x2, x1 and x2
@@ -15,27 +13,36 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
 - Euler characteristic, on the Schubert ring of the chosen engine: the total
   Chern class c(T) = P/(1 - delta) with P = (1 + sigma_1 + sigma_{1,1})^n and
   delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built degree by degree from
-  products by sigma_1 and sigma_{1,1} alone (`tangent_chern`), and read
-  through a degree vector filled by one Pieri step per Schubert cell;
-- chi_y, by residue extraction in x1, x2 with no Schubert product and no
-  engine: with td(x) = x/(1 - e^-x) and, since td(x) e^-x = td(-x), the
-  per-root series Q(x) = x(1 + y e^-x)/(1 - e^-x) = td(x) + y td(-x) at
-  integer y, Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)), and a class f
-  integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2.  Q^n comes from one pass of
-  Miller's recurrence.  The normal factor is N(h) = h/Q(h) = s/(1 - y s)
-  with s = t/(1 + y) and t = 1 - e^-h, and 1/Q(u) = N(u)/u, so both come
-  from the powers of t and no series is divided per node.  The polynomial
-  in y comes back by exact Lagrange interpolation;
+  products by sigma_1 and sigma_{1,1} alone (`tangent_chern`), read through
+  a degree vector filled by one Pieri step per Schubert cell, and paired
+  with the k-th power of the normal series sigma_1/(1 + sigma_1);
+- chi_y, with no Schubert product and no engine.  With the root series
+  Q(x) = x(1 + y e^-x)/(1 - e^-x), chi_y(X) is the integral over Gr(2,n) of
+  Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)) times N(h)^k, N(h) = h/Q(h) for
+  h = x1 + x2, where a class f integrates to -1/2 [x1^(n-1) x2^(n-1)] f u^2.
+  Take v = x/Q(x) = (1 - e^-x)/(1 + y e^-x) as the coordinate on each root
+  (Hirzebruch's chi_y formal group law).  Three exact identities follow:
+  (i) dv/dx = (1 - v)(1 + y v)/(1 + y), so Q(x)^n dx/x^n =
+  (1 + y) dv/(v^n (1 - v)(1 + y v)), and the (1 + y)^2 of the two roots
+  cancels Q(0)^2; (ii) h/Q(h) = F = (v1 + v2 + (y - 1) v1 v2)/(1 + y v1 v2);
+  (iii) u^2/(Q(u) Q(-u)) = (v1 - v2)^2/P3 with
+  P3 = (1 + (y - 1) v1 - y v1 v2)(1 + (y - 1) v2 - y v1 v2).  So in v1, v2
+  the integral keeps its form -1/2 [v1^(n-1) v2^(n-1)] (...) (v1 - v2)^2,
+  which is again the integral over Gr(2,n) with e1 = v1 + v2 read as sigma_1
+  and e2 = v1 v2 as sigma_{1,1}:
+      chi_y(X) = integral of F^k/den,  F = (e1 + (y - 1) e2)/(1 + y e2),
+      den = (1 - e1 + e2)(1 + y e1 + y^2 e2) P3,
+      P3 = (1 - y e2)^2 + (y - 1)(1 - y e2) e1 + (y - 1)^2 e2,
+  with integral e1^a e2^b = deg Gr(2, n - b) = Catalan(n - 2 - b) for
+  a + 2b = dim Gr(2,n).  Every factor of den has constant term 1, so each
+  coefficient is an integer polynomial in y, and `_chi_polys` finds all of
+  them by one recurrence in ints that divides nothing;
 - middle Hodge numbers: solved from the chi_y coefficients, with the
   off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
 
-Both section integrands are a class on Gr(2,n) times N^k, one factor
-N = s/(1 - w s) per hyperplane normal direction: s = sigma_1 and w = -1 for
-Euler, s = t/(1 + y) and w = y for chi_y.  So both read their class once
-through its s-moments [integral of cls * s^j] and pair them, for each k, by
-the binomial sum N^k = sum_(j >= k) C(j - 1, k - 1) w^(j - k) s^j.  Euler and
-chi_y share only the identity for T and this pairing, and they integrate by
-different engines, so their agreement at y = -1 is a real check.
+Euler and chi_y share only the identity for T, and v is degenerate at
+y = -1, where chi_y is only read off the polynomial, so their agreement
+there is a real check.
 """
 
 from __future__ import annotations
@@ -43,96 +50,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from itertools import chain
+from math import comb
 
-from .errors import InconsistentEuler, InvalidParameter, NonExactDivision, NonIntegralGenus
+from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
 from .schubert import ChowClass, betti, get_ring
 
 # ---------------------------------------------------------------------------
-# truncated power series over Q, each one (nums, den): a dense list of ints
-# (index = degree) over one positive int, reduced so gcd(den, *nums) == 1
-
-
-def _reduced(nums: list, den: int) -> tuple:
-    if den < 0:
-        nums, den = [-x for x in nums], -den
-    g = gcd(den, *nums)
-    if g > 1:
-        nums, den = [x // g for x in nums], den // g
-    return nums, den
-
-
-def _over_one_den(values) -> tuple:
-    """Exact rationals (ints or Fractions) as (nums, den) over their least
-    common denominator, which leaves them reduced."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _ser_mul(a, b, trunc):
-    (an, ad), (bn, bd) = a, b
-    out = [0] * (trunc + 1)
-    for i, x in enumerate(an[: trunc + 1]):
-        if x:
-            for j, y in enumerate(bn[: trunc + 1 - i]):
-                out[i + j] += x * y
-    return _reduced(out, ad * bd)
-
-
-def _ser_div(a, b, trunc):
-    (an, ad), (bn, bd) = a, b
-    b0 = bn[0]
-    if not b0:
-        raise InvalidParameter("series division by a series with zero constant term")
-    pw = [b0**e for e in range(trunc + 2)]
-    # c[m] = b0^(m+1) [x^m] an/bn, so the recurrence divides by nothing
-    c = []
-    for m in range(trunc + 1):
-        acc = an[m] * pw[m] if m < len(an) else 0
-        for j in range(1, min(m, len(bn) - 1) + 1):
-            if bn[j]:
-                acc -= bn[j] * c[m - j] * pw[j - 1]
-        c.append(acc)
-    # lift every coefficient to b0^(trunc+1); a/b = (an/bn) (bd/ad)
-    return _reduced([x * pw[trunc - m] * bd for m, x in enumerate(c)], pw[trunc + 1] * ad)
+# the total Chern class of the tangent bundle, from T = n S^dual - End(S)
 
 
 def _miller(n: int, j: int, m: int) -> int:
     """The weight of a_j b_(m-j) in m a_0 b_m for b = a^n (J.C.P. Miller's
-    recurrence; Knuth, TAOCP vol. 2, 4.7).  `tangent_chern` runs it on a
-    graded class, `_ser_pow` on a series."""
+    recurrence; Knuth, TAOCP vol. 2, 4.7), run by `tangent_chern` on a
+    graded class."""
     return (n + 1) * j - m
-
-
-def _ser_pow(a, n: int, trunc: int):
-    """a^n for a series with a nonzero constant term, in one pass of Miller's
-    recurrence on the integer numerators: their power is integral, so each
-    division by m a_0 must be exact, and a remainder raises."""
-    an, ad = a
-    out = [an[0] ** n]
-    for m in range(1, trunc + 1):
-        acc = sum(_miller(n, j, m) * an[j] * out[m - j] for j in range(1, min(m, len(an) - 1) + 1))
-        q, r = divmod(acc, m * an[0])
-        if r:
-            raise NonExactDivision(f"coefficient {m} of a series power is not divisible by {m * an[0]}")
-        out.append(q)
-    return _reduced(out, ad**n)
-
-
-# ---------------------------------------------------------------------------
-# integration over Gr(2,n) by the Chern roots x1, x2 of S^dual
-
-
-@cache
-def _root_coefficient(a: int, c: int, p: int, q: int) -> int:
-    """[x1^p x2^q] (x1 - x2)^a (x1 + x2)^c, an integer."""
-    if p < 0 or q < 0 or p + q != a + c:
-        return 0
-    return sum((-1) ** (a - s) * comb(a, s) * comb(c, p - s) for s in range(max(0, p - c), min(a, p) + 1))
-
-
-# ---------------------------------------------------------------------------
-# the total Chern class of the tangent bundle, from T = n S^dual - End(S)
 
 
 def _delta(cls: ChowClass) -> ChowClass:
@@ -191,7 +123,8 @@ class _Pairing:
     degree and w an integer, from the s-moments S[j] = integral of cls * s^j:
     N^k = sum_(j >= k) C(j - 1, k - 1) w^(j - k) s^j for k >= 1, so the
     integral is that sum over S, and S[0] at k = 0.  The moments are a
-    (nums, den) pair; no power of N is formed."""
+    (nums, den) pair of int numerators over one positive int; no power of N
+    is formed."""
 
     def __init__(self, moments: tuple, w: int):
         self.moments = moments
@@ -229,82 +162,74 @@ def _euler_pairing(n: int, engine: str) -> _Pairing:
     """c(T) on the Schubert ring of `engine`, paired with the series
     sigma_1/(1 + sigma_1), whose k-th power removes k hyperplane normal
     directions: s = sigma_1 and w = -1."""
-    return _Pairing(_over_one_den(_sigma1_moments(tangent_chern(n, engine))), -1)
+    return _Pairing((_sigma1_moments(tangent_chern(n, engine)), 1), -1)
 
 
-def _one_minus_exp_powers(dim: int) -> tuple:
-    """The powers t^0..t^dim of t = 1 - e^-h, truncated at h^dim, as rows of
-    integer numerators over one common denominator."""
-    top = factorial(dim)
-    t_ser = _reduced([0] + [(-1) ** (j + 1) * (top // factorial(j)) for j in range(1, dim + 1)], top)
-    pows = [([1], 1)]
-    for _ in range(dim):
-        pows.append(_ser_mul(pows[-1], t_ser, dim))
-    den = lcm(*(d for _, d in pows))
-    return [[x * (den // d) for x in nums] for nums, d in pows], den
+# The chi_y integrand in e1 = v1 + v2 and e2 = v1 v2: each factor of den as
+# {(a, b): coefficients of y^0, y^1, ... of e1^a e2^b}, constant term 1.
+_DEN_FACTORS = (
+    {(1, 0): (-1,), (0, 1): (1,)},  # (1 - v1)(1 - v2)
+    {(1, 0): (0, 1), (0, 1): (0, 0, 1)},  # (1 + y v1)(1 + y v2)
+    {(1, 0): (-1, 1), (0, 1): (1, -4, 1), (1, 1): (0, 1, -1), (0, 2): (0, 0, 1)},  # P3
+)
 
 
-def _inverse_root_series(y0: int, t_pows: tuple):
-    """1/Q(u) = N(u)/u, truncated at u^dim, from the powers of t = 1 - e^-u
-    built to degree dim + 1.  The normal series N(u) = u/Q(u) =
-    t/((1 + y0) - y0 t) is s/(1 - y0 s) with s = t/(1 + y0), that is
-    sum_(j >= 1) y0^(j-1) t^j/(1 + y0)^j, so it divides by nothing."""
-    rows, t_den = t_pows
-    top = len(rows) - 1
-    out = [0] * top
-    for j, row in enumerate(rows[1:], 1):
-        w = y0 ** (j - 1) * (1 + y0) ** (top - j)
-        for m in range(j - 1, top):
-            out[m] += w * row[m + 1]
-    return _reduced(out, t_den * (1 + y0) ** top)
+def _y_sub(acc: list, p: list, c: tuple) -> list:
+    """acc - c p mod y^len(acc) for int lists in y and a short coefficient
+    tuple c."""
+    for i, ci in enumerate(c):
+        if ci:
+            acc = [x - ci * z for x, z in zip(acc, chain((0,) * i, p))]
+    return acc
 
 
-def _chi_node(n: int, y0: int, td: tuple, t_pows: tuple) -> _Pairing:
-    """The chi_y integrand at y = y0 as a pairing.  With u = x1 - x2 and the
-    root series Q = td(x) + y0 td(-x), Q(T) = Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u)
-    Q(-u)): the two zero roots of End(S) give Q(0)^2 = (1 + y0)^2.  Q^n
-    comes from `_ser_pow`, and r = 1/(Q(0)^2 Q(u) Q(-u)) is one product of
-    1/Q(u) = N(u)/u with 1/Q(-u).  Each moment M[c] = integral of Q(T)
-    sigma_1^c is one coefficient extraction, a sum over the coefficients of
-    Q^n and of the even series r, and a class f integrates to -1/2
-    [x1^(n-1) x2^(n-1)] f (x1 - x2)^2.  The normal factor per hyperplane is
-    N(h) = s/(1 - y0 s) in h = sigma_1, s = t/(1 + y0), so the pairing takes
-    the s-moments S[j] = (1 + y0)^-j sum_c M[c] [h^c] t^j and w = y0."""
-    dim = 2 * (n - 2)
-    td_nums, td_den = td
-    pn, pd = _ser_pow(([c * (1 + (-1) ** j * y0) for j, c in enumerate(td_nums)], td_den), n, n - 1)
-    iv, ivd = _inverse_root_series(y0, t_pows)
-    rn, rd = _ser_mul((iv, ivd), ([(-1) ** j * c for j, c in enumerate(iv)], ivd), dim)
-    moments = [0] * (dim + 1)
-    for i in range(n):
-        for j in range(i, n):
-            # every term has degree i + j + a + c = dim, which fixes c by the
-            # u-degree a; r is even, so only even a count, and for even a the
-            # root coefficient is symmetric in i and j
-            pij = pn[i] * pn[j] * (1 if i == j else 2)
-            top = dim - i - j
-            for a in range(0, top + 1, 2):
-                moments[top - a] += pij * rn[a] * _root_coefficient(a + 2, top - a, n - 1 - i, n - 1 - j)
-    rows, t_den = t_pows
-    s_moments = []
-    for j, row in enumerate(rows[: dim + 1]):
-        # t^j starts at h^j
-        s_moments.append((1 + y0) ** (dim - j) * sum(m * x for m, x in zip(moments[j:], row[j:])))
-    return _Pairing(_reduced(s_moments, -2 * pd * pd * rd * (1 + y0) ** (dim + 2) * t_den), y0)
+def _top_integrals(n: int) -> list:
+    """[integral over Gr(2,n) of sigma_1^(dim - 2b) sigma_{1,1}^b for
+    b = 0..dim/2]: sigma_{1,1}^b is Gr(2, n - b), whose degree is the
+    Catalan number C(2m, m) - C(2m, m + 1), m = n - 2 - b."""
+    return [comb(2 * m, m) - comb(2 * m, m + 1) for m in range(n - 2, -1, -1)]
 
 
 @cache
-def _chi_nodes(n: int) -> list:
-    """The chi_y pairings of Gr(2,n) at y = 0..dim, shared by every k, from
-    one Todd series td(x) = x/(1 - e^-x) to x^(n-1) and one list of powers
-    of 1 - e^-h to degree dim + 1."""
+def _chi_polys(n: int) -> list:
+    """chi_y of the section of Gr(2,n) by k hyperplanes for k = 0..dim, each
+    an int list in y of length dim + 1.  Everything is taken mod y^(dim+1),
+    a ring map, and chi_y has degree at most dim X <= dim.
+
+    The integral is run backwards as a functional: phi_k(m) = integral of
+    m F^k/den for m = e1^a e2^b, kept as phi[b][a].  F raises the weight
+    a + 2b by at least one, so phi_k lives on weights <= dim - k and
+    chi_y(X_k) = phi_k(1).  phi_0 starts as the integral, Catalan(n - 2 - b)
+    on the top weight, and is divided by each factor f = 1 + sum_t c_t t of
+    den: psi(m) = phi(m/f) = phi(m) - sum_t c_t psi(t m), in falling weight.
+    Then phi_(k+1)(m) = phi_k(F m) in two passes, psi(m) =
+    phi_k(m/(1 + y e2)) = phi_k(m) - y psi(e2 m) and phi_(k+1)(m) =
+    psi(e1 m) + (y - 1) psi(e2 m); y p is p shifted up by one."""
     dim = 2 * (n - 2)
-    # (1 - e^-x)/x = sum_j (-1)^j x^j/(j+1)!, over the denominator n!
-    top = factorial(n)
-    inv_td = ([(-1) ** j * (top // factorial(j + 1)) for j in range(n)], top)
-    td = _ser_div(([1], 1), inv_td, n - 1)
-    t_pows = _one_minus_exp_powers(dim + 1)
-    return [_chi_node(n, y0, td, t_pows) for y0 in range(dim + 1)]
+    zero = [0] * (dim + 1)
+    phi = [[zero] * (dim - 2 * b + 1) for b in range(dim // 2 + 1)]
+    for row, value in zip(phi, _top_integrals(n)):
+        row[-1] = [value] + zero[1:]
+    for factor in _DEN_FACTORS:
+        for w in range(dim - 1, -1, -1):
+            for b in range(w // 2 + 1):
+                a = w - 2 * b
+                for (da, db), c in factor.items():
+                    if w + da + 2 * db <= dim:
+                        phi[b][a] = _y_sub(phi[b][a], phi[b + db][a + da], c)
+    out = []
+    for k in range(dim + 1):
+        out.append(phi[0][0])
+        top = dim - k
+        for a in range(top + 1):
+            for b in range((top - a) // 2 - 1, -1, -1):
+                phi[b][a] = [p - s for p, s in zip(phi[b][a], chain((0,), phi[b + 1][a]))]
+        for a in range(top):
+            for b in range((top - 1 - a) // 2 + 1):
+                # psi is 0 above weight top, where the cells are stale
+                up = phi[b + 1][a] if a + 2 * b + 2 <= top else zero
+                phi[b][a] = [r - u + s for r, u, s in zip(phi[b][a + 1], up, chain((0,), up))]
+    return out
 
 
 # Not shared with pairs._section_params: this domain has no smooth bound.
@@ -326,43 +251,22 @@ def euler_characteristic_ci(n: int, k: int, engine: str = "pieri") -> int:
     return int(val)
 
 
-def _interpolate(values) -> list:
-    """Exact polynomial through (i, values[i]) for i = 0..m-1, as Fraction
-    coefficients.  Newton's forward form p(x) = sum_i Delta^i p(0) C(x, i)
-    runs in integers: the values go over their lcm D and difference i is
-    scaled by (m-1)!/i!, so every coefficient is an integer over D (m-1)!."""
-    m = len(values)
-    diffs, den = _over_one_den(values)
-    top = factorial(m - 1)
-    newton = []
-    for i in range(m):
-        newton.append(diffs[0] * (top // factorial(i)))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs = [0] * m
-    for i in range(m - 1, -1, -1):
-        # coeffs <- coeffs*(x - i) + newton[i]
-        shifted = [0] + coeffs[:-1]
-        coeffs = [s - i * c for s, c in zip(shifted, coeffs)]
-        coeffs[0] += newton[i]
-    return [Fraction(c, den * top) for c in coeffs]
-
-
 def chi_y_ci(n: int, k: int) -> list:
     """Hirzebruch chi_y genus of the same section, as the integer coefficient
-    list [chi(O), chi(Omega^1), ...] of length dim X + 1.  It is computed by
-    residue extraction with no Schubert engine; `middle_hodge` confirms it
-    against the Euler characteristic of the chosen engine."""
+    list [chi(O), chi(Omega^1), ...] of length dim X + 1.  It is computed in
+    the coordinate v = x/Q(x) with no Schubert engine; its degree and Serre
+    duality are checked here, and `middle_hodge` confirms it against the
+    Euler characteristic of the chosen engine."""
     _validate_section(n, k)
     dim = 2 * (n - 2) - k
-    coeffs = _interpolate([node.value(k) for node in _chi_nodes(n)])
-    out = []
-    for p, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonIntegralGenus(f"coefficient of y^{p} is {c}")
-        if p > dim and c:
+    coeffs = _chi_polys(n)[k]
+    for p in range(len(coeffs) - 1, dim, -1):
+        if coeffs[p]:
             raise NonIntegralGenus(f"chi_y has degree {p} above dim X = {dim}")
-        if p <= dim:
-            out.append(int(c))
+    out = coeffs[: dim + 1]
+    for p, c in enumerate(out):
+        if c != (-1) ** dim * out[dim - p]:
+            raise NonIntegralGenus(f"chi_y breaks Serre duality: chi^{p} = {c}, chi^{dim - p} = {out[dim - p]}")
     return out
 
 

@@ -14,14 +14,15 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .dsl import eval_dsl
 from .errors import (
     EvalError,
     InconsistentEuler,
     InvalidParameter,
+    NegativeDimension,
     NonIntegralGenus,
+    OutOfSmoothRange,
     ParseError,
     PGError,
 )
@@ -33,17 +34,6 @@ _SAFE_INT = 2**53 - 1
 _FORMATS = ("json", "markdown", "csv")
 _CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
 MAX_NK = 24
-
-
-@dataclass(frozen=True)
-class GridRequest:
-    n_min: int
-    n_max: int
-    k_min: int
-    k_max: int
-    checks: tuple
-    output_format: str = "json"
-    engine: str = "pieri"
 
 
 def _encode(obj):
@@ -188,8 +178,10 @@ def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri",
 def _grid_row(n: int, k: int, engine: str, checks) -> dict:
     try:
         make_pair(n, k)
-    except PGError as exc:
+    except (InvalidParameter, NegativeDimension, OutOfSmoothRange) as exc:
         return {"n": n, "k": k, "status": "skip", "reason": type(exc).__name__}
+    except PGError:
+        pass  # not outside the domain: build_pair_report raises it again, as an error row
     try:
         report = _filter_checks(build_pair_report(n, k, engine), checks)
     except PGError as exc:
@@ -216,23 +208,25 @@ def _grid_row(n: int, k: int, engine: str, checks) -> dict:
     }
 
 
-def run_grid(request: GridRequest):
+def run_grid(
+    n_min: int, n_max: int, k_min: int, k_max: int, checks=(), output_format: str = "json", engine: str = "pieri"
+):
     """Sweep the requested (n, k) rectangle; returns (text, exit_code).
 
     Rows are one per valid pair in lexicographic (n, k) order; failures are
     recorded per row and never abort the sweep.
     """
-    if request.n_min > request.n_max or request.k_min > request.k_max:
+    if n_min > n_max or k_min > k_max:
         raise PGError("empty parameter ranges")
-    _validate_checks(request.checks)
-    _validate_format(request.output_format)
-    _validate_bounds(n_min=request.n_min, n_max=request.n_max, k_min=request.k_min, k_max=request.k_max)
-    _validate_engine(request.engine)
+    _validate_checks(checks)
+    _validate_format(output_format)
+    _validate_bounds(n_min=n_min, n_max=n_max, k_min=k_min, k_max=k_max)
+    _validate_engine(engine)
 
     rows = [
-        _grid_row(n, k, request.engine, request.checks)
-        for n in range(request.n_min, request.n_max + 1)
-        for k in range(request.k_min, request.k_max + 1)
+        _grid_row(n, k, engine, checks)
+        for n in range(n_min, n_max + 1)
+        for k in range(k_min, k_max + 1)
     ]
 
     kept = [r for r in rows if r["status"] != "skip"]
@@ -245,12 +239,12 @@ def run_grid(request: GridRequest):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "request": {
-            "n_min": request.n_min,
-            "n_max": request.n_max,
-            "k_min": request.k_min,
-            "k_max": request.k_max,
-            "checks": sorted(request.checks) if request.checks else "all",
-            "engine": request.engine,
+            "n_min": n_min,
+            "n_max": n_max,
+            "k_min": k_min,
+            "k_max": k_max,
+            "checks": sorted(checks) if checks else "all",
+            "engine": engine,
         },
         "rows": kept,
         "summary": summary,
@@ -258,7 +252,7 @@ def run_grid(request: GridRequest):
 
     code = 0 if summary["fail"] == 0 else 1
     serialize = {"json": _dump_json, "markdown": _grid_markdown, "csv": _grid_csv}
-    return serialize[request.output_format](payload), code
+    return serialize[output_format](payload), code
 
 
 def _grid_markdown(payload: dict) -> str:
@@ -348,21 +342,15 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
             return code
         if args.command == "grid":
-            request = GridRequest(
-                n_min=args.n_min,
-                n_max=args.n_max,
-                k_min=args.k_min,
-                k_max=args.k_max,
-                checks=tuple(c for c in args.checks.split(",") if c),
-                output_format=args.format,
-                engine=args.engine,
-            )
-            text, code = run_grid(request)
+            checks = tuple(c for c in args.checks.split(",") if c)
+            text, code = run_grid(args.n_min, args.n_max, args.k_min, args.k_max, checks, args.format, args.engine)
             sys.stdout.write(text)
             return code
         # eval
         try:
             result = eval_dsl(args.expression)
+            if not isinstance(result, (bool, LPoly)):
+                raise EvalError("the value is neither a class nor a truth value", args.expression)
         except ParseError as exc:
             sys.stderr.write(_diag(exc))
             return 2
@@ -372,7 +360,6 @@ def main(argv=None) -> int:
         if isinstance(result, bool):
             sys.stdout.write(("true" if result else "false") + "\n")
             return 0 if result else 1
-        assert isinstance(result, LPoly)
         try:
             text = str(result)
         except ValueError as exc:  # Python's bound on int-to-text conversion

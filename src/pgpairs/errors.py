@@ -43,7 +43,9 @@ class InconsistentEuler(PGError):
 
 
 class NonIntegralGenus(PGError):
-    """A genus computation produced a non-integer coefficient."""
+    """A genus computation produced an impossible value: a non-integer
+    coefficient, a chi_y of degree above dim X, or a chi_y that breaks Serre
+    duality chi^p = (-1)^dim chi^(dim - p)."""
 
 
 class ParseError(PGError):

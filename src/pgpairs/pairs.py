@@ -24,6 +24,7 @@ from .chern import euler_characteristic_ci, middle_hodge
 from .errors import (
     InconsistentEuler,
     InvalidParameter,
+    NegativeCoefficient,
     NegativeDimension,
     OutOfSmoothRange,
     UncoveredPair,
@@ -82,7 +83,8 @@ def make_pair(n: int, k: int) -> PGPair:
         raise NegativeDimension(f"dim Y = {dim_y} for pair ({n},{k})")
     s = lefschetz_shift(n)
     m = (dim_x - dim_y) // 2
-    assert m == s - k + 1
+    if m != s - k + 1:
+        raise InconsistentEuler(f"shift m = {m} of pair ({n},{k}) differs from s - k + 1 = {s - k + 1}")
     return PGPair(n=n, k=k, dim_x=dim_x, dim_y=dim_y, s=s, m=m, smooth_range=True)
 
 
@@ -139,7 +141,8 @@ def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
 
 def _variable_part(n: int, d: int, p_x: TPoly) -> int:
     v = p_x.coefficient(d) - betti(n, d)
-    assert v >= 0
+    if v < 0:
+        raise NegativeCoefficient(f"variable Betti number {v} of a section of Gr(2,{n}) is negative")
     return v
 
 
@@ -298,7 +301,8 @@ def hypersurface_poincare_oracle(d: int, ambient_dim: int) -> TPoly:
     coeffs = {j: 1 for j in range(0, 2 * dim + 1, 2) if j != dim}
     coeffs[dim] = mid
     out = TPoly(coeffs)
-    assert out.is_palindromic(dim)
+    if not out.is_palindromic(dim):
+        raise InconsistentEuler(f"Poincare polynomial {out} of a degree-{d} hypersurface is not palindromic")
     return out
 
 

@@ -1,7 +1,7 @@
 """Characteristic classes: the tangent bundle of Gr(2,n) and the section invariants."""
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from pgpairs.chern import (
     middle_hodge,
     tangent_chern,
 )
-from pgpairs.errors import InconsistentEuler, InvalidParameter, NonExactDivision, NonIntegralGenus
+from pgpairs.errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
 from pgpairs.pairs import hypersurface_poincare_oracle
 from pgpairs.schubert import ENGINES, ChowClass, betti, box_partitions, get_ring, grassmannian_class
 
@@ -167,8 +167,8 @@ def test_chi_y_at_zero_is_one_for_fano():
 
 @pytest.mark.parametrize("n", [13, 16, 19, 24])
 def test_chi_y_identities_past_the_golden_grid(n):
-    # identities that share no code with the residue extraction: Serre
-    # duality, chi(O) of a Fano (k < n) and of a Calabi-Yau (k = n) section,
+    # identities that share no code with `_chi_polys`: Serre duality,
+    # chi(O) of a Fano (k < n) and of a Calabi-Yau (k = n) section,
     # and chi_y(-1) against the Euler characteristic of both engines
     for k in range(2 * (n - 2) + 1):
         chi = chi_y_ci(n, k)
@@ -297,21 +297,15 @@ def test_moment_pairing_matches_full_product(case):
 
 
 # ---------------------------------------------------------------------------
-# the integer series kernels against Fraction references kept here
+# Fraction series helpers for the oracles below
 
 
 def _encode(values):
-    """Rationals as the (nums, den) form of chern's series: ints over the
-    least common denominator."""
+    """Rationals as the (nums, den) form of `chern._Pairing`'s moments: ints
+    over the least common denominator."""
     values = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [int(v * den) for v in values], den
-
-
-def _decode(ser):
-    nums, den = ser
-    assert den > 0 and gcd(den, *nums) == 1, ser
-    return [Fraction(x, den) for x in nums]
 
 
 def _ser_mul(a, b, trunc):
@@ -348,29 +342,6 @@ def _interpolate_divided_differences(values):
     return coeffs
 
 
-_rational = st.fractions(min_value=-50, max_value=50, max_denominator=60)
-
-
-@st.composite
-def _series_pair(draw):
-    a = draw(st.lists(_rational, min_size=1, max_size=12))
-    b = draw(st.lists(_rational, min_size=1, max_size=12))
-    return a, b, draw(st.integers(0, 14))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_series_pair())
-def test_integer_series_kernels_match_fraction_reference(case):
-    a, b, trunc = case
-    assert _decode(chern._over_one_den(a)) == a
-    assert _decode(chern._ser_mul(_encode(a), _encode(b), trunc)) == _ser_mul(a, b, trunc)
-    if b[0]:
-        assert _decode(chern._ser_div(_encode(a), _encode(b), trunc)) == _ser_div(a, b, trunc)
-    else:
-        with pytest.raises(InvalidParameter):
-            chern._ser_div(_encode(a), _encode(b), trunc)
-
-
 @st.composite
 def _integer_series_power(draw):
     a0 = draw(st.integers(-30, 30).filter(lambda v: v not in (-1, 0, 1)))
@@ -381,56 +352,22 @@ def _integer_series_power(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_integer_series_power())
 def test_miller_power_matches_repeated_products(case):
+    # the weights `tangent_chern` uses, m a_0 b_m = sum_j _miller(e, j, m)
+    # a_j b_(m-j) for b = a^e, on a general series
     nums, den, e, trunc = case
     a = [Fraction(x, den) for x in nums]
+    power = [a[0] ** e]
+    for m in range(1, trunc + 1):
+        acc = sum(chern._miller(e, j, m) * a[j] * power[m - j] for j in range(1, min(m, len(a) - 1) + 1))
+        power.append(acc / (m * a[0]))
     expected = [Fraction(1)] + [Fraction(0)] * trunc
     for _ in range(e):
         expected = _ser_mul(expected, a, trunc)
-    assert _decode(chern._ser_pow((nums, den), e, trunc)) == expected
-
-
-def test_series_power_recurrence_is_checked(monkeypatch):
-    # the wrong weight of test_tangent_power_recurrence_is_checked: a division
-    # by m a_0 leaves a remainder.  In a chi_y node a_0 = D (1 + y), D the
-    # Todd denominator, carries enough factors that every division can come
-    # out exact; the wrong power is then caught by the integrality of chi_y
-    monkeypatch.setattr(chern, "_miller", lambda n, j, m: (n + 1) * j - m - (j == 2))
-    with pytest.raises(NonExactDivision):
-        chern._ser_pow(([2, 1, 1], 1), 5, 6)
-    chern._chi_nodes.cache_clear()
-    try:
-        for n in (4, 5, 7):
-            with pytest.raises((NonExactDivision, NonIntegralGenus)):
-                chi_y_ci(n, 1)
-    finally:
-        chern._chi_nodes.cache_clear()
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(_rational, min_size=1, max_size=14))
-def test_integer_interpolation_matches_divided_differences(values):
-    coeffs = chern._interpolate(values)
-    assert all(isinstance(c, Fraction) for c in coeffs)
-    assert coeffs == _interpolate_divided_differences(values)
-    for x, v in enumerate(values):
-        assert sum(c * x**p for p, c in enumerate(coeffs)) == v
-
-
-def test_integer_series_kernels_match_sympy():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
-    top = 12
-    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
-    td = _decode(chern._ser_div(([1], 1), _encode(b_ser), top))
-    expected = sympy.series(x / (1 - sympy.exp(-x)), x, 0, top + 1).removeO()
-    assert td == [Fraction(str(expected.coeff(x, j))) for j in range(top + 1)]
-    values = [Fraction(j**3 - 2, j + 1) for j in range(6)]
-    poly = sympy.interpolate([(j, sympy.Rational(str(v))) for j, v in enumerate(values)], x)
-    assert chern._interpolate(values) == [Fraction(str(sympy.Poly(poly, x).coeff_monomial(x**p))) for p in range(6)]
+    assert power == expected
 
 
 # ---------------------------------------------------------------------------
-# chi_y by the Schubert route, kept as an oracle for the residue extraction:
+# chi_y by the Schubert route, kept as an oracle for `chern._chi_polys`:
 # power sums of T -> log of the root series -> exp in the Chow ring -> sigma_1
 # moments by Schubert products
 
@@ -530,53 +467,10 @@ def _schubert_chi_y(n, engine):
         nodes.append(_series_power_pairings(chern._sigma1_moments(t_y), normal))
     out = []
     for k in range(dim + 1):
-        coeffs = chern._interpolate([node[k] for node in nodes])
+        coeffs = _interpolate_divided_differences([node[k] for node in nodes])
         assert not any(coeffs[dim - k + 1 :]), (engine, n, k)
         out.append(coeffs[: dim - k + 1])
     return out
-
-
-def test_node_series_match_their_definition():
-    # the definitions, kept here: Q = A/B with A = 1 + y e^-x and
-    # B = (1 - e^-x)/x, so 1/Q = B/A, and the normal series
-    # N = (1 - e^-h)/(1 + y e^-h); a series truncated at dim is the prefix of
-    # the same series truncated at 32
-    top = 32
-    exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(top + 1)]
-    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
-    t_ser = [Fraction(0)] + [-c for c in exp_neg[1:]]
-    t_pows = [chern._one_minus_exp_powers(dim + 1) for dim in range(top + 1)]
-    for y in range(top + 1):
-        a_ser = [Fraction(1 + y)] + [y * c for c in exp_neg[1:]]
-        inverse = _ser_div(b_ser, a_ser, top)
-        for dim in range(y, top + 1):
-            assert _decode(chern._inverse_root_series(y, t_pows[dim])) == inverse[: dim + 1], (dim, y)
-    # the pairing of a node reads N^k through s = t/(1 + y) and w = y: paired
-    # with the rows [h^c] s^j it gives [h^c] N^k
-    dim = 12
-    for y in range(dim + 1):
-        a_ser = [Fraction(1 + y)] + [y * c for c in exp_neg[1 : dim + 1]]
-        normal = _ser_div(t_ser, a_ser, dim)
-        s_pows = [[Fraction(1)] + [Fraction(0)] * dim]
-        for _ in range(dim):
-            s_pows.append(_ser_mul(s_pows[-1], [c / (1 + y) for c in t_ser], dim))
-        n_pow = s_pows[0]
-        for k in range(dim + 1):
-            for c in range(dim + 1):
-                assert chern._Pairing(_encode([p[c] for p in s_pows]), y).value(k) == n_pow[c], (y, k, c)
-            n_pow = _ser_mul(n_pow, normal, dim)
-        if y <= 10:
-            assert chern._chi_nodes(7)[y].w == y
-
-
-def test_normal_series_match_sympy():
-    # 1/Q(u) = N(u)/u for the normal series N(u) = (1 - e^-u)/(1 + y e^-u)
-    sympy = pytest.importorskip("sympy")
-    u = sympy.symbols("u")
-    for dim, y in [(4, 0), (4, 3), (10, 7), (12, 12)]:
-        inverse = chern._inverse_root_series(y, chern._one_minus_exp_powers(dim + 1))
-        expected = sympy.series((1 - sympy.exp(-u)) / (u * (1 + y * sympy.exp(-u))), u, 0, dim + 1).removeO()
-        assert _decode(inverse) == [Fraction(str(expected.coeff(u, j))) for j in range(dim + 1)], (dim, y)
 
 
 def test_chi_y_matches_schubert_route_oracle():
@@ -586,14 +480,6 @@ def test_chi_y_matches_schubert_route_oracle():
                 assert chi_y_ci(n, k) == expected, (engine, n, k)
     # the Calabi-Yau threefold section behind the (7,7) pair
     assert _schubert_chi_y(7, "lr")[7] == chi_y_ci(7, 7) == [0, 49, -49, 0]
-
-
-def _integrate_roots(n, terms):
-    """Integral over Gr(2,n) of the class sum coeff x1^i x2^j (x1 - x2)^a
-    (x1 + x2)^c, summed over ((i, j, a, c), coeff) in terms:
-    -1/2 [x1^(n-1) x2^(n-1)] of the class times (x1 - x2)^2."""
-    total = sum((coeff * chern._root_coefficient(a + 2, c, n - 1 - i, n - 1 - j) for (i, j, a, c), coeff in terms), Fraction(0))
-    return total / -2
 
 
 @st.composite
@@ -612,20 +498,131 @@ def _sigma_polynomial(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_sigma_polynomial())
-def test_root_extraction_matches_schubert_integral(case):
+def test_catalan_integral_matches_schubert_integral(case):
+    # chi_y integrates e1^a e2^b as sigma_1^a sigma_{1,1}^b by the Catalan
+    # weights on the top degree alone
     n, f = case
-    # sigma_{1,1}^b = x1^b x2^b
-    value = _integrate_roots(n, [((b, b, 0, a), c) for (a, b), c in f.items()])
-    # sigma_{1,1} = (sigma_1^2 - u^2)/4 with u = x1 - x2, so the same class in u and sigma_1
-    by_u = [
-        ((0, 0, 2 * t, a + 2 * (b - t)), Fraction(c * comb(b, t) * (-1) ** t, 4**b))
-        for (a, b), c in f.items()
-        for t in range(b + 1)
-    ]
-    assert _integrate_roots(n, by_u) == value
+    dim = 2 * (n - 2)
+    weights = chern._top_integrals(n)
+    value = sum(c * weights[b] for (a, b), c in f.items() if a + 2 * b == dim)
     for engine in ENGINES:
         ring = get_ring(n, engine)
         cls = ring.zero()
         for (a, b), c in f.items():
             cls = cls + (ring.sigma(1) ** a * ring.sigma(1, 1) ** b).scale(c)
         assert value == cls.integrate(), engine
+
+
+# ---------------------------------------------------------------------------
+# the coordinate v = x/Q(x) on each Chern root, checked as Fraction series on
+# the lines x2 = c x1: an identity of power series in x1, x2 holds to order d
+# once it holds on d + 1 lines, since its degree-d part is a binary form of
+# degree d
+
+
+_ORDER = 7
+_LINES = [Fraction(c) for c in (-3, -2, -1, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(1, 2), 2, 3, 5)]
+_YS = [Fraction(y) for y in (0, 1, 2, 5, -3, Fraction(1, 2))]
+
+
+def _v_series(y, top):
+    """v(x) = x/Q(x) = (1 - e^-x)/(1 + y e^-x) to x^top."""
+    exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(top + 1)]
+    return _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], [1 + y] + [y * c for c in exp_neg[1:]], top)
+
+
+def _on_line(ser, c):
+    """f(c t) for the series f(t)."""
+    return [x * c**j for j, x in enumerate(ser)]
+
+
+def _lin(*terms):
+    """The sum of scalar * series over (scalar, series) pairs."""
+    top = max(len(ser) for _, ser in terms)
+    out = [Fraction(0)] * top
+    for scalar, ser in terms:
+        for j, x in enumerate(ser):
+            out[j] += scalar * x
+    return out
+
+
+def _den_in_v(y, e1, e2, top):
+    """The product of `chern._DEN_FACTORS` at the series e1, e2."""
+    one = [Fraction(1)] + [Fraction(0)] * top
+    den = one
+    for factor in chern._DEN_FACTORS:
+        value = one
+        for (a, b), coeffs in factor.items():
+            term = one
+            for _ in range(a):
+                term = _ser_mul(term, e1, top)
+            for _ in range(b):
+                term = _ser_mul(term, e2, top)
+            value = _lin((1, value), (sum(x * y**i for i, x in enumerate(coeffs)), term))
+        den = _ser_mul(den, value, top)
+    return den
+
+
+def test_v_coordinate_identities():
+    # (i)-(iii) of the chern module docstring, and den of `_DEN_FACTORS` as
+    # (1 - v1)(1 + y v1)(1 - v2)(1 + y v2) P3
+    top = _ORDER
+    one = [Fraction(1)] + [Fraction(0)] * top
+    for y in _YS:
+        v = _v_series(y, top + 1)
+        # (i) dv/dx = (1 - v)(1 + y v)/(1 + y)
+        dv = [j * x for j, x in enumerate(v)][1:]
+        rhs = _ser_mul(_lin((1, one), (-1, v)), _lin((1, one), (y, v)), top)
+        assert dv == [x / (1 + y) for x in rhs], y
+        v = v[: top + 1]
+        for c in _LINES:
+            v1, v2 = v, _on_line(v, c)
+            e2 = _ser_mul(v1, v2, top)
+            # (ii) h/Q(h) = F for h = x1 + x2
+            f = _ser_div(_lin((1, v1), (1, v2), (y - 1, e2)), _lin((1, one), (y, e2)), top)
+            assert _on_line(v, 1 + c) == f, (y, c)
+            # (iii) u^2/(Q(u) Q(-u)) = (v1 - v2)^2/P3 for u = x1 - x2, where
+            # u/Q(u) = v(u) and -u/Q(-u) = v(-u)
+            lhs = _lin((-1, _ser_mul(_on_line(v, 1 - c), _on_line(v, c - 1), top)))
+            p3 = _ser_mul(_lin((1, one), (y - 1, v1), (-y, e2)), _lin((1, one), (y - 1, v2), (-y, e2)), top)
+            diff = _lin((1, v1), (-1, v2))
+            assert _ser_mul(lhs, p3, top) == _ser_mul(diff, diff, top), (y, c)
+            roots = _ser_mul(_lin((1, one), (-1, v1)), _lin((1, one), (y, v1)), top)
+            roots = _ser_mul(roots, _ser_mul(_lin((1, one), (-1, v2)), _lin((1, one), (y, v2)), top), top)
+            assert _den_in_v(y, _lin((1, v1), (1, v2)), e2, top) == _ser_mul(roots, p3, top), (y, c)
+
+
+def test_den_factor_mutants_are_caught(monkeypatch):
+    # one coefficient of den off by one: some section with n <= 9 fails the
+    # degree, Serre-duality or Euler check
+    mutants = [(0, (1, 0), 0, -2), (1, (0, 1), 2, 2), (2, (0, 1), 1, -3), (2, (1, 1), 2, 0), (2, (0, 2), 2, 2)]
+    chern._chi_polys.cache_clear()
+    try:
+        for index, key, power, value in mutants:
+            factors = [dict(f) for f in chern._DEN_FACTORS]
+            coeffs = list(factors[index][key]) + [0] * (power + 1 - len(factors[index][key]))
+            coeffs[power] = value
+            factors[index][key] = tuple(coeffs)
+            monkeypatch.setattr(chern, "_DEN_FACTORS", tuple(factors))
+            chern._chi_polys.cache_clear()
+            caught = False
+            for n in range(4, 10):
+                for k in range(2 * (n - 2) + 1):
+                    try:
+                        middle_hodge(n, k)
+                    except (NonIntegralGenus, InconsistentEuler):
+                        caught = True
+            assert caught, (index, key, power, value)
+    finally:
+        chern._chi_polys.cache_clear()
+
+
+def test_chi_y_degree_and_serre_duality_are_checked(monkeypatch):
+    true = chern._chi_polys(7)
+    # (7,7): dim X = 3 and chi_y = [0, 49, -49, 0]
+    for p, bump in ((0, 1), (2, 1), (4, 1), (10, -1)):
+        bad = [list(poly) for poly in true]
+        bad[7][p] += bump
+        monkeypatch.setattr(chern, "_chi_polys", lambda n, bad=bad: bad)
+        with pytest.raises(NonIntegralGenus):
+            chi_y_ci(7, 7)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pgpairs.cli import (
     MAX_NK,
-    GridRequest,
     decode_ints,
     main,
     run_grid,
@@ -18,6 +17,7 @@ from pgpairs.cli import (
 )
 from pgpairs.errors import InvalidParameter, PGError
 from pgpairs.pairs import CHECK_NAMES
+from pgpairs.schubert import lefschetz_shift
 
 
 def test_run_pair_json_fields():
@@ -104,7 +104,7 @@ def test_exit_codes_via_main(capsys):
 
 
 def test_grid_small_sweep_passes():
-    text, code = run_grid(GridRequest(4, 6, 1, 10, ()))
+    text, code = run_grid(4, 6, 1, 10, ())
     assert code == 0
     payload = json.loads(text)
     assert payload["summary"]["fail"] == 0
@@ -115,7 +115,7 @@ def test_grid_small_sweep_passes():
 
 
 def test_grid_empty_intersection():
-    text, code = run_grid(GridRequest(4, 4, 7, 10, ()))
+    text, code = run_grid(4, 4, 7, 10, ())
     assert code == 0
     payload = json.loads(text)
     assert payload["rows"] == []
@@ -123,7 +123,7 @@ def test_grid_empty_intersection():
 
 
 def test_grid_check_subset_l_equivalence():
-    text, code = run_grid(GridRequest(5, 9, 4, 10, ("l_equivalence",)))
+    text, code = run_grid(5, 9, 4, 10, ("l_equivalence",))
     assert code == 0
     payload = json.loads(text)
     for row in payload["rows"]:
@@ -133,20 +133,20 @@ def test_grid_check_subset_l_equivalence():
 
 def test_grid_unknown_check_rejected():
     with pytest.raises(PGError):
-        run_grid(GridRequest(4, 5, 1, 2, ("bogus",)))
+        run_grid(4, 5, 1, 2, ("bogus",))
 
 
 def test_grid_deterministic_across_runs():
-    first, code1 = run_grid(GridRequest(4, 7, 1, 10, ()))
-    second, code2 = run_grid(GridRequest(4, 7, 1, 10, ()))
+    first, code1 = run_grid(4, 7, 1, 10, ())
+    second, code2 = run_grid(4, 7, 1, 10, ())
     assert first == second
     assert code1 == code2 == 0
 
 
 def test_grid_markdown_and_csv_render():
-    text, _ = run_grid(GridRequest(4, 6, 2, 6, (), output_format="markdown"))
+    text, _ = run_grid(4, 6, 2, 6, (), output_format="markdown")
     assert "| n | k | status |" in text
-    text, _ = run_grid(GridRequest(4, 6, 2, 6, (), output_format="csv"))
+    text, _ = run_grid(4, 6, 2, 6, (), output_format="csv")
     assert text.splitlines()[0].startswith("n,k,status")
 
 
@@ -186,7 +186,7 @@ def test_unknown_format_rejected_before_any_report(monkeypatch):
     with pytest.raises(PGError, match="unknown format 'xml'"):
         run_pair(8, 4, output_format="xml")
     with pytest.raises(PGError, match="unknown format 'xml'"):
-        run_grid(GridRequest(4, 7, 1, 10, (), output_format="xml"))
+        run_grid(4, 7, 1, 10, (), output_format="xml")
 
 
 def test_unknown_engine_rejected_before_any_report(monkeypatch):
@@ -197,7 +197,7 @@ def test_unknown_engine_rejected_before_any_report(monkeypatch):
     with pytest.raises(InvalidParameter, match="unknown engine 'bad'"):
         run_pair(7, 7, engine="bad")
     with pytest.raises(InvalidParameter, match="unknown engine 'bad'"):
-        run_grid(GridRequest(4, 5, 1, 3, (), engine="bad"))
+        run_grid(4, 5, 1, 3, (), engine="bad")
 
 
 def test_n_and_k_past_the_bound_rejected_before_any_report(monkeypatch, capsys):
@@ -209,15 +209,15 @@ def test_n_and_k_past_the_bound_rejected_before_any_report(monkeypatch, capsys):
     for n, k in ((past, 4), (8, past), (-past, 4)):
         with pytest.raises(InvalidParameter, match=f"outside -{MAX_NK}..{MAX_NK}"):
             run_pair(n, k)
-    for request in (GridRequest(4, past, 1, 4, ()), GridRequest(4, 5, 1, past, ()), GridRequest(-past, 5, 1, 4, ())):
+    for request in ((4, past, 1, 4), (4, 5, 1, past), (-past, 5, 1, 4)):
         with pytest.raises(InvalidParameter, match=f"outside -{MAX_NK}..{MAX_NK}"):
-            run_grid(request)
+            run_grid(*request)
     assert main(["pair", "--n", str(past), "--k", "4"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
     assert main(["grid", "--n-min", "4", "--n-max", "5", "--k-min", "1", "--k-max", str(past)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
     # on the bound every pair here is invalid, so the grid is all skip rows
-    text, code = run_grid(GridRequest(MAX_NK - 1, MAX_NK, -MAX_NK, -MAX_NK + 1, ()))
+    text, code = run_grid(MAX_NK - 1, MAX_NK, -MAX_NK, -MAX_NK + 1, ())
     assert code == 0
     assert json.loads(text)["summary"] == {"pass": 0, "fail": 0, "skip": 4}
 
@@ -264,3 +264,21 @@ def test_eval_result_too_long_to_print_is_a_typed_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "InvalidParameter"
+
+
+def test_eval_value_of_no_known_type_is_an_eval_error(monkeypatch, capsys):
+    monkeypatch.setattr("pgpairs.cli.eval_dsl", lambda source: 3)
+    assert main(["eval", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "EvalError"
+
+
+def test_grid_reports_an_inconsistent_pair_as_an_error_row(monkeypatch):
+    # a pair outside the domain is a skip row; an internal inconsistency in
+    # make_pair is an error row and fails the sweep
+    monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
+    text, code = run_grid(7, 8, 6, 7)
+    assert code == 1
+    payload = json.loads(text)
+    # (8,7) is past the smooth bound for even n
+    assert payload["summary"] == {"pass": 0, "fail": 3, "skip": 1}
+    assert {row["error"] for row in payload["rows"]} == {"InconsistentEuler"}

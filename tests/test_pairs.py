@@ -5,6 +5,7 @@ import pytest
 from pgpairs.errors import (
     InconsistentEuler,
     InvalidParameter,
+    NegativeCoefficient,
     NegativeDimension,
     NonExactDivision,
     OutOfSmoothRange,
@@ -29,7 +30,7 @@ from pgpairs.pairs import (
     variable_betti,
 )
 from pgpairs.ring import LPoly, TPoly, projective_class
-from pgpairs.schubert import grassmannian_class, hyperplane_section_class
+from pgpairs.schubert import grassmannian_class, hyperplane_section_class, lefschetz_shift
 
 
 def all_valid_pairs(n_max, k_max=10):
@@ -372,3 +373,25 @@ def test_report_check_statuses():
     checks = {c["name"]: c["status"] for c in rep["checks"]}
     assert checks["l_equivalence"] == "skip"
     assert checks["middle_betti_link"] == "skip"
+
+
+# internal identities raise a typed error, also under python -O
+
+
+def test_wrong_lefschetz_shift_is_an_inconsistency(monkeypatch):
+    monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
+    with pytest.raises(InconsistentEuler, match="shift m"):
+        make_pair(7, 7)
+
+
+def test_negative_variable_betti_number_is_rejected(monkeypatch):
+    # b_8 of Gr(2,8) is 3, so a middle Betti number 0 leaves -3
+    monkeypatch.setattr("pgpairs.pairs.poincare_x", lambda n, k, engine="pieri": TPoly({0: 1, 8: 0, 16: 1}))
+    with pytest.raises(NegativeCoefficient, match="variable Betti number -3"):
+        variable_betti(8, 4)
+
+
+def test_non_palindromic_oracle_is_an_inconsistency(monkeypatch):
+    monkeypatch.setattr(TPoly, "is_palindromic", lambda self, d: False)
+    with pytest.raises(InconsistentEuler, match="not palindromic"):
+        hypersurface_poincare_oracle(2, 4)
