@@ -47,8 +47,7 @@ there is a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
 from itertools import chain
 from math import comb
@@ -118,25 +117,6 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
 # invariants of a linear section X = Gr(2,n) cut by k general hyperplanes
 
 
-class _Pairing:
-    """Integrals of cls * N^k for N = s/(1 - w s), s a class of positive
-    degree and w an integer, from the s-moments S[j] = integral of cls * s^j:
-    N^k = sum_(j >= k) C(j - 1, k - 1) w^(j - k) s^j for k >= 1, so the
-    integral is that sum over S, and S[0] at k = 0.  The moments are a
-    (nums, den) pair of int numerators over one positive int; no power of N
-    is formed."""
-
-    def __init__(self, moments: tuple, w: int):
-        self.moments = moments
-        self.w = w
-
-    def value(self, k: int) -> Fraction:
-        nums, den = self.moments
-        if not k:
-            return Fraction(nums[0], den)
-        return Fraction(sum(comb(j - 1, k - 1) * self.w ** (j - k) * nums[j] for j in range(k, len(nums))), den)
-
-
 def _sigma1_moments(cls: ChowClass) -> list:
     """[integral of cls * sigma_1^j for j = 0..dim], from the degree vector
     d(lam) = integral of sigma_lam sigma_1^(dim - |lam|): d(point) = 1, and
@@ -158,11 +138,11 @@ def _sigma1_moments(cls: ChowClass) -> list:
 
 
 @cache
-def _euler_pairing(n: int, engine: str) -> _Pairing:
-    """c(T) on the Schubert ring of `engine`, paired with the series
-    sigma_1/(1 + sigma_1), whose k-th power removes k hyperplane normal
-    directions: s = sigma_1 and w = -1."""
-    return _Pairing((_sigma1_moments(tangent_chern(n, engine)), 1), -1)
+def _euler_pairing(n: int, engine: str) -> list:
+    """The sigma_1 moments of c(T) on the Schubert ring of `engine`, which
+    `euler_characteristic_ci` pairs with the k-th power of the normal series
+    sigma_1/(1 + sigma_1)."""
+    return _sigma1_moments(tangent_chern(n, engine))
 
 
 # The chi_y integrand in e1 = v1 + v2 and e2 = v1 v2: each factor of den as
@@ -243,12 +223,16 @@ def _validate_section(n: int, k: int):
 def euler_characteristic_ci(n: int, k: int, engine: str = "pieri") -> int:
     """Topological Euler characteristic of a smooth dimensionally transverse
     intersection of Gr(2,n) with k hyperplanes, by Gauss-Bonnet on the ambient
-    Grassmannian."""
+    Grassmannian: the integral of c(T) N^k for the normal series
+    N = sigma_1/(1 + sigma_1), whose k-th power removes k hyperplane normal
+    directions.  N^k = sum_(j >= k) C(j - 1, k - 1) (-1)^(j - k) sigma_1^j
+    for k >= 1, so the integral is that sum over the sigma_1 moments M_j of
+    c(T), and M_0 at k = 0; no power of N is formed."""
     _validate_section(n, k)
-    val = _euler_pairing(n, engine).value(k)
-    if val.denominator != 1:
-        raise NonIntegralGenus(f"Euler characteristic {val} is not an integer")
-    return int(val)
+    moments = _euler_pairing(n, engine)
+    if not k:
+        return moments[0]
+    return sum(comb(j - 1, k - 1) * (-1) ** (j - k) * moments[j] for j in range(k, len(moments)))
 
 
 def chi_y_ci(n: int, k: int) -> list:
@@ -270,24 +254,21 @@ def chi_y_ci(n: int, k: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class HodgeSummary:
+class HodgeSummary(namedtuple("HodgeSummary", "dim euler_char chi_y middle_betti middle_hodge")):
     """Euler characteristic, chi_y genus, and middle-degree Hodge data of a
-    smooth linear section."""
+    smooth linear section; immutable, and checked on construction."""
 
-    dim: int
-    euler_char: int
-    chi_y: tuple
-    middle_betti: int
-    middle_hodge: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(c * (-1) ** p for p, c in enumerate(self.chi_y)) != self.euler_char:
-            raise InconsistentEuler("chi_y(-1) differs from the Euler characteristic")
-        if tuple(reversed(self.middle_hodge)) != self.middle_hodge:
+    def __new__(cls, dim: int, euler_char: int, chi_y: tuple, middle_betti: int, middle_hodge: tuple):
+        chi_at_minus_one = sum(c * (-1) ** p for p, c in enumerate(chi_y))
+        if chi_at_minus_one != euler_char:
+            raise InconsistentEuler(f"chi_y(-1) = {chi_at_minus_one} but the Euler characteristic is {euler_char}")
+        if tuple(reversed(middle_hodge)) != middle_hodge:
             raise InconsistentEuler("middle Hodge numbers are not symmetric")
-        if sum(self.middle_hodge) != self.middle_betti:
+        if sum(middle_hodge) != middle_betti:
             raise InconsistentEuler("middle Hodge numbers do not sum to the middle Betti number")
+        return super().__new__(cls, dim, euler_char, chi_y, middle_betti, middle_hodge)
 
 
 def middle_hodge(n: int, k: int, engine: str = "pieri") -> HodgeSummary:
@@ -298,11 +279,6 @@ def middle_hodge(n: int, k: int, engine: str = "pieri") -> HodgeSummary:
     dim = 2 * (n - 2) - k
     euler = euler_characteristic_ci(n, k, engine)
     chi_list = chi_y_ci(n, k)
-    if sum(c * (-1) ** p for p, c in enumerate(chi_list)) != euler:
-        raise InconsistentEuler(
-            f"chi_y(-1) = {sum(c * (-1) ** p for p, c in enumerate(chi_list))} "
-            f"but the Euler characteristic is {euler}"
-        )
     row = []
     for p in range(dim + 1):
         if 2 * p == dim:

@@ -17,7 +17,7 @@ equivalence between the two sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .chern import euler_characteristic_ci, middle_hodge
@@ -60,18 +60,11 @@ def smooth_bound(n: int) -> int:
     return 6 if n % 2 == 0 else 10
 
 
-@dataclass(frozen=True)
-class PGPair:
+class PGPair(namedtuple("PGPair", "n k dim_x dim_y s m smooth_range")):
     """Parameters of one Grassmannian/Pfaffian pair, with derived dimensions,
-    the twist s, and the shift m = (dim_x - dim_y)/2 = s - k + 1."""
+    the twist s, and the shift m = (dim_x - dim_y)/2 = s - k + 1; immutable."""
 
-    n: int
-    k: int
-    dim_x: int
-    dim_y: int
-    s: int
-    m: int
-    smooth_range: bool
+    __slots__ = ()
 
 
 def make_pair(n: int, k: int) -> PGPair:

@@ -11,10 +11,12 @@ each by two routes that must agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import AmbientMismatch, InvalidParameter
 from .ring import LPoly, projective_class
+
+TYPE_CHECKING = False  # no `typing` import at run time
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENGINES = ("pieri", "lr")
 
@@ -215,11 +217,15 @@ class ChowRing:
 
 
 def _exact(v):
-    """An int stays an int; any other exact value becomes a Fraction, and an
-    integral one an int."""
+    """An int stays an int, an integral Fraction becomes one and any other
+    Fraction stays; anything else is an InvalidParameter, as for `LPoly`
+    coefficients.  Only a coefficient that is not an int imports `fractions`."""
     if type(v) is int:
         return v
-    v = Fraction(v)
+    from fractions import Fraction
+
+    if not isinstance(v, Fraction):
+        raise InvalidParameter(f"coefficient {v!r} must be an int or a Fraction")
     return v.numerator if v.denominator == 1 else v
 
 
@@ -236,7 +242,7 @@ class ChowClass:
 
     def __init__(self, ring: ChowRing, terms: dict):
         self.ring = ring
-        self.terms = {p: _exact(v) for p, v in terms.items() if v}
+        self.terms = {p: c for p, v in terms.items() if (c := _exact(v))}
 
     def _check(self, other: "ChowClass"):
         if self.ring.n != other.ring.n or self.ring.engine != other.ring.engine:
@@ -266,7 +272,7 @@ class ChowClass:
         return ChowClass(self.ring, {p: v * c for p, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ChowClass):
             return self.scale(other)
         self._check(other)
         out = {}

@@ -1,7 +1,7 @@
 """Characteristic classes: the tangent bundle of Gr(2,n) and the section invariants."""
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +87,7 @@ def test_graded_recurrences_match_full_product_oracle():
             expected = _tangent_chern_by_products(n, engine)
             assert tangent_chern(n, engine) == expected, (engine, n)
             moments = _sigma1_moments_by_products(expected)
-            assert chern._euler_pairing(n, engine).moments == _encode(moments), (engine, n)
+            assert chern._euler_pairing(n, engine) == moments, (engine, n)
 
 
 def test_tangent_first_chern_class():
@@ -239,6 +239,15 @@ def test_hodge_summary_invariants_enforced():
         HodgeSummary(dim=1, euler_char=0, chi_y=(1, 1), middle_betti=3, middle_hodge=(2, 1))
 
 
+def test_chi_euler_mismatch_names_both_values(monkeypatch):
+    # checked once, in HodgeSummary, for the summary middle_hodge builds
+    with pytest.raises(InconsistentEuler, match=r"^chi_y\(-1\) = 0 but the Euler characteristic is 5$"):
+        HodgeSummary(dim=1, euler_char=5, chi_y=(1, 1), middle_betti=2, middle_hodge=(1, 1))
+    monkeypatch.setattr(chern, "euler_characteristic_ci", lambda n, k, engine: -96)
+    with pytest.raises(InconsistentEuler, match=r"^chi_y\(-1\) = -98 but the Euler characteristic is -96$"):
+        middle_hodge(7, 7)
+
+
 def test_engines_agree_on_invariants():
     cases = [(4, 1), (5, 4), (6, 5), (6, 6), (7, 6), (7, 7), (8, 4)]
     for n, k in cases:
@@ -268,44 +277,34 @@ def test_euler_pairing_matches_full_product_oracle():
 
 
 @st.composite
-def _class_normal_series(draw):
+def _integral_class(draw):
     n = draw(st.integers(4, 8))
-    cells = box_partitions(n)
-    terms = draw(st.dictionaries(st.sampled_from(cells), st.integers(-20, 20), max_size=10))
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    s_terms = draw(st.dictionaries(st.sampled_from(cells[1:]), coeff, max_size=4))
-    return n, terms, s_terms, draw(st.integers(-5, 5)), draw(st.integers(0, 2 * (n - 2)))
+    terms = draw(st.dictionaries(st.sampled_from(box_partitions(n)), st.integers(-20, 20), max_size=10))
+    return n, terms
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_class_normal_series())
+@given(_integral_class())
 def test_moment_pairing_matches_full_product(case):
-    # integral of cls * N^k for N = s/(1 - w s) = sum_i w^i s^(i+1), s a
-    # random class of positive degree, so nilpotent, by full class products
-    n, terms, s_terms, w, k = case
+    # the int formula of euler_characteristic_ci on a random integral class
+    # in place of c(T): integral of cls * lef^k, lef = sigma_1/(1 + sigma_1),
+    # by full class products for every k
+    n, terms = case
     ring = get_ring(n)
-    cls, s = ChowClass(ring, terms), ChowClass(ring, s_terms)
-    s_pows = [ring.one()]
-    for _ in range(ring.dim):
-        s_pows.append(s_pows[-1] * s)
-    normal = ring.zero()
-    for i, power in enumerate(s_pows[1:]):
-        normal = normal + power.scale(w**i)
-    pairing = chern._Pairing(_encode([(cls * power).integrate() for power in s_pows]), w)
-    for kk in (k, k // 2):
-        assert pairing.value(kk) == (cls * normal**kk).integrate(), kk
+    cls = ChowClass(ring, terms)
+    moments = chern._sigma1_moments(cls)
+    assert moments == _sigma1_moments_by_products(cls)
+    lef = _sigma1_series(ring, [0] + [(-1) ** (j - 1) for j in range(1, ring.dim + 1)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chern, "_euler_pairing", lambda n, engine: moments)
+        integrand = cls
+        for k in range(ring.dim + 1):
+            assert euler_characteristic_ci(n, k) == integrand.integrate(), k
+            integrand = integrand * lef
 
 
 # ---------------------------------------------------------------------------
 # Fraction series helpers for the oracles below
-
-
-def _encode(values):
-    """Rationals as the (nums, den) form of `chern._Pairing`'s moments: ints
-    over the least common denominator."""
-    values = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [int(v * den) for v in values], den
 
 
 def _ser_mul(a, b, trunc):

@@ -1,6 +1,10 @@
 """CLI surface: formats, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,23 @@ from pgpairs.cli import (
 from pgpairs.errors import InvalidParameter, PGError
 from pgpairs.pairs import CHECK_NAMES
 from pgpairs.schubert import lefschetz_shift
+
+
+_UNUSED_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers")
+
+
+def test_cli_import_loads_no_unused_standard_module():
+    # a fresh interpreter without site: the modules `import pgpairs.cli` adds
+    probe = (
+        "import json, sys; before = set(sys.modules); import pgpairs.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    added = json.loads(done.stdout)
+    assert "pgpairs.cli" in added
+    assert sorted(set(_UNUSED_AT_IMPORT) & set(added)) == []
 
 
 def test_run_pair_json_fields():

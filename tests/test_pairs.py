@@ -2,6 +2,7 @@
 
 import pytest
 
+from pgpairs.chern import HodgeSummary, middle_hodge
 from pgpairs.errors import (
     InconsistentEuler,
     InvalidParameter,
@@ -66,6 +67,34 @@ def test_make_pair_examples():
         make_pair(3, 1)
     with pytest.raises(InvalidParameter):
         make_pair(5, 0)
+
+
+def test_pair_and_hodge_records_are_immutable():
+    records = (make_pair(7, 7), middle_hodge(7, 7))
+    for record, field in zip(records, ("k", "euler_char")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
+def test_pair_and_hodge_records_compare_and_hash_by_value():
+    p = make_pair(7, 7)
+    same = PGPair(n=7, k=7, dim_x=3, dim_y=3, s=6, m=0, smooth_range=True)
+    assert p == same and hash(p) == hash(same) and len({p, same}) == 1
+    assert p != make_pair(8, 4) and p != PGPair(n=7, k=7, dim_x=3, dim_y=3, s=6, m=0, smooth_range=False)
+    h = middle_hodge(7, 7)
+    assert h == middle_hodge(7, 7, "lr") and hash(h) == hash(middle_hodge(7, 7, "lr"))
+    assert h != middle_hodge(8, 4)
+    fields = dict(dim=3, euler_char=-98, chi_y=(0, 49, -49, 0), middle_betti=102, middle_hodge=(1, 50, 50, 1))
+    assert HodgeSummary(**fields) == h and hash(HodgeSummary(**fields)) == hash(h)
+
+
+def test_pair_and_hodge_records_repr():
+    assert repr(make_pair(7, 7)) == "PGPair(n=7, k=7, dim_x=3, dim_y=3, s=6, m=0, smooth_range=True)"
+    assert repr(middle_hodge(7, 7)) == (
+        "HodgeSummary(dim=3, euler_char=-98, chi_y=(0, 49, -49, 0), middle_betti=102, middle_hodge=(1, 50, 50, 1))"
+    )
 
 
 def test_shift_invariant():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,20 @@ def test_multiply_commutative_associative_sampled():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         get_ring(4).sigma(1) * get_ring(5).sigma(1)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", Decimal(1), True, None], ids=repr)
+def test_coefficient_that_is_not_an_exact_number_rejected(bad):
+    # a float, a string, a Decimal, a bool or None is not silently converted
+    r = get_ring(4)
+    with pytest.raises(InvalidParameter):
+        ChowClass(r, {(1, 0): bad})
+    with pytest.raises(InvalidParameter):
+        r.sigma(1).scale(bad)
+    with pytest.raises(InvalidParameter):
+        r.sigma(1) * bad
+    with pytest.raises(InvalidParameter):
+        bad * r.sigma(1)
 
 
 def test_sigma_validation():
