@@ -175,11 +175,12 @@ def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri",
 # grid command
 
 
-def _grid_row(n: int, k: int, engine: str, checks) -> dict:
+def _grid_row(n: int, k: int, engine: str, checks) -> dict | None:
+    """One grid row, or None for a pair outside the domain."""
     try:
         make_pair(n, k)
-    except (InvalidParameter, NegativeDimension, OutOfSmoothRange) as exc:
-        return {"n": n, "k": k, "status": "skip", "reason": type(exc).__name__}
+    except (InvalidParameter, NegativeDimension, OutOfSmoothRange):
+        return None
     except PGError:
         pass  # not outside the domain: build_pair_report raises it again, as an error row
     try:
@@ -229,7 +230,7 @@ def run_grid(
         for k in range(k_min, k_max + 1)
     ]
 
-    kept = [r for r in rows if r["status"] != "skip"]
+    kept = [r for r in rows if r is not None]
     skipped = len(rows) - len(kept)
     summary = {
         "pass": sum(1 for r in kept if r["status"] == "ok"),
@@ -255,39 +256,35 @@ def run_grid(
     return serialize[output_format](payload), code
 
 
+# (markdown header, row key) of each grid column; the csv header is the keys
+_GRID_COLUMNS = (
+    ("n", "n"), ("k", "k"), ("status", "status"), ("dim X", "dim_x"), ("dim Y", "dim_y"), ("euler", "euler"),
+    ("b_mid", "middle_betti"), ("variable", "variable_betti"), ("NL", "nl_status"), ("motivic", "motivic_equivalence"),
+)
+
+
+def _grid_cells(row: dict) -> list:
+    # an error row leaves every cell after its status empty
+    return [str(row.get(key, "")) for _, key in _GRID_COLUMNS]
+
+
 def _grid_markdown(payload: dict) -> str:
     lines = [
         "# Grid sweep",
         "",
-        "| n | k | status | dim X | dim Y | euler | b_mid | variable | NL | motivic |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+        "|" + "".join(f" {title} |" for title, _ in _GRID_COLUMNS),
+        "|" + " --- |" * len(_GRID_COLUMNS),
     ]
     for r in payload["rows"]:
-        if r["status"] in ("skip", "error"):
-            lines.append(f"| {r['n']} | {r['k']} | {r['status']} | | | | | | | |")
-        else:
-            lines.append(
-                f"| {r['n']} | {r['k']} | {r['status']} | {r['dim_x']} | {r['dim_y']} "
-                f"| {r['euler']} | {r['middle_betti']} | {r['variable_betti']} "
-                f"| {r['nl_status']} | {r['motivic_equivalence']} |"
-            )
+        lines.append("|" + "".join(f" {cell} |" if cell else " |" for cell in _grid_cells(r)))
     s = payload["summary"]
     lines += ["", f"pass {s['pass']}, fail {s['fail']}, skip {s['skip']}", ""]
     return "\n".join(lines)
 
 
 def _grid_csv(payload: dict) -> str:
-    header = "n,k,status,dim_x,dim_y,euler,middle_betti,variable_betti,nl_status,motivic_equivalence"
-    lines = [header]
-    for r in payload["rows"]:
-        if r["status"] in ("skip", "error"):
-            lines.append(f"{r['n']},{r['k']},{r['status']},,,,,,,")
-        else:
-            lines.append(
-                f"{r['n']},{r['k']},{r['status']},{r['dim_x']},{r['dim_y']},{r['euler']},"
-                f"{r['middle_betti']},{r['variable_betti']},{r['nl_status']},"
-                f"{r['motivic_equivalence']}"
-            )
+    lines = [",".join(key for _, key in _GRID_COLUMNS)]
+    lines += [",".join(_grid_cells(r)) for r in payload["rows"]]
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,8 @@ ParseError at that literal.
 
 from __future__ import annotations
 
+from operator import add, eq, mul, sub
+
 from .errors import EvalError, NonExactDivision, ParseError, PGError
 from .ring import LPoly, projective_class
 from .schubert import grassmannian_class, hyperplane_section_class, sum_even_powers
@@ -31,71 +33,57 @@ MAX_DEPTH = 100
 MAX_DIGITS = 1000
 MAX_ARG = 1000
 
+# One row per precedence level, loosest first: the operators of the level and
+# whether a chain of them may go on after the first.
+_LEVELS = ((("==",), False), (("+", "-"), True), (("*", "div"), True))
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
+# name -> (what it takes, fixed leading arguments, lower bound of the last
+# argument, class builder applied to the last argument)
+_CTORS = {
+    "P": ("one nonnegative integer", (), 0, projective_class),
+    "Gr": ("arguments (2, n) with n >= 4", (2,), 4, grassmannian_class),
+    "H": ("arguments (2, n) with n >= 4", (2,), 4, hyperplane_section_class),
+    "F1": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[0]),
+    "F2": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[1]),
+    "SumEven": ("one integer n >= 2", (), 2, sum_even_powers),
+}
 
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"{self.kind}:{self.value!r}@{self.line}:{self.column}"
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "==": eq}
 
 
 def _tokenize(source: str):
+    """Tokens are (kind, value, line, column) tuples; the last is ("end", None).
+    No two kinds share a value, so the parser tells operators by value alone."""
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, line_start, i = 1, 0, 0
     while i < len(source):
-        ch = source[i]
+        ch, j, column = source[i], i + 1, i - line_start + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if source.startswith("==", i):
-            tokens.append(_Token("op", "==", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*(),":
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
+            line, line_start = line + 1, j
+        elif ch.isspace():
+            pass
+        elif ch in "+-*()," or source.startswith("==", i):
+            j += ch == "="  # "==" is the one two-character operator
+            tokens.append(("op", source[i:j], line, column))
+        elif ch in _DIGITS:
             while j < len(source) and source[j] in _DIGITS:
                 j += 1
             if j - i > MAX_DIGITS:
-                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)
-            tokens.append(_Token("int", int(source[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, column)
+            tokens.append(("int", int(source[i:j]), line, column))
+        elif ch.isalpha():
             while j < len(source) and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             word = source[i:j]
-            kind = "op" if word == "div" else "name"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
+            tokens.append(("op" if word == "div" else "name", word, line, column))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, column)
+        i = j
+    tokens.append(("end", None, line, len(source) - line_start + 1))
     return tokens
 
 
-# AST nodes: ("int", v) ("L",) ("ctor", name, [ints], text) ("bin", op, lhs, rhs, text)
+# AST nodes: ("int", v) ("L",) ("ctor", name, (ints)) ("bin", op, lhs, rhs)
 
 
 class _Parser:
@@ -104,150 +92,77 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
+    def next(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, value: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "op" or tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.column)
-        return tok
+    def expect(self, value: str) -> None:
+        _, found, line, column = self.next()
+        if found != value:
+            raise ParseError(f"expected {value!r}, found {found!r}", line, column)
 
-    def deeper(self, tok: _Token) -> None:
+    def deeper(self, tok) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok[2], tok[3])
 
     def parse(self):
-        node = self.cmp()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.column)
+        node = self.chain(0)
+        kind, value, line, column = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {value!r}", line, column)
         return node
 
-    def cmp(self):
-        lhs = self.sum()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "==":
-            self.next()
+    def chain(self, level: int):
+        """One precedence level: operands of the next level joined by this
+        level's operators, left to right; each operator counts one level of
+        nesting until the chain ends."""
+        if level == len(_LEVELS):
+            return self.atom()
+        ops, repeats = _LEVELS[level]
+        start = self.depth
+        node = self.chain(level + 1)
+        while self.tokens[self.pos][1] in ops:
+            tok = self.next()
             self.deeper(tok)
-            rhs = self.sum()
-            self.depth -= 1
-            return ("bin", "==", lhs, rhs)
-        return lhs
-
-    def sum(self):
-        start = self.depth
-        node = self.prod()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in ("+", "-"):
-                self.next()
-                self.deeper(tok)
-                node = ("bin", tok.value, node, self.prod())
-            else:
-                self.depth = start
-                return node
-
-    def prod(self):
-        start = self.depth
-        node = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in ("*", "div"):
-                self.next()
-                self.deeper(tok)
-                node = ("bin", tok.value, node, self.atom())
-            else:
-                self.depth = start
-                return node
+            node = ("bin", tok[1], node, self.chain(level + 1))
+            if not repeats:
+                break
+        self.depth = start
+        return node
 
     def atom(self):
-        tok = self.next()
-        if tok.kind == "int":
-            return ("int", tok.value)
-        if tok.kind == "name":
-            if tok.value == "L":
-                return ("L",)
-            if tok.value in _CTORS:
-                self.expect("(")
-                args = [self._int_arg()]
-                while self.peek().kind == "op" and self.peek().value == ",":
-                    self.next()
-                    args.append(self._int_arg())
-                self.expect(")")
-                return ("ctor", tok.value, args)
-            raise ParseError(f"unknown name {tok.value!r}", tok.line, tok.column)
-        if tok.kind == "op" and tok.value == "(":
+        tok = kind, value, line, column = self.next()
+        if kind == "int":
+            return ("int", value)
+        if value == "L":
+            return ("L",)
+        if value in _CTORS:
+            self.expect("(")
+            args = [self.int_arg()]
+            while self.tokens[self.pos][1] == ",":
+                self.pos += 1
+                args.append(self.int_arg())
+            self.expect(")")
+            return ("ctor", value, tuple(args))
+        if kind == "name":
+            raise ParseError(f"unknown name {value!r}", line, column)
+        if value == "(":
             self.deeper(tok)
-            node = self.cmp()
+            node = self.chain(0)
             self.expect(")")
             self.depth -= 1
             return node
-        raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.column)
+        raise ParseError(f"unexpected {value!r}", line, column)
 
-    def _int_arg(self) -> int:
-        tok = self.next()
-        if tok.kind != "int":
-            raise ParseError(
-                f"constructor arguments must be integer literals, found {tok.value!r}",
-                tok.line,
-                tok.column,
-            )
-        if tok.value > MAX_ARG:
-            raise ParseError(f"constructor argument {tok.value} exceeds {MAX_ARG}", tok.line, tok.column)
-        return tok.value
-
-
-def _ctor_p(args):
-    if len(args) != 1 or args[0] < 0:
-        raise EvalError("P takes one nonnegative integer", f"P{tuple(args)}")
-    return projective_class(args[0])
-
-
-def _ctor_gr(args):
-    if len(args) != 2 or args[0] != 2 or args[1] < 4:
-        raise EvalError("Gr takes arguments (2, n) with n >= 4", f"Gr{tuple(args)}")
-    return grassmannian_class(args[1])
-
-
-def _ctor_h(args):
-    if len(args) != 2 or args[0] != 2 or args[1] < 4:
-        raise EvalError("H takes arguments (2, n) with n >= 4", f"H{tuple(args)}")
-    return hyperplane_section_class(args[1])
-
-
-def _ctor_f1(args):
-    if len(args) != 1 or args[0] < 4:
-        raise EvalError("F1 takes one integer n >= 4", f"F1{tuple(args)}")
-    return fiber_classes(args[0])[0]
-
-
-def _ctor_f2(args):
-    if len(args) != 1 or args[0] < 4:
-        raise EvalError("F2 takes one integer n >= 4", f"F2{tuple(args)}")
-    return fiber_classes(args[0])[1]
-
-
-def _ctor_sum_even(args):
-    if len(args) != 1 or args[0] < 2:
-        raise EvalError("SumEven takes one integer n >= 2", f"SumEven{tuple(args)}")
-    return sum_even_powers(args[0])
-
-
-_CTORS = {
-    "P": _ctor_p,
-    "Gr": _ctor_gr,
-    "H": _ctor_h,
-    "F1": _ctor_f1,
-    "F2": _ctor_f2,
-    "SumEven": _ctor_sum_even,
-}
+    def int_arg(self) -> int:
+        kind, value, line, column = self.next()
+        if kind != "int":
+            raise ParseError(f"constructor arguments must be integer literals, found {value!r}", line, column)
+        if value > MAX_ARG:
+            raise ParseError(f"constructor argument {value} exceeds {MAX_ARG}", line, column)
+        return value
 
 
 def _show(node) -> str:
@@ -258,8 +173,7 @@ def _show(node) -> str:
         return "L"
     if kind == "ctor":
         return f"{node[1]}({', '.join(map(str, node[2]))})"
-    op = node[1]
-    return f"({_show(node[2])} {op} {_show(node[3])})"
+    return f"({_show(node[2])} {node[1]} {_show(node[3])})"
 
 
 def _eval(node):
@@ -269,33 +183,25 @@ def _eval(node):
     if kind == "L":
         return LPoly.monomial(1)
     if kind == "ctor":
+        name, args = node[1], node[2]
+        takes, fixed, low, build = _CTORS[name]
+        if not (args[:-1] == fixed and args[-1] >= low):
+            raise EvalError(f"{name} takes {takes}", _show(node))
         try:
-            return _CTORS[node[1]](node[2])
-        except EvalError:
-            raise
+            return build(args[-1])
         except PGError as exc:
             raise EvalError(str(exc), _show(node)) from exc
-    op, lhs_node, rhs_node = node[1], node[2], node[3]
-    lhs = _eval(lhs_node)
-    rhs = _eval(rhs_node)
+    op, lhs, rhs = node[1], _eval(node[2]), _eval(node[3])
     if isinstance(lhs, bool) or isinstance(rhs, bool):
         raise EvalError("comparison results cannot feed arithmetic", _show(node))
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "==":
-        return lhs == rhs
-    if op == "div":
-        if rhs.is_zero():
-            raise EvalError("division by zero", _show(node))
-        try:
-            return lhs.div_exact(rhs)
-        except NonExactDivision as exc:
-            raise EvalError(f"non-exact division ({exc})", _show(node)) from exc
-    raise EvalError(f"unknown operator {op!r}", _show(node))
+    if op != "div":
+        return _ARITHMETIC[op](lhs, rhs)
+    if rhs.is_zero():
+        raise EvalError("division by zero", _show(node))
+    try:
+        return lhs.div_exact(rhs)
+    except NonExactDivision as exc:
+        raise EvalError(f"non-exact division ({exc})", _show(node)) from exc
 
 
 def eval_dsl(source: str):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from pgpairs.cli import (
     MAX_NK,
+    console_main,
     decode_ints,
     main,
     run_grid,
@@ -19,7 +22,7 @@ from pgpairs.cli import (
     _dump_json,
     _encode,
 )
-from pgpairs.errors import InvalidParameter, PGError
+from pgpairs.errors import InconsistentEuler, InvalidParameter, PGError
 from pgpairs.pairs import CHECK_NAMES
 from pgpairs.schubert import lefschetz_shift
 
@@ -303,3 +306,66 @@ def test_grid_reports_an_inconsistent_pair_as_an_error_row(monkeypatch):
     # (8,7) is past the smooth bound for even n
     assert payload["summary"] == {"pass": 0, "fail": 3, "skip": 1}
     assert {row["error"] for row in payload["rows"]} == {"InconsistentEuler"}
+
+
+@pytest.mark.parametrize(
+    "output_format, error_row",
+    [("markdown", "| 7 | 6 | error | | | | | | | |"), ("csv", "7,6,error,,,,,,,")],
+)
+def test_grid_error_row_leaves_the_cells_after_its_status_empty(monkeypatch, output_format, error_row):
+    monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
+    text, code = run_grid(7, 8, 6, 7, output_format=output_format)
+    assert code == 1
+    assert error_row in text.splitlines()
+
+
+def test_pair_markdown_ends_with_the_finding():
+    text, _ = run_pair(6, 6, output_format="markdown")
+    assert text.splitlines()[-1].startswith("finding: dual cubic fourfold: ")
+
+
+def test_grid_empty_parameter_range_rejected():
+    with pytest.raises(PGError, match="^empty parameter ranges$"):
+        run_grid(5, 4, 1, 2)
+
+
+def test_internal_inconsistency_exits_3(monkeypatch, capsys):
+    def inconsistent(n, k, engine):
+        raise InconsistentEuler("forced")
+
+    monkeypatch.setattr("pgpairs.cli.build_pair_report", inconsistent)
+    assert main(["pair", "--n", "7", "--k", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "InconsistentEuler", "message": "forced"}
+
+
+@pytest.mark.parametrize("argv, code", [(["eval", "1"], 0), (["eval", "1 div 0"], 1), (["eval", "1 ++"], 2)])
+def test_console_main_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["pgpairs", *argv])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == code
+
+
+def _readme_blocks(language):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    return [body for lang, body in fenced if lang == language]
+
+
+def test_readme_python_example_runs_as_written(capsys):
+    (block,) = _readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(0, 0, 0, 1, 22, 1, 0, 0, 0)\n"
+
+
+def test_readme_quick_start_commands_succeed_and_print_what_it_shows(capsys):
+    quick_start = next(block for block in _readme_blocks("") if block.startswith("$ pgpairs"))
+    commands = re.findall(r"^\$ pgpairs (.*)\n((?:[^$].*\n)*)", quick_start, flags=re.MULTILINE)
+    for command, shown in commands:
+        assert main(shlex.split(command)) == 0, command
+        out = capsys.readouterr().out
+        if shown:
+            assert out == shown, command
+    assert [shown for command, shown in commands if command.startswith("eval")] == ["true\n", "true\n"]

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,45 @@ def test_parse_error_position():
     assert exc.value.column == 1
 
 
+@pytest.mark.parametrize(
+    "source, message, position",
+    [
+        ("1 == 2 == 3", "unexpected trailing '=='", (1, 8)),
+        ("", "unexpected None", (1, 1)),
+        ("P(3", "expected ')', found None", (1, 4)),
+        ("Gr 2", "expected '(', found 2", (1, 4)),
+        ("P()", "constructor arguments must be integer literals, found ')'", (1, 3)),
+        ("1 +\n\t* 2", "unexpected '*'", (2, 2)),
+    ],
+    ids=["second_comparison", "empty", "unclosed_call", "call_without_parenthesis", "no_arguments", "tab_column"],
+)
+def test_parse_error_message_and_position(source, message, position):
+    with pytest.raises(ParseError) as exc:
+        eval_dsl(source)
+    assert (exc.value.line, exc.value.column) == position
+    assert str(exc.value) == f"{message} (line {position[0]}, column {position[1]})"
+
+
+@pytest.mark.parametrize(
+    "source, message, fragment",
+    [
+        ("P(1,2)", "P takes one nonnegative integer", "P(1, 2)"),
+        ("Gr(3,6)", "Gr takes arguments (2, n) with n >= 4", "Gr(3, 6)"),
+        ("H(2,2)", "H takes arguments (2, n) with n >= 4", "H(2, 2)"),
+        ("F1(3)", "F1 takes one integer n >= 4", "F1(3)"),
+        ("F2(4,5)", "F2 takes one integer n >= 4", "F2(4, 5)"),
+        ("SumEven(1)", "SumEven takes one integer n >= 2", "SumEven(1)"),
+        ("Gr( 2 )", "Gr takes arguments (2, n) with n >= 4", "Gr(2)"),
+    ],
+    ids=["P", "Gr", "H", "F1", "F2", "SumEven", "Gr_one_argument"],
+)
+def test_constructor_eval_error_message_and_fragment(source, message, fragment):
+    with pytest.raises(EvalError) as exc:
+        eval_dsl(source)
+    assert exc.value.fragment == fragment
+    assert str(exc.value) == f"{message}: {fragment}"
+
+
 def test_parse_error_cases():
     for bad in ("", "1 +", "(1", "Gr(2)(3)", "1 2", "P(x)", "Gr 2", "1 @ 2"):
         with pytest.raises(ParseError):
@@ -111,6 +151,13 @@ def test_nesting_up_to_the_bound_evaluates():
     assert eval_dsl("+".join(["1"] * (MAX_DEPTH + 1))) == LPoly({0: MAX_DEPTH + 1})
     assert eval_dsl("(" * MAX_DEPTH + "L" + ")" * MAX_DEPTH) == LPoly.monomial(1)
     assert eval_dsl("(" * (MAX_DEPTH - 1) + "1 + L" + ")" * (MAX_DEPTH - 1)) == LPoly.from_coeffs([1, 1])
+
+
+def test_sibling_chains_count_their_nesting_once():
+    # a chain's operators stop counting where the chain ends, so the levels
+    # of sibling chains do not add up past the bound
+    assert eval_dsl("+".join(["L*L"] * 60)) == LPoly({2: 60})
+    assert eval_dsl("*".join(["(1 + L)"] * 60)) == LPoly.from_coeffs([comb(60, i) for i in range(61)])
 
 
 @pytest.mark.parametrize(
