@@ -23,7 +23,6 @@ from .errors import (
     NegativeDimension,
     NonIntegralGenus,
     OutOfSmoothRange,
-    ParseError,
     PGError,
 )
 from .pairs import CHECK_NAMES, SCHEMA_VERSION, build_pair_report, make_pair
@@ -70,26 +69,19 @@ def _dump_json(payload) -> str:
 # pair command
 
 
-def _validate_checks(names) -> None:
-    unknown = [c for c in names if c not in CHECK_NAMES]
+def _validate(checks, output_format: str, engine: str, **bounds) -> None:
+    """Reject a request before any report is built: unknown checks, format,
+    n or k past MAX_NK, unknown engine, in that order."""
+    unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise PGError(f"unknown check identifiers: {', '.join(unknown)}")
-
-
-def _validate_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise InvalidParameter(f"unknown engine {engine!r}")
-
-
-def _validate_format(output_format: str) -> None:
     if output_format not in _FORMATS:
         raise PGError(f"unknown format {output_format!r}")
-
-
-def _validate_bounds(**params) -> None:
-    for name, value in params.items():
+    for name, value in bounds.items():
         if abs(value) > MAX_NK:
             raise InvalidParameter(f"{name} = {value} is outside -{MAX_NK}..{MAX_NK}")
+    if engine not in ENGINES:
+        raise InvalidParameter(f"unknown engine {engine!r}")
 
 
 def _filter_checks(report: dict, names) -> dict:
@@ -161,10 +153,7 @@ def _csv_quote(text: str) -> str:
 
 def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri", checks=()):
     """Build and serialize one pair report; returns (text, exit_code)."""
-    _validate_checks(checks)
-    _validate_format(output_format)
-    _validate_bounds(n=n, k=k)
-    _validate_engine(engine)
+    _validate(checks, output_format, engine, n=n, k=k)
     report = _filter_checks(build_pair_report(n, k, engine), tuple(checks))
     code = 0 if report["all_checks_pass"] else 1
     serialize = {"json": _dump_json, "markdown": _pair_markdown, "csv": _pair_csv}
@@ -219,10 +208,7 @@ def run_grid(
     """
     if n_min > n_max or k_min > k_max:
         raise PGError("empty parameter ranges")
-    _validate_checks(checks)
-    _validate_format(output_format)
-    _validate_bounds(n_min=n_min, n_max=n_max, k_min=k_min, k_max=k_max)
-    _validate_engine(engine)
+    _validate(checks, output_format, engine, n_min=n_min, n_max=n_max, k_min=k_min, k_max=k_max)
 
     rows = [
         _grid_row(n, k, engine, checks)
@@ -303,18 +289,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = sub.add_parser("pair", help="report on a single (n, k) pair")
     pair.add_argument("--n", type=int, required=True)
     pair.add_argument("--k", type=int, required=True)
-    pair.add_argument("--format", default="json", choices=_FORMATS)
-    pair.add_argument("--engine", default="pieri", choices=ENGINES)
-    pair.add_argument("--checks", default="", help="comma-separated check names")
-
     grid = sub.add_parser("grid", help="sweep a rectangle of pairs")
-    grid.add_argument("--n-min", type=int, required=True)
-    grid.add_argument("--n-max", type=int, required=True)
-    grid.add_argument("--k-min", type=int, required=True)
-    grid.add_argument("--k-max", type=int, required=True)
-    grid.add_argument("--checks", default="", help="comma-separated check names")
-    grid.add_argument("--format", default="json", choices=_FORMATS)
-    grid.add_argument("--engine", default="pieri", choices=ENGINES)
+    for flag in ("--n-min", "--n-max", "--k-min", "--k-max"):
+        grid.add_argument(flag, type=int, required=True)
+    for command in (pair, grid):
+        command.add_argument("--format", default="json", choices=_FORMATS)
+        command.add_argument("--engine", default="pieri", choices=ENGINES)
+        command.add_argument("--checks", default="", help="comma-separated check names")
 
     ev = sub.add_parser("eval", help="evaluate a class expression")
     ev.add_argument("expression")
@@ -333,39 +314,31 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
 
     try:
-        if args.command == "pair":
-            checks = tuple(c for c in args.checks.split(",") if c)
-            text, code = run_pair(args.n, args.k, args.format, args.engine, checks)
-            sys.stdout.write(text)
-            return code
-        if args.command == "grid":
-            checks = tuple(c for c in args.checks.split(",") if c)
-            text, code = run_grid(args.n_min, args.n_max, args.k_min, args.k_max, checks, args.format, args.engine)
-            sys.stdout.write(text)
-            return code
-        # eval
-        try:
+        if args.command == "eval":
             result = eval_dsl(args.expression)
             if not isinstance(result, (bool, LPoly)):
                 raise EvalError("the value is neither a class nor a truth value", args.expression)
-        except ParseError as exc:
-            sys.stderr.write(_diag(exc))
-            return 2
-        except EvalError as exc:
-            sys.stderr.write(_diag(exc))
-            return 1
-        if isinstance(result, bool):
-            sys.stdout.write(("true" if result else "false") + "\n")
-            return 0 if result else 1
-        try:
-            text = str(result)
-        except ValueError as exc:  # Python's bound on int-to-text conversion
-            raise InvalidParameter("the result has a coefficient too long to print") from exc
-        sys.stdout.write(text + "\n")
-        return 0
+            if isinstance(result, bool):
+                text, code = ("true\n", 0) if result else ("false\n", 1)
+            else:
+                try:
+                    text, code = str(result) + "\n", 0
+                except ValueError as exc:  # Python's bound on int-to-text conversion
+                    raise InvalidParameter("the result has a coefficient too long to print") from exc
+        else:
+            checks = tuple(c for c in args.checks.split(",") if c)
+            if args.command == "pair":
+                text, code = run_pair(args.n, args.k, args.format, args.engine, checks)
+            else:
+                text, code = run_grid(args.n_min, args.n_max, args.k_min, args.k_max, checks, args.format, args.engine)
+        sys.stdout.write(text)
+        return code
     except (InconsistentEuler, NonIntegralGenus) as exc:
         sys.stderr.write(_diag(exc))
         return 3
+    except EvalError as exc:
+        sys.stderr.write(_diag(exc))
+        return 1
     except PGError as exc:
         sys.stderr.write(_diag(exc))
         return 2

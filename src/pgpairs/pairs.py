@@ -113,23 +113,32 @@ def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
     from the Euler characteristic.
     """
     d = _section_params(n, k)
-    below = {j: betti(n, j) for j in range(d)}
+    coeffs = {j: betti(n, j) for j in range(d)}
     chi = euler_characteristic_ci(n, k, engine)
-    alt = sum((-1) ** j * b for j, b in below.items())
-    mid = (-1) ** d * (chi - 2 * alt)
-    if mid < 0:
-        raise InconsistentEuler(f"middle Betti number {mid} < 0 for ({n},{k})")
-    if d % 2 == 1 and mid % 2 == 1:
-        raise InconsistentEuler(f"odd middle Betti number {mid} in odd dimension {d}")
-    if d % 2 == 0 and mid < betti(n, d):
-        raise InconsistentEuler(
-            f"middle Betti number {mid} below the ambient value {betti(n, d)}"
-        )
-    coeffs = dict(below)
-    coeffs[d] = mid
+    alt = sum((-1) ** j * b for j, b in coeffs.items())
+    coeffs[d] = (-1) ** d * (chi - 2 * alt)
     for j in range(d + 1, 2 * d + 1):
         coeffs[j] = coeffs[2 * d - j]
+    defect = _section_defect(n, k, LPoly(coeffs))
+    if defect:
+        raise InconsistentEuler(defect)
     return TPoly(coeffs)
+
+
+def _section_defect(n: int, k: int, p: LPoly) -> str | None:
+    """What is wrong with p as the Poincare polynomial of X = Gr(2,n) cut by
+    k hyperplanes, or None."""
+    d = 2 * (n - 2) - k
+    mid = p.coefficient(d)
+    if mid < 0:
+        return f"middle Betti number {mid} < 0 for ({n},{k})"
+    if d % 2 == 1 and mid % 2 == 1:
+        return f"odd middle Betti number {mid} in odd dimension {d}"
+    if d % 2 == 0 and mid < betti(n, d):
+        return f"middle Betti number {mid} below the ambient value {betti(n, d)}"
+    if not p.is_palindromic(d) or any(p.coefficient(j) for j in range(1, 2 * d, 2) if j != d):
+        return "section polynomial is not palindromic with odd degrees vanishing off the middle"
+    return None
 
 
 def _variable_part(n: int, d: int, p_x: TPoly) -> int:
@@ -176,20 +185,24 @@ def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
     )
     # NonExactDivision below the twist, NegativeCoefficient on a bad relation
     p_y = TPoly(num.div_exact(LPoly.monomial(2 * pair.s)).coeffs())
+    defect = _dual_defect(pair, p_y)
+    if defect:
+        raise InconsistentEuler(defect)
+    return p_y
+
+
+def _dual_defect(pair: PGPair, p_y: TPoly) -> str | None:
+    """What is wrong with p_y as the Poincare polynomial of the dual Y, or None."""
     if p_y.degree != 2 * pair.dim_y:
-        raise InconsistentEuler(
-            f"derived dual polynomial has degree {p_y.degree}, expected {2 * pair.dim_y}"
-        )
+        return f"derived dual polynomial has degree {p_y.degree}, expected {2 * pair.dim_y}"
     if not p_y.is_palindromic(pair.dim_y):
-        raise InconsistentEuler("derived dual polynomial is not palindromic")
+        return "derived dual polynomial is not palindromic"
     if pair.dim_y >= 1 and p_y.constant_term != 1:
         # a positive-dimensional dual section is connected
-        raise InconsistentEuler(
-            f"derived dual polynomial has constant term {p_y.constant_term}"
-        )
+        return f"derived dual polynomial has constant term {p_y.constant_term}"
     if p_y.constant_term < 1:
-        raise InconsistentEuler("derived dual polynomial has empty degree zero")
-    return p_y
+        return "derived dual polynomial has empty degree zero"
+    return None
 
 
 def _link_covered(pair: PGPair) -> bool:
@@ -260,13 +273,13 @@ def motivic_equivalence_status(n: int, k: int, engine: str = "pieri") -> str:
     nonzero transcendental cohomology); a vanishing variable Betti number is
     'hypothesis_fails'; anything else is 'not_covered'.
     """
-    return _motivic_status(n, k, variable_betti(n, k, engine))
+    return _motivic_status(n, k, variable_betti(n, k, engine), nl_status(n, k))
 
 
-def _motivic_status(n: int, k: int, v: int) -> str:
+def _motivic_status(n: int, k: int, v: int, nl: str) -> str:
     if v == 0:
         return "hypothesis_fails"
-    if (k <= 6 or (n, k) == (7, 7)) and nl_status(n, k) == "satisfied":
+    if (k <= 6 or (n, k) == (7, 7)) and nl == "satisfied":
         return "applies"
     return "not_covered"
 
@@ -337,13 +350,7 @@ def cayley_trick_poincare(
 # ---------------------------------------------------------------------------
 # pair reports
 
-
-def _check(name: str, passed: bool, detail: str = "") -> dict:
-    return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
-
-
-def _skip(name: str, detail: str) -> dict:
-    return {"name": name, "status": "skip", "detail": detail}
+_STATUS = {True: "pass", False: "fail", None: "skip"}
 
 
 def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
@@ -354,116 +361,61 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     p_y = derive_poincare_y(pair, p_x)
     hodge = middle_hodge(n, k, engine)
     v = _variable_part(n, pair.dim_x, p_x)
-
-    checks = []
-
+    b_mid = p_x.coefficient(pair.dim_x)
+    nl = nl_status(n, k)
     f1, f2 = fiber_classes(n)
-    checks.append(
-        _check(
-            "fiber_shift",
-            f2 - f1 == LPoly.monomial(pair.s),
-            f"singular minus smooth fiber class = L^{pair.s}",
-        )
-    )
-
     easy = cayley_hypersurface_class(pair, p_x)
-    hard = cayley_hypersurface_class_dual(pair, p_y)
-    checks.append(
-        _check(
-            "cayley_balance",
-            easy == hard,
-            "incidence divisor class agrees between the two fibrations",
-        )
-    )
     dim_q = 2 * (n - 2) + k - 2
-    checks.append(
-        _check(
-            "cayley_palindromic",
-            easy.is_palindromic(dim_q),
-            f"incidence divisor class is palindromic about {dim_q}",
-        )
-    )
-
-    odd_ok = all(
-        p_x.coefficient(j) == 0
-        for j in range(1, 2 * pair.dim_x + 1, 2)
-        if j != pair.dim_x
-    )
-    mid_ok = pair.dim_x % 2 == 1 or p_x.coefficient(pair.dim_x) >= betti(n, pair.dim_x)
-    checks.append(
-        _check(
-            "section_shape",
-            p_x.is_palindromic(pair.dim_x) and odd_ok and mid_ok,
-            "section polynomial palindromic, odd degrees vanish off the middle",
-        )
-    )
-
-    dual_ok = (
-        p_y.is_palindromic(pair.dim_y)
-        and p_y.degree == 2 * pair.dim_y
-        and p_y.constant_term >= 1
-        and (pair.dim_y == 0 or (p_y.constant_term == 1 and p_y.coefficient(2 * pair.dim_y) == 1))
-    )
-    dual_note = (
-        "constant term counts the points of the zero-dimensional dual"
-        if pair.dim_y == 0
-        else "connected dual: constant and top coefficients 1"
-    )
-    checks.append(_check("dual_shape", dual_ok, dual_note))
-
-    checks.append(_check("variable_nonneg", v >= 0, f"variable Betti number {v}"))
-
-    if _link_covered(pair):
-        checks.append(
-            _check(
-                "middle_betti_link",
-                _link_holds(pair, v, p_y),
-                f"{v} = {p_y.coefficient(pair.dim_y)} - 1",
-            )
-        )
-    else:
-        checks.append(_skip("middle_betti_link", "outside the verified (n,k) range"))
-
-    if n % 2 == 1:
-        checks.append(
-            _check("l_equivalence", check_l_equivalence(n), "decomposable sides agree")
-        )
-    else:
-        checks.append(_skip("l_equivalence", "stated for odd n only"))
-
     chi_alt = sum(c * (-1) ** p for p, c in enumerate(hodge.chi_y))
-    checks.append(
-        _check(
-            "chi_euler_match",
+
+    # each check's outcome: (passed, detail), or (None, why it is skipped)
+    outcomes = {
+        "fiber_shift": (f2 - f1 == LPoly.monomial(pair.s), f"singular minus smooth fiber class = L^{pair.s}"),
+        "cayley_balance": (
+            easy == cayley_hypersurface_class_dual(pair, p_y),
+            "incidence divisor class agrees between the two fibrations",
+        ),
+        "cayley_palindromic": (easy.is_palindromic(dim_q), f"incidence divisor class is palindromic about {dim_q}"),
+        "section_shape": (
+            _section_defect(n, k, p_x) is None,
+            "section polynomial palindromic, odd degrees vanish off the middle",
+        ),
+        "dual_shape": (
+            _dual_defect(pair, p_y) is None,
+            "constant term counts the points of the zero-dimensional dual"
+            if pair.dim_y == 0
+            else "connected dual: constant and top coefficients 1",
+        ),
+        "variable_nonneg": (v >= 0, f"variable Betti number {v}"),
+        "middle_betti_link": (
+            (_link_holds(pair, v, p_y), f"{v} = {p_y.coefficient(pair.dim_y)} - 1")
+            if _link_covered(pair)
+            else (None, "outside the verified (n,k) range")
+        ),
+        "l_equivalence": (
+            (check_l_equivalence(n), "decomposable sides agree") if n % 2 == 1 else (None, "stated for odd n only")
+        ),
+        "chi_euler_match": (
             chi_alt == hodge.euler_char == p_x.evaluate(-1),
             f"chi_y(-1) = {chi_alt}, Gauss-Bonnet = {hodge.euler_char}",
-        )
-    )
-
-    checks.append(
-        _check(
-            "hodge_consistency",
-            hodge.middle_betti == p_x.coefficient(pair.dim_x),
-            f"middle Hodge numbers sum to b_{pair.dim_x} = {p_x.coefficient(pair.dim_x)}",
-        )
-    )
-
-    if n % 2 == 0 and pair.dim_y >= 1:
-        oracle = hypersurface_poincare_oracle(n // 2, k - 1)
-        checks.append(
-            _check(
-                "hypersurface_oracle",
-                p_y == oracle,
+        ),
+        "hodge_consistency": (
+            hodge.middle_betti == b_mid,
+            f"middle Hodge numbers sum to b_{pair.dim_x} = {b_mid}",
+        ),
+        "hypersurface_oracle": (
+            (
+                p_y == hypersurface_poincare_oracle(n // 2, k - 1),
                 f"dual of degree {n // 2} in P^{k - 1} matches the projective oracle",
             )
-        )
-    else:
-        checks.append(
-            _skip(
-                "hypersurface_oracle",
-                "dual is not a positive-dimensional hypersurface in projective space",
-            )
-        )
+            if n % 2 == 0 and pair.dim_y >= 1
+            else (None, "dual is not a positive-dimensional hypersurface in projective space")
+        ),
+    }
+    checks = []
+    for name in CHECK_NAMES:
+        passed, detail = outcomes[name]
+        checks.append({"name": name, "status": _STATUS[passed], "detail": detail})
 
     findings = []
     if (n, k) == (6, 6):
@@ -481,29 +433,15 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "engine": engine,
-        "pair": {
-            "n": pair.n,
-            "k": pair.k,
-            "dim_x": pair.dim_x,
-            "dim_y": pair.dim_y,
-            "s": pair.s,
-            "m": pair.m,
-            "smooth_range": pair.smooth_range,
-        },
+        "pair": pair._asdict(),
         "poincare_x": p_x.coeffs_dense(),
         "poincare_y": p_y.coeffs_dense(),
         "variable_betti": v,
         "euler": hodge.euler_char,
-        "hodge": {
-            "dim": hodge.dim,
-            "euler_char": hodge.euler_char,
-            "chi_y": list(hodge.chi_y),
-            "middle_betti": hodge.middle_betti,
-            "middle_hodge": list(hodge.middle_hodge),
-        },
-        "nl_status": nl_status(n, k),
+        "hodge": {key: list(x) if isinstance(x, tuple) else x for key, x in hodge._asdict().items()},
+        "nl_status": nl,
         "motivic_equivalence": {
-            "status": _motivic_status(n, k, v),
+            "status": _motivic_status(n, k, v, nl),
             "transcendental_proxy": transcendental_proxy(k),
         },
         "checks": checks,

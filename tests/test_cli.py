@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import os
 import re
@@ -369,3 +370,55 @@ def test_readme_quick_start_commands_succeed_and_print_what_it_shows(capsys):
         if shown:
             assert out == shown, command
     assert [shown for command, shown in commands if command.startswith("eval")] == ["true\n", "true\n"]
+
+
+_EMPTY = "e3b0c44298fc1c14"  # the sha256 of no output
+# (command, under the lefschetz_shift mutant, sha256 prefixes of stdout and
+# stderr, exit code); pinned on the report layer as it was before the checks
+# came from one loop over CHECK_NAMES, so a rewrite must keep every byte
+_PINNED_OUTPUTS = [
+    ("pair --n 4 --k 2 --format json", False, "22c50c5c1a6fa205", _EMPTY, 0),
+    ("pair --n 4 --k 2 --format markdown", False, "1756680fcceb360d", _EMPTY, 0),
+    ("pair --n 4 --k 2 --format csv", False, "51c89541137436e6", _EMPTY, 0),
+    ("pair --n 5 --k 4 --format json", False, "dcd7c5a4e500a552", _EMPTY, 0),
+    ("pair --n 5 --k 4 --format markdown", False, "ece8808bf50839c4", _EMPTY, 0),
+    ("pair --n 5 --k 4 --format csv", False, "f34338009ba5a52d", _EMPTY, 0),
+    ("pair --n 6 --k 6 --format json", False, "8aaeb567268aae3f", _EMPTY, 0),
+    ("pair --n 6 --k 6 --format markdown", False, "7f86a952490cd175", _EMPTY, 0),
+    ("pair --n 6 --k 6 --format csv", False, "bd9518f6b482912c", _EMPTY, 0),
+    ("pair --n 7 --k 7 --format json", False, "b852f7a74755ee9d", _EMPTY, 0),
+    ("pair --n 7 --k 7 --format markdown", False, "9581c33436bf7ec8", _EMPTY, 0),
+    ("pair --n 7 --k 7 --format csv", False, "cbb91322c242ba06", _EMPTY, 0),
+    ("pair --n 8 --k 4 --format json", False, "5eb897179d793079", _EMPTY, 0),
+    ("pair --n 8 --k 4 --format markdown", False, "e0ef80c27d73c1bf", _EMPTY, 0),
+    ("pair --n 8 --k 4 --format csv", False, "cef805d084d45374", _EMPTY, 0),
+    ("pair --n 9 --k 4 --format json", False, "1aa164d740a16b79", _EMPTY, 0),
+    ("pair --n 9 --k 4 --format markdown", False, "827af121f0315c8e", _EMPTY, 0),
+    ("pair --n 9 --k 4 --format csv", False, "2b4ccc20ec95f3c5", _EMPTY, 0),
+    ("pair --n 7 --k 7 --engine lr --checks fiber_shift,dual_shape", False, "0292a52e5632372d", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format json", False, "cdaad755d7214876", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format markdown", False, "7629f8555fb137b5", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format csv", False, "31a7e2ed333ece5e", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format json", False, "6daba261f5643a45", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format markdown", False, "0bbbe1011d82c97c", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format csv", False, "31a7e2ed333ece5e", _EMPTY, 0),
+    (
+        "grid --n-min 13 --n-max 16 --k-min 1 --k-max 10 --engine lr --checks hodge_consistency",
+        False, "8fe932c01cbf97de", _EMPTY, 0,
+    ),
+    ("pair --n 3 --k 1", False, _EMPTY, "b6216ab852f1630d", 2),
+    ("pair --n 8 --k 7", False, _EMPTY, "1b3db4fd8a76be26", 2),
+    ("pair --n 25 --k 1", False, _EMPTY, "cdc2978c75688a50", 2),
+    ("grid --n-min 4 --n-max 9 --k-min 1 --k-max 8 --format markdown", True, "f0a9ddd7ec1c7bde", _EMPTY, 1),
+    ("grid --n-min 4 --n-max 9 --k-min 1 --k-max 8 --format csv", True, "0d6966f56177c4d4", _EMPTY, 1),
+]
+
+
+@pytest.mark.parametrize("command, mutant, out_sha, err_sha, code", _PINNED_OUTPUTS, ids=[c[0] for c in _PINNED_OUTPUTS])
+def test_report_bytes_and_exit_code_are_pinned(monkeypatch, capsys, command, mutant, out_sha, err_sha, code):
+    if mutant:
+        monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
+    assert main(command.split()) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == out_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest()[:16] == err_sha

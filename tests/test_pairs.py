@@ -2,6 +2,8 @@
 
 import pytest
 
+import pgpairs.chern as chern_module
+import pgpairs.pairs as pairs_module
 from pgpairs.chern import HodgeSummary, middle_hodge
 from pgpairs.errors import (
     InconsistentEuler,
@@ -424,3 +426,46 @@ def test_non_palindromic_oracle_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(TPoly, "is_palindromic", lambda self, d: False)
     with pytest.raises(InconsistentEuler, match="not palindromic"):
         hypersurface_poincare_oracle(2, 4)
+
+
+# each check that can fail reports `fail` when a production formula it
+# confirms is wrong, and the wrong formula fails no other check than these
+def _euler_plus_two(monkeypatch):
+    euler = pairs_module.euler_characteristic_ci
+    monkeypatch.setattr(pairs_module, "euler_characteristic_ci", lambda n, k, engine="pieri": euler(n, k, engine) + 2)
+
+
+def _ambient_h00_plus_one(monkeypatch):
+    # b_0 of Gr(2,n) as the Hodge side sees it, so only h^(0,d) moves
+    betti = chern_module.betti
+    monkeypatch.setattr(chern_module, "betti", lambda n, j: betti(n, j) + (j == 0))
+
+
+def _oracle_middle_plus_two(monkeypatch):
+    oracle = pairs_module.hypersurface_poincare_oracle
+    monkeypatch.setattr(pairs_module, "hypersurface_poincare_oracle", lambda d, N: oracle(d, N) + TPoly({N - 1: 2}))
+
+
+def _ambient_b8_plus_one(monkeypatch):
+    # b_8 of Gr(2,8) as the pair side sees it: the variable part of the
+    # eightfold (8,4) drops by one
+    betti = pairs_module.betti
+    monkeypatch.setattr(pairs_module, "betti", lambda n, j: betti(n, j) + ((n, j) == (8, 8)))
+
+
+@pytest.mark.parametrize(
+    "mutant, n, k, failing",
+    [
+        (_euler_plus_two, 7, 7, {"chi_euler_match", "hodge_consistency"}),
+        (_ambient_h00_plus_one, 7, 7, {"hodge_consistency"}),
+        (_oracle_middle_plus_two, 8, 4, {"hypersurface_oracle"}),
+        (_ambient_b8_plus_one, 8, 4, {"middle_betti_link"}),
+    ],
+    ids=["chi_euler_match", "hodge_consistency", "hypersurface_oracle", "middle_betti_link"],
+)
+def test_a_wrong_formula_fails_its_check(monkeypatch, mutant, n, k, failing):
+    assert build_pair_report(n, k)["all_checks_pass"]
+    mutant(monkeypatch)
+    report = build_pair_report(n, k)
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+    assert not report["all_checks_pass"]
