@@ -66,24 +66,34 @@ def _miller(n: int, j: int, m: int) -> int:
     return (n + 1) * j - m
 
 
-def _delta(cls: ChowClass) -> ChowClass:
+def _times(rows: dict, cls: dict, weight: int = 1, acc: dict | None = None) -> dict:
+    """acc + weight * sigma * cls for a graded class cls {partition: int},
+    where rows[lam] is sigma_lam * sigma as {nu: coefficient}."""
+    acc = {} if acc is None else acc
+    for lam, v in cls.items():
+        v *= weight
+        for nu, c in rows[lam].items():
+            acc[nu] = acc.get(nu, 0) + v * c
+    return acc
+
+
+def _delta(s1: dict, s11: dict, cls: dict) -> dict:
     """delta * cls, where delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1} for the
     Chern roots x1, x2 of S^dual.  End(S) = S^dual (x) S has Chern roots 0, 0
-    and +-(x1 - x2).  Applied as sigma_1 (sigma_1 cls) - 4 sigma_{1,1} cls, so
-    every product has a one-term factor."""
-    s1 = cls.ring.sigma(1)
-    return s1 * (s1 * cls) - cls.ring.sigma(1, 1) * cls.scale(4)
+    and +-(x1 - x2).  Applied as sigma_1 (sigma_1 cls) - 4 sigma_{1,1} cls on
+    the sigma_1 and sigma_{1,1} rows s1 and s11."""
+    return _times(s11, cls, -4, _times(s1, _times(s1, cls)))
 
 
-def _divide_exactly(cls: ChowClass, m: int) -> ChowClass:
-    """cls / m for an integral class, which must divide exactly."""
+def _divide_exactly(cls: dict, m: int) -> dict:
+    """cls / m for an integral graded class, which must divide exactly."""
     terms = {}
-    for p, v in cls.terms.items():
+    for p, v in cls.items():
         q, r = divmod(v, m)
         if r:
             raise InconsistentEuler(f"coefficient {v} of s{p} in a Chern class recurrence is not divisible by {m}")
         terms[p] = q
-    return ChowClass(cls.ring, terms)
+    return terms
 
 
 def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
@@ -92,22 +102,28 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
     In K-theory T = n S^dual - End(S), and c(End S) = 1 - delta, so
     c(T) = P/(1 - delta) with P = c(S^dual)^n = (1 + sigma_1 + sigma_{1,1})^n.
     Both are built degree by degree with products by sigma_1 and sigma_{1,1}
-    only.  The degree derivation (d on degree d) gives Miller's recurrence
+    only: the recurrences run on graded {partition: int} classes and the
+    engine's sigma_1 and sigma_{1,1} rows, fetched from `ChowRing.product`
+    once per Schubert cell.  The degree derivation (d on degree d) gives
+    Miller's recurrence
     m P_m = (n - m + 1) sigma_1 P_(m-1) + (2n - m + 2) sigma_{1,1} P_(m-2),
     divided exactly in integers, and c_d = P_d + delta c_(d-2).  The top
     class must integrate to the Euler characteristic of Gr(2,n), the number
     of Schubert cells.
     """
     ring = get_ring(n, engine)
-    s1, s11 = ring.sigma(1), ring.sigma(1, 1)
+    s1 = {lam: ring.product(lam, (1, 0)) for lam in ring.basis()}
+    s11 = {lam: ring.product(lam, (1, 1)) for lam in ring.basis()}
     # P_m and c_m for m = -1, 0, 1, ... at list index m + 1
-    power, chern = [ring.zero(), ring.one()], [ring.zero(), ring.one()]
+    power, chern = [{}, {(0, 0): 1}], [{}, {(0, 0): 1}]
     for m in range(1, ring.dim + 1):
-        acc = s1 * power[m].scale(_miller(n, 1, m)) + s11 * power[m - 1].scale(_miller(n, 2, m))
+        acc = _times(s11, power[m - 1], _miller(n, 2, m), _times(s1, power[m], _miller(n, 1, m)))
         power.append(_divide_exactly(acc, m))
-        chern.append(power[m + 1] + _delta(chern[m - 1]))
+        chern.append(_delta(s1, s11, chern[m - 1]))
+        for p, v in power[m + 1].items():
+            chern[m + 1][p] = chern[m + 1].get(p, 0) + v
     # the components have distinct degrees
-    total = ChowClass(ring, {p: v for c in chern for p, v in c.terms.items()})
+    total = ChowClass(ring, {p: v for c in chern for p, v in c.items()})
     if total.integrate() != len(ring.basis()):
         raise InconsistentEuler(f"c_top(T) of Gr(2,{n}) does not integrate to the number of Schubert cells")
     return total

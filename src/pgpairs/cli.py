@@ -164,6 +164,23 @@ def run_pair(n: int, k: int, output_format: str = "json", engine: str = "pieri",
 # grid command
 
 
+# (markdown header, row key, path into the pair report) of each grid column;
+# the csv header is the keys, and n, k and status have no path: _grid_row
+# sets them for error rows too
+_GRID_COLUMNS = (
+    ("n", "n", ()),
+    ("k", "k", ()),
+    ("status", "status", ()),
+    ("dim X", "dim_x", ("pair", "dim_x")),
+    ("dim Y", "dim_y", ("pair", "dim_y")),
+    ("euler", "euler", ("euler",)),
+    ("b_mid", "middle_betti", ("hodge", "middle_betti")),
+    ("variable", "variable_betti", ("variable_betti",)),
+    ("NL", "nl_status", ("nl_status",)),
+    ("motivic", "motivic_equivalence", ("motivic_equivalence", "status")),
+)
+
+
 def _grid_row(n: int, k: int, engine: str, checks) -> dict | None:
     """One grid row, or None for a pair outside the domain."""
     try:
@@ -182,20 +199,16 @@ def _grid_row(n: int, k: int, engine: str, checks) -> dict | None:
             "error": type(exc).__name__,
             "message": str(exc),
         }
-    return {
-        "n": n,
-        "k": k,
-        "status": "ok" if report["all_checks_pass"] else "fail",
-        "dim_x": report["pair"]["dim_x"],
-        "dim_y": report["pair"]["dim_y"],
-        "euler": report["euler"],
-        "middle_betti": report["hodge"]["middle_betti"],
-        "variable_betti": report["variable_betti"],
-        "nl_status": report["nl_status"],
-        "motivic_equivalence": report["motivic_equivalence"]["status"],
-        "checks": {c["name"]: c["status"] for c in report["checks"]},
-        "findings": report["findings"],
-    }
+    row = {"n": n, "k": k, "status": "ok" if report["all_checks_pass"] else "fail"}
+    for _, key, path in _GRID_COLUMNS:
+        if path:
+            value = report
+            for step in path:
+                value = value[step]
+            row[key] = value
+    row["checks"] = {c["name"]: c["status"] for c in report["checks"]}
+    row["findings"] = report["findings"]
+    return row
 
 
 def run_grid(
@@ -242,23 +255,16 @@ def run_grid(
     return serialize[output_format](payload), code
 
 
-# (markdown header, row key) of each grid column; the csv header is the keys
-_GRID_COLUMNS = (
-    ("n", "n"), ("k", "k"), ("status", "status"), ("dim X", "dim_x"), ("dim Y", "dim_y"), ("euler", "euler"),
-    ("b_mid", "middle_betti"), ("variable", "variable_betti"), ("NL", "nl_status"), ("motivic", "motivic_equivalence"),
-)
-
-
 def _grid_cells(row: dict) -> list:
     # an error row leaves every cell after its status empty
-    return [str(row.get(key, "")) for _, key in _GRID_COLUMNS]
+    return [str(row.get(key, "")) for _, key, _ in _GRID_COLUMNS]
 
 
 def _grid_markdown(payload: dict) -> str:
     lines = [
         "# Grid sweep",
         "",
-        "|" + "".join(f" {title} |" for title, _ in _GRID_COLUMNS),
+        "|" + "".join(f" {title} |" for title, _, _ in _GRID_COLUMNS),
         "|" + " --- |" * len(_GRID_COLUMNS),
     ]
     for r in payload["rows"]:
@@ -269,7 +275,7 @@ def _grid_markdown(payload: dict) -> str:
 
 
 def _grid_csv(payload: dict) -> str:
-    lines = [",".join(key for _, key in _GRID_COLUMNS)]
+    lines = [",".join(key for _, key, _ in _GRID_COLUMNS)]
     lines += [",".join(_grid_cells(r)) for r in payload["rows"]]
     return "\n".join(lines) + "\n"
 

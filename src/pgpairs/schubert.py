@@ -1,12 +1,17 @@
 """Schubert calculus on Gr(2,n).
 
 The Chow ring in the basis of Schubert classes sigma_{a,b}, indexed by
-partitions (a, b) with n-2 >= a >= b >= 0.  Multiplication is computed by the
-Pieri rule for special classes together with the two-row Giambelli identity
+partitions (a, b) with n-2 >= a >= b >= 0.  Structure constants of two-row
+partitions do not depend on n: H*(Gr(2,n)) is the quotient of the ring of
+two-row Schur classes by the sigma_nu with nu_0 > n-2, and that quotient is a
+ring map (Fulton, Young Tableaux, 9.4).  So each engine computes its two-row
+products once per process for every n, and the box is applied in one place,
+`ChowRing.product`.  The `pieri` engine uses the Pieri rule for special
+classes together with the two-row Giambelli identity
 sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an independent
-Littlewood-Richardson engine is available as a cross-check.  The module also
-builds the classes of Gr(2,n) and of its smooth hyperplane sections in Z[L],
-each by two routes that must agree.
+Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
+module also builds the classes of Gr(2,n) and of its smooth hyperplane
+sections in Z[L], each by two routes that must agree.
 """
 
 from __future__ import annotations
@@ -125,11 +130,52 @@ def lr_count(lam, mu, nu) -> int:
     return count
 
 
+def _pieri(p: int, lam) -> list:
+    """Expansion of sigma_p * sigma_lam in the two-row ring: one term per
+    partition obtained by adding p boxes with at most one new box per column."""
+    a, b = lam
+    total = a + b + p
+    return [(a2, total - a2) for a2 in range(max(a, total - a), total - b + 1)]
+
+
+def _product_pieri(lam, mu) -> dict:
+    # Giambelli on the factor with fewer boxes: sigma_1 * sigma_lam is one Pieri step
+    if mu[0] + mu[1] > lam[0] + lam[1]:
+        lam, mu = mu, lam
+    c, d = mu
+    acc = {}
+    for nu1 in _pieri(c, lam):
+        for nu2 in _pieri(d, nu1):
+            acc[nu2] = acc.get(nu2, 0) + 1
+    # two-row Giambelli: sigma_{c,d} = sigma_c*sigma_d - sigma_{c+1}*sigma_{d-1}
+    if d >= 1:
+        for nu1 in _pieri(c + 1, lam):
+            for nu2 in _pieri(d - 1, nu1):
+                acc[nu2] = acc.get(nu2, 0) - 1
+    return {nu: v for nu, v in acc.items() if v}
+
+
+def _product_lr(lam, mu) -> dict:
+    # a nonzero coefficient needs lam, mu inside nu and nu[0] <= lam[0] + mu[0]:
+    # in a lattice filling of nu/lam with content mu the first row holds only 1s
+    total = lam[0] + lam[1] + mu[0] + mu[1]
+    low = max(lam[0], mu[0], (total + 1) // 2)
+    high = min(lam[0] + mu[0], total - max(lam[1], mu[1]))
+    out = {}
+    for a2 in range(low, high + 1):
+        nu = (a2, total - a2)
+        c = lr_count(lam, mu, nu)
+        if c:
+            out[nu] = c
+    return out
+
+
 class ChowRing:
     """The Chow ring of Gr(2,n) with a memoized multiplication table.
 
-    The table is filled on demand and lives as long as the ring, in one
-    process; it has no locking and is not for concurrent threads.
+    The table is filled on demand from the engine's two-row structure
+    constants and lives as long as the ring, in one process; it has no
+    locking and is not for concurrent threads.
     """
 
     def __init__(self, n: int, engine: str = "pieri"):
@@ -142,13 +188,21 @@ class ChowRing:
         self.max_col = n - 2
         self.dim = 2 * (n - 2)
         self.point = (self.max_col, self.max_col)
+        self._basis = tuple(box_partitions(n))
+        self._cells = {p: p for p in self._basis}
         self._table = {}
+
+    def _cell(self, p) -> tuple:
+        """p as a partition (a, b) in the 2 x (n-2) box; anything else is an
+        InvalidParameter."""
+        try:
+            return self._cells[p]
+        except (KeyError, TypeError):
+            raise InvalidParameter(f"{p!r} is not a partition in the 2 x {self.max_col} box") from None
 
     # -- class constructors ------------------------------------------------
 
     def sigma(self, a: int, b: int = 0) -> "ChowClass":
-        if not (self.max_col >= a >= b >= 0):
-            raise InvalidParameter(f"({a},{b}) is not in the 2 x {self.max_col} box")
         return ChowClass(self, {(a, b): 1})
 
     def one(self) -> "ChowClass":
@@ -157,62 +211,24 @@ class ChowRing:
     def zero(self) -> "ChowClass":
         return ChowClass(self, {})
 
-    def basis(self):
-        return box_partitions(self.n)
+    def basis(self) -> tuple:
+        """The partitions of the 2 x (n-2) box, sorted by degree then lex."""
+        return self._basis
 
     # -- structure constants ------------------------------------------------
 
-    def _pieri(self, p: int, lam) -> list:
-        """Expansion of sigma_p * sigma_lam: one term per partition obtained by
-        adding p boxes with at most one new box per column, kept inside the box."""
-        a, b = lam
-        total = a + b + p
-        out = []
-        for a2 in range(max(a, total - a), min(self.max_col, total - b) + 1):
-            out.append((a2, total - a2))
-        return out
-
-    def _product_pieri(self, lam, mu) -> dict:
-        # Giambelli on the factor with fewer boxes: sigma_1 * sigma_lam is one Pieri step
-        if mu[0] + mu[1] > lam[0] + lam[1]:
-            lam, mu = mu, lam
-        c, d = mu
-        acc = {}
-        for nu1 in self._pieri(c, lam):
-            for nu2 in self._pieri(d, nu1):
-                acc[nu2] = acc.get(nu2, 0) + 1
-        # two-row Giambelli: sigma_{c,d} = sigma_c*sigma_d - sigma_{c+1}*sigma_{d-1},
-        # with sigma_{c+1} = 0 once it leaves the box
-        if d >= 1 and c + 1 <= self.max_col:
-            for nu1 in self._pieri(c + 1, lam):
-                for nu2 in self._pieri(d - 1, nu1):
-                    acc[nu2] = acc.get(nu2, 0) - 1
-        return {nu: v for nu, v in acc.items() if v}
-
-    def _product_lr(self, lam, mu) -> dict:
-        # a nonzero coefficient needs lam, mu inside nu and nu[0] <= lam[0] + mu[0]:
-        # in a lattice filling of nu/lam with content mu the first row holds only 1s
-        total = lam[0] + lam[1] + mu[0] + mu[1]
-        low = max(lam[0], mu[0], (total + 1) // 2)
-        high = min(self.max_col, lam[0] + mu[0], total - max(lam[1], mu[1]))
-        out = {}
-        for a2 in range(low, high + 1):
-            nu = (a2, total - a2)
-            c = lr_count(lam, mu, nu)
-            if c:
-                out[nu] = c
-        return out
-
     def product(self, lam, mu) -> dict:
-        """Structure constants sigma_lam * sigma_mu as {nu: coefficient}."""
+        """Structure constants sigma_lam * sigma_mu as {nu: coefficient}: the
+        engine's two-row product with every nu outside the box dropped."""
         key = (lam, mu) if lam <= mu else (mu, lam)
         hit = self._table.get(key)
         if hit is None:
-            if self.engine == "pieri":
-                hit = self._product_pieri(key[0], key[1])
-            else:
-                hit = self._product_lr(key[0], key[1])
-            self._table[key] = hit
+            lam, mu = self._cell(key[0]), self._cell(key[1])
+            full = _PRODUCTS.get((self.engine, lam, mu))
+            if full is None:
+                engine = _product_pieri if self.engine == "pieri" else _product_lr
+                full = _PRODUCTS[self.engine, lam, mu] = engine(lam, mu)
+            hit = self._table[key] = {nu: c for nu, c in full.items() if nu[0] <= self.max_col}
         return hit
 
 
@@ -233,16 +249,20 @@ class ChowClass:
     """Graded rational linear combination of Schubert classes of one Gr(2,n).
 
     Integral coefficients are stored as ints and the others as Fractions, so
-    products of integral classes run on ints alone.  Immutable; components of
-    degree above the dimension of the Grassmannian are truncated silently,
-    which is the ring structure rather than an error.
+    products of integral classes run on ints alone.  Every term must be a
+    partition in the 2 x (n-2) box.  Immutable; products drop every class
+    outside the box, which is the ring structure rather than an error.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: ChowRing, terms: dict):
         self.ring = ring
-        self.terms = {p: c for p, v in terms.items() if (c := _exact(v))}
+        self.terms = {}
+        for p, v in terms.items():
+            p = ring._cell(p)
+            if c := _exact(v):
+                self.terms[p] = c
 
     def _check(self, other: "ChowClass"):
         if self.ring.n != other.ring.n or self.ring.engine != other.ring.engine:
@@ -327,14 +347,16 @@ class ChowClass:
         return " + ".join(bits)
 
 
+# The memos below are per process and unlocked, so they are not for
+# concurrent threads.  _PRODUCTS holds the two-row structure constants of
+# each engine, (engine, lam, mu) -> {nu: coefficient} for lam <= mu, shared
+# by the rings of every n.
+_PRODUCTS: dict = {}
 _RINGS: dict = {}
 
 
 def get_ring(n: int, engine: str = "pieri") -> ChowRing:
-    """The per-(n, engine) ring of this process, built on first use.
-
-    The memo is per process and unlocked, so it is not for concurrent threads.
-    """
+    """The per-(n, engine) ring of this process, built on first use."""
     key = (n, engine)
     ring = _RINGS.get(key)
     if ring is None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgpairs import chern
+from pgpairs import chern, schubert
 from pgpairs.chern import (
     HodgeSummary,
     chi_y_ci,
@@ -42,10 +42,11 @@ def test_whitney_identity_to_top_degree():
 def test_tangent_top_class_is_checked(monkeypatch):
     # drop the -4 sigma_{1,1} from delta: c(T) changes and its top class no
     # longer integrates to the number of Schubert cells
-    monkeypatch.setattr(chern, "_delta", lambda cls: cls.ring.sigma(1) * (cls.ring.sigma(1) * cls))
-    for n in (4, 5, 7):
-        with pytest.raises(InconsistentEuler):
-            tangent_chern(n)
+    monkeypatch.setattr(chern, "_delta", lambda s1, s11, cls: chern._times(s1, chern._times(s1, cls)))
+    for engine in ENGINES:
+        for n in (4, 5, 7):
+            with pytest.raises(InconsistentEuler):
+                tangent_chern(n, engine)
 
 
 def test_tangent_power_recurrence_is_checked(monkeypatch):
@@ -56,6 +57,26 @@ def test_tangent_power_recurrence_is_checked(monkeypatch):
         for n in (4, 5, 7):
             with pytest.raises(InconsistentEuler):
                 tangent_chern(n, engine)
+
+
+def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
+    # the rings of every n share one table of two-row structure constants per
+    # engine; filling it from n = 18 down or from n = 4 up gives the same ring
+    # tables, c(T) and sigma_1 moments
+    runs = []
+    for order in (range(18, 3, -1), range(4, 19)):
+        monkeypatch.setattr(schubert, "_PRODUCTS", {})
+        monkeypatch.setattr(schubert, "_RINGS", {})
+        chern._euler_pairing.cache_clear()
+        run = {}
+        for n in order:
+            for engine in ENGINES:
+                pairing = chern._euler_pairing(n, engine)
+                ring = get_ring(n, engine)
+                run[n, engine] = (dict(ring._table), tangent_chern(n, engine), pairing)
+        runs.append(run)
+    chern._euler_pairing.cache_clear()
+    assert runs[0] == runs[1]
 
 
 # c(T) and its sigma_1 moments by full class products, the route before the

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgpairs import schubert
 from pgpairs.errors import AmbientMismatch, InvalidParameter
 from pgpairs.ring import LPoly, projective_class
 from pgpairs.schubert import (
@@ -190,18 +191,32 @@ def test_engines_agree_on_full_tables():
 
 def test_table_fill_matches_unpruned_lr_candidates():
     # every (lam, mu) in the box, in both orders: the pruned candidate range of
-    # _product_lr misses no nonzero coefficient, and Pieri with Giambelli on
-    # the factor with fewer boxes gives the same structure constants
+    # the n-free _product_lr misses no nonzero coefficient over every two-row
+    # nu of the right size (a superset of box(n+2)'s), Pieri with Giambelli on
+    # the factor with fewer boxes gives the same structure constants, and each
+    # ring's product is their view in the box
     for n in range(4, 13):
-        lr, pieri = ChowRing(n, "lr"), ChowRing(n, "pieri")
+        rings = [ChowRing(n, engine) for engine in ENGINES]
         cells = box_partitions(n)
         for lam in cells:
             for mu in cells:
                 total = sum(lam) + sum(mu)
-                counts = {nu: lr_count(lam, mu, nu) for nu in cells if sum(nu) == total}
+                counts = {nu: lr_count(lam, mu, nu) for nu in ((a, total - a) for a in range((total + 1) // 2, total + 1))}
                 unpruned = {nu: c for nu, c in counts.items() if c}
-                assert lr._product_lr(lam, mu) == unpruned, (n, lam, mu)
-                assert pieri._product_pieri(lam, mu) == unpruned, (n, lam, mu)
+                assert schubert._product_lr(lam, mu) == unpruned, (n, lam, mu)
+                assert schubert._product_pieri(lam, mu) == unpruned, (n, lam, mu)
+                in_box = {nu: c for nu, c in unpruned.items() if nu in cells}
+                for ring in rings:
+                    assert ring.product(lam, mu) == in_box, (n, ring.engine, lam, mu)
+
+
+def test_each_engine_fills_its_own_table(monkeypatch):
+    # the rings of every n share structure constants within an engine, never
+    # across engines, so lr stays an independent cross-check of pieri
+    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    monkeypatch.setattr(schubert, "_product_lr", lambda lam, mu: {})
+    assert ChowRing(6, "pieri").product((1, 0), (1, 0)) == {(1, 1): 1, (2, 0): 1}
+    assert ChowRing(6, "lr").product((1, 0), (1, 0)) == {}
 
 
 def test_lr_count_values():
@@ -251,6 +266,29 @@ def test_sigma_validation():
         r.sigma(3, 0)
     with pytest.raises(InvalidParameter):
         r.sigma(1, 2)
+
+
+@pytest.mark.parametrize("bad", [(7, 0), (4, 0), (1, 2), (2, -1), (1,), (1, 0, 0), "s1"], ids=repr)
+def test_chow_class_rejects_terms_outside_the_box(bad):
+    # a pair that is not a partition in the 2 x 3 box of Gr(2,5) is an error,
+    # also with a zero coefficient, never a term that integrates to 0
+    r = get_ring(5)
+    for coefficient in (1, 0):
+        with pytest.raises(InvalidParameter):
+            ChowClass(r, {(1, 0): 1, bad: coefficient})
+    with pytest.raises(InvalidParameter):
+        ChowClass(r, {(7, 0): 1, (1, 2): 3})
+
+
+@pytest.mark.parametrize("bad", [(7, 0), (4, 0), (1, 2), (2, -1), (1,), (1, 0, 0)], ids=repr)
+def test_product_rejects_keys_outside_the_box(bad):
+    # the engines take any two-row partition, so the ring checks its keys
+    for engine in ENGINES:
+        r = ChowRing(5, engine)
+        for lam, mu in ((bad, (1, 0)), ((1, 0), bad)):
+            with pytest.raises(InvalidParameter):
+                r.product(lam, mu)
+        assert not r._table
 
 
 _coefficient = st.integers(-30, 30) | st.fractions(min_value=-8, max_value=8, max_denominator=9)
