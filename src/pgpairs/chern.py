@@ -3,8 +3,8 @@
 The tangent bundle T = Hom(S, Q) and three invariants of a linear section
 X = Gr(2,n) cut by k general hyperplanes: the topological Euler
 characteristic, the chi_y genus, and the middle Hodge numbers.  Everything is
-exact: classes keep integral coefficients as ints, and chi_y is an int list
-in y from the start.
+exact: classes keep integral coefficients as ints, and chi_y is an integer
+polynomial in y from the start, packed into one int.
 
 T enters only through the K-theory identity T = n S^dual - End(S), where
 End(S) = S^dual (x) S has Chern roots 0, 0, +-u with u = x1 - x2, x1 and x2
@@ -14,7 +14,7 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
   Chern class c(T) = P/(1 - delta) with P = (1 + sigma_1 + sigma_{1,1})^n and
   delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built degree by degree from
   products by sigma_1 and sigma_{1,1} alone (`tangent_chern`), read through
-  a degree vector filled by one Pieri step per Schubert cell, and paired
+  the degree vector of the Schubert cells in closed form, and paired
   with the k-th power of the normal series sigma_1/(1 + sigma_1);
 - chi_y, with no Schubert product and no engine.  With the root series
   Q(x) = x(1 + y e^-x)/(1 - e^-x), chi_y(X) is the integral over Gr(2,n) of
@@ -36,7 +36,9 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
   with integral e1^a e2^b = deg Gr(2, n - b) = Catalan(n - 2 - b) for
   a + 2b = dim Gr(2,n).  Every factor of den has constant term 1, so each
   coefficient is an integer polynomial in y, and `_chi_polys` finds all of
-  them by one recurrence in ints that divides nothing;
+  them by one recurrence that divides nothing.  It runs on each polynomial
+  in y as one int, its value at y = 2^B (Kronecker substitution), with a
+  digit width B proved by the same recurrence on L1 norms;
 - middle Hodge numbers: solved from the chi_y coefficients, with the
   off-middle Hodge numbers forced by Lefschetz to be those of Gr(2,n).
 
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import chain
 from math import comb
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
@@ -135,17 +136,16 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
 
 def _sigma1_moments(cls: ChowClass) -> list:
     """[integral of cls * sigma_1^j for j = 0..dim], from the degree vector
-    d(lam) = integral of sigma_lam sigma_1^(dim - |lam|): d(point) = 1, and
-    below it d(lam) = sum_nu c_nu d(nu) over sigma_lam sigma_1 = sum c_nu
-    sigma_nu, one Pieri step per cell.  Moment j pairs the degree dim - j
-    part of cls with d."""
+    d(a, b) = integral of sigma_(a,b) sigma_1^(dim - a - b): the number of
+    standard tableaux of the complementary shape (p, q) = (c - b, c - a),
+    c = n - 2, which is the ballot number C(p + q, q) - C(p + q, q - 1).
+    Moment j pairs the degree dim - j part of cls with d."""
     ring = cls.ring
-    deg = {}
-    for lam in reversed(ring.basis()):
-        deg[lam] = 1 if lam == ring.point else sum(c * deg[nu] for nu, c in ring.product(lam, (1, 0)).items())
     out = [0] * (ring.dim + 1)
-    for lam, v in cls.terms.items():
-        out[ring.dim - lam[0] - lam[1]] += v * deg[lam]
+    for (a, b), v in cls.terms.items():
+        p, q = ring.max_col - b, ring.max_col - a
+        degree = comb(p + q, q) - comb(p + q, q - 1) if q else 1
+        out[ring.dim - a - b] += v * degree
     return out
 
 
@@ -170,15 +170,6 @@ _DEN_FACTORS = (
 )
 
 
-def _y_sub(acc: list, p: list, c: tuple) -> list:
-    """acc - c p mod y^len(acc) for int lists in y and a short coefficient
-    tuple c."""
-    for i, ci in enumerate(c):
-        if ci:
-            acc = [x - ci * z for x, z in zip(acc, chain((0,) * i, p))]
-    return acc
-
-
 def _top_integrals(n: int) -> list:
     """[integral over Gr(2,n) of sigma_1^(dim - 2b) sigma_{1,1}^b for
     b = 0..dim/2]: sigma_{1,1}^b is Gr(2, n - b), whose degree is the
@@ -186,11 +177,50 @@ def _top_integrals(n: int) -> list:
     return [comb(2 * m, m) - comb(2 * m, m + 1) for m in range(n - 2, -1, -1)]
 
 
+def _functional(n: int, den: list, lift: int, step: int) -> list:
+    """[phi_k(1) for k = 0..dim] of the recurrence in `_chi_polys`, on one
+    int per value: each factor of den is a list of ((da, db), c) with c the
+    multiplier of psi(e1^da e2^db m), lift the multiplier of psi(e2 m) in
+    the division by 1 + y e2, and step that of psi(e2 m) in the F step."""
+    dim = 2 * (n - 2)
+    phi = [[0] * (dim - 2 * b + 1) for b in range(dim // 2 + 1)]
+    for row, value in zip(phi, _top_integrals(n)):
+        row[-1] = value
+    for factor in den:
+        for w in range(dim - 1, -1, -1):
+            for b in range(w // 2 + 1):
+                a = w - 2 * b
+                for (da, db), c in factor:
+                    if w + da + 2 * db <= dim:
+                        phi[b][a] += c * phi[b + db][a + da]
+    out = []
+    for k in range(dim + 1):
+        out.append(phi[0][0])
+        top = dim - k
+        for a in range(top + 1):
+            for b in range((top - a) // 2 - 1, -1, -1):
+                phi[b][a] += lift * phi[b + 1][a]
+        for a in range(top):
+            for b in range((top - 1 - a) // 2 + 1):
+                # psi is 0 above weight top, where the cells are stale
+                up = phi[b + 1][a] if a + 2 * b + 2 <= top else 0
+                phi[b][a] = phi[b][a + 1] + step * up
+    return out
+
+
+def _digit_width(n: int) -> int:
+    """A digit width B for `_chi_polys` with every chi_y coefficient below
+    2^(B - 2) in absolute value: the same recurrence on L1 norms in y, with
+    each multiplier replaced by its L1 norm (|-c|_1, |-y|_1 = 1 and
+    |y - 1|_1 = 2), bounds |phi_k(1)|_1 by the triangle inequality."""
+    den = [[(key, sum(map(abs, c))) for key, c in factor.items()] for factor in _DEN_FACTORS]
+    return max(_functional(n, den, 1, 2)).bit_length() + 2
+
+
 @cache
 def _chi_polys(n: int) -> list:
     """chi_y of the section of Gr(2,n) by k hyperplanes for k = 0..dim, each
-    an int list in y of length dim + 1.  Everything is taken mod y^(dim+1),
-    a ring map, and chi_y has degree at most dim X <= dim.
+    an int list in y of length dim + 1.
 
     The integral is run backwards as a functional: phi_k(m) = integral of
     m F^k/den for m = e1^a e2^b, kept as phi[b][a].  F raises the weight
@@ -200,31 +230,34 @@ def _chi_polys(n: int) -> list:
     den: psi(m) = phi(m/f) = phi(m) - sum_t c_t psi(t m), in falling weight.
     Then phi_(k+1)(m) = phi_k(F m) in two passes, psi(m) =
     phi_k(m/(1 + y e2)) = phi_k(m) - y psi(e2 m) and phi_(k+1)(m) =
-    psi(e1 m) + (y - 1) psi(e2 m); y p is p shifted up by one."""
+    psi(e1 m) + (y - 1) psi(e2 m).
+
+    Each value is packed into one int, its value at y = 2^B (Kronecker
+    substitution): evaluation is a ring map Z[y] -> Z, so c p becomes C P
+    for the packed coefficient tuple C, and y p becomes P << B.  No step
+    raises the y-degree by more than the weight, so every value at weight w
+    has y-degree at most dim - w and nothing is truncated.  `_digit_width`
+    proves each coefficient below 2^(B - 2) in absolute value, so each
+    phi_k(1) has exactly one expansion in dim + 1 signed base-2^B digits;
+    anything left above them is a NonIntegralGenus."""
     dim = 2 * (n - 2)
-    zero = [0] * (dim + 1)
-    phi = [[zero] * (dim - 2 * b + 1) for b in range(dim // 2 + 1)]
-    for row, value in zip(phi, _top_integrals(n)):
-        row[-1] = [value] + zero[1:]
-    for factor in _DEN_FACTORS:
-        for w in range(dim - 1, -1, -1):
-            for b in range(w // 2 + 1):
-                a = w - 2 * b
-                for (da, db), c in factor.items():
-                    if w + da + 2 * db <= dim:
-                        phi[b][a] = _y_sub(phi[b][a], phi[b + db][a + da], c)
+    width = _digit_width(n)
+    y = 1 << width
+    den = [
+        [(key, -sum(c_i << (width * i) for i, c_i in enumerate(c))) for key, c in factor.items()]
+        for factor in _DEN_FACTORS
+    ]
+    half, mask = y >> 1, y - 1
     out = []
-    for k in range(dim + 1):
-        out.append(phi[0][0])
-        top = dim - k
-        for a in range(top + 1):
-            for b in range((top - a) // 2 - 1, -1, -1):
-                phi[b][a] = [p - s for p, s in zip(phi[b][a], chain((0,), phi[b + 1][a]))]
-        for a in range(top):
-            for b in range((top - 1 - a) // 2 + 1):
-                # psi is 0 above weight top, where the cells are stale
-                up = phi[b + 1][a] if a + 2 * b + 2 <= top else zero
-                phi[b][a] = [r - u + s for r, u, s in zip(phi[b][a + 1], up, chain((0,), up))]
+    for value in _functional(n, den, -y, y - 1):
+        digits = []
+        for _ in range(dim + 1):
+            digit = ((value + half) & mask) - half
+            digits.append(digit)
+            value = (value - digit) >> width
+        if value:
+            raise NonIntegralGenus(f"chi_y of a section of Gr(2,{n}) does not fit {dim + 1} digits of {width} bits")
+        out.append(digits)
     return out
 
 
@@ -287,13 +320,12 @@ class HodgeSummary(namedtuple("HodgeSummary", "dim euler_char chi_y middle_betti
         return super().__new__(cls, dim, euler_char, chi_y, middle_betti, middle_hodge)
 
 
-def middle_hodge(n: int, k: int, engine: str = "pieri") -> HodgeSummary:
-    """Full invariant record for the section: off-middle cohomology is forced
-    by weak/hard Lefschetz to agree with the Grassmannian, and the middle row
-    h^{p, dim-p} is solved from the chi_y coefficients."""
-    _validate_section(n, k)
+def _middle_row(n: int, k: int) -> tuple:
+    """(chi_y, middle Hodge row) of the section, both int lists: off-middle
+    cohomology is forced by weak/hard Lefschetz to agree with the
+    Grassmannian, and the middle row h^{p, dim-p} is solved from the chi_y
+    coefficients.  Serre duality of chi_y makes the row symmetric."""
     dim = 2 * (n - 2) - k
-    euler = euler_characteristic_ci(n, k, engine)
     chi_list = chi_y_ci(n, k)
     row = []
     for p in range(dim + 1):
@@ -305,8 +337,17 @@ def middle_hodge(n: int, k: int, engine: str = "pieri") -> HodgeSummary:
         if h < 0:
             raise InconsistentEuler(f"middle Hodge number h^({p},{dim - p}) = {h} < 0")
         row.append(h)
+    return chi_list, row
+
+
+def middle_hodge(n: int, k: int, engine: str = "pieri") -> HodgeSummary:
+    """Full invariant record for the section: the Euler characteristic of
+    the chosen engine, and chi_y with the middle Hodge row of `_middle_row`."""
+    _validate_section(n, k)
+    euler = euler_characteristic_ci(n, k, engine)
+    chi_list, row = _middle_row(n, k)
     return HodgeSummary(
-        dim=dim,
+        dim=2 * (n - 2) - k,
         euler_char=euler,
         chi_y=tuple(chi_list),
         middle_betti=sum(row),

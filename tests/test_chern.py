@@ -646,3 +646,91 @@ def test_chi_y_degree_and_serre_duality_are_checked(monkeypatch):
         monkeypatch.setattr(chern, "_chi_polys", lambda n, bad=bad: bad)
         with pytest.raises(NonIntegralGenus):
             chi_y_ci(7, 7)
+
+
+# `chern._chi_polys` before its values were packed into ints: the same
+# recurrence on int lists in y, kept as the reference for the packing
+def _y_sub(acc, p, c):
+    """acc - c p mod y^len(acc) for int lists in y and a coefficient tuple c."""
+    for i, ci in enumerate(c):
+        if ci:
+            acc = [x - ci * z for x, z in zip(acc, [0] * i + list(p))]
+    return acc
+
+
+def _chi_polys_in_y(n):
+    dim = 2 * (n - 2)
+    zero = [0] * (dim + 1)
+    phi = [[zero] * (dim - 2 * b + 1) for b in range(dim // 2 + 1)]
+    for row, value in zip(phi, chern._top_integrals(n)):
+        row[-1] = [value] + zero[1:]
+    for factor in chern._DEN_FACTORS:
+        for w in range(dim - 1, -1, -1):
+            for b in range(w // 2 + 1):
+                a = w - 2 * b
+                for (da, db), c in factor.items():
+                    if w + da + 2 * db <= dim:
+                        phi[b][a] = _y_sub(phi[b][a], phi[b + db][a + da], c)
+    out = []
+    for k in range(dim + 1):
+        out.append(phi[0][0])
+        top = dim - k
+        for a in range(top + 1):
+            for b in range((top - a) // 2 - 1, -1, -1):
+                phi[b][a] = _y_sub(phi[b][a], phi[b + 1][a], (0, 1))
+        for a in range(top):
+            for b in range((top - 1 - a) // 2 + 1):
+                up = phi[b + 1][a] if a + 2 * b + 2 <= top else zero
+                phi[b][a] = _y_sub(phi[b][a + 1], up, (1, -1))
+    return out
+
+
+def test_packed_chi_polys_match_the_recurrence_in_y():
+    for n in range(4, 17):
+        assert chern._chi_polys(n) == _chi_polys_in_y(n), n
+
+
+def test_a_digit_width_too_small_is_caught(monkeypatch):
+    # B two bits below the width bit_length(M) + 2 that the largest true
+    # coefficient M needs, so M no longer fits a signed digit: some section
+    # fails the digit count, degree, Serre-duality or Euler check.  Two bits
+    # below `_digit_width` itself still fit: its L1 bound is 7 (n = 4) to 45
+    # (n = 24) bits above M.
+    chern._chi_polys.cache_clear()
+    try:
+        for n in range(4, 10):
+            largest = max(abs(c) for poly in _chi_polys_in_y(n) for c in poly)
+            monkeypatch.setattr(chern, "_digit_width", lambda n, width=largest.bit_length(): width)
+            chern._chi_polys.cache_clear()
+            caught = False
+            for k in range(2 * (n - 2) + 1):
+                try:
+                    middle_hodge(n, k)
+                except (NonIntegralGenus, InconsistentEuler):
+                    caught = True
+            assert caught, n
+        # a width far too small leaves a remainder above the dim + 1 digits
+        monkeypatch.setattr(chern, "_digit_width", lambda n: 1)
+        chern._chi_polys.cache_clear()
+        with pytest.raises(NonIntegralGenus, match="does not fit 5 digits of 1 bits"):
+            chern._chi_polys(4)
+    finally:
+        chern._chi_polys.cache_clear()
+
+
+def _degree_vector_by_pieri_steps(ring):
+    """d(lam) = integral of sigma_lam sigma_1^(dim - |lam|): d(point) = 1, and
+    below it d(lam) = sum_nu c_nu d(nu) over sigma_lam sigma_1 = sum c_nu sigma_nu."""
+    deg = {}
+    for lam in reversed(ring.basis()):
+        deg[lam] = 1 if lam == ring.point else sum(c * deg[nu] for nu, c in ring.product(lam, (1, 0)).items())
+    return deg
+
+
+def test_closed_form_degree_vector_matches_pieri_steps():
+    for engine in ENGINES:
+        for n in range(4, 19):
+            ring = get_ring(n, engine)
+            for lam, d in _degree_vector_by_pieri_steps(ring).items():
+                moments = chern._sigma1_moments(ChowClass(ring, {lam: 1}))
+                assert moments == [d if j == ring.dim - sum(lam) else 0 for j in range(ring.dim + 1)], (engine, lam)

@@ -406,6 +406,8 @@ _PINNED_OUTPUTS = [
         "grid --n-min 13 --n-max 16 --k-min 1 --k-max 10 --engine lr --checks hodge_consistency",
         False, "8fe932c01cbf97de", _EMPTY, 0,
     ),
+    # the far grid, pinned at the list-in-y chi_y before it was packed into ints
+    ("grid --n-min 13 --n-max 24 --k-min 1 --k-max 12 --format json", False, "2971fcd4780ff2b4", _EMPTY, 0),
     ("pair --n 3 --k 1", False, _EMPTY, "b6216ab852f1630d", 2),
     ("pair --n 8 --k 7", False, _EMPTY, "1b3db4fd8a76be26", 2),
     ("pair --n 25 --k 1", False, _EMPTY, "cdc2978c75688a50", 2),

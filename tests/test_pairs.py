@@ -379,20 +379,56 @@ def test_report_eightfold():
     assert checks["hypersurface_oracle"] == "pass"
 
 
-def test_report_builds_each_polynomial_once(monkeypatch):
-    import pgpairs.pairs as pairs_module
-
-    calls = {"poincare_x": 0, "derive_poincare_y": 0}
-    for name in calls:
-        original = getattr(pairs_module, name)
+def _count_calls(monkeypatch, sites):
+    """Count the calls through each (module, name) binding by name; returns
+    the counter {name: [arguments of each call]}."""
+    calls = {name: [] for _, name in sites}
+    for module, name in sites:
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _original(*args)
 
-        monkeypatch.setattr(pairs_module, name, counted)
-    build_pair_report(8, 4)
-    assert calls == {"poincare_x": 1, "derive_poincare_y": 1}
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_report_builds_each_polynomial_once(monkeypatch):
+    names = ("poincare_x", "derive_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect")
+    sites = [(pairs_module, name) for name in names]
+    sites += [(pairs_module, "euler_characteristic_ci"), (chern_module, "euler_characteristic_ci")]
+    for n, k in ((8, 4), (7, 7), (9, 4), (6, 6)):
+        calls = _count_calls(monkeypatch, sites)
+        build_pair_report(n, k)
+        assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1), (n, k)
+        monkeypatch.undo()
+
+
+def test_grid_builds_each_ambient_class_once_per_n(monkeypatch):
+    from pgpairs.cli import run_grid
+
+    for memo in (pairs_module._ambient_classes, pairs_module._decomposables, check_l_equivalence):
+        memo.cache_clear()
+    sites = [(pairs_module, "grassmannian_class"), (pairs_module, "hyperplane_section_class")]
+    calls = _count_calls(monkeypatch, sites)
+    assert run_grid(4, 12, 1, 10)[1] == 0
+    for name, args in calls.items():
+        assert sorted(args) == [(n,) for n in range(4, 13)], name
+
+
+def test_memos_serve_no_value_from_before_a_mutant(monkeypatch):
+    # every per-n and per-pair memo of the report is filled first
+    from pgpairs.cli import run_grid
+
+    assert run_grid(7, 9, 1, 10)[1] == 0
+    _ambient_b8_plus_one(monkeypatch)
+    failing = {c["name"] for c in build_pair_report(8, 4)["checks"] if c["status"] == "fail"}
+    assert failing == {"middle_betti_link"}
+    monkeypatch.undo()
+    monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
+    f1, f2 = fiber_classes(7)
+    assert f2 - f1 == LPoly.monomial(lefschetz_shift(7) + 1)
 
 
 def test_report_check_statuses():
