@@ -13,9 +13,10 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
 - Euler characteristic, on the Schubert ring of the chosen engine: the total
   Chern class c(T) = P/(1 - delta) with P = (1 + sigma_1 + sigma_{1,1})^n and
   delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built degree by degree from
-  products by sigma_1 and sigma_{1,1} alone (`tangent_chern`), read through
-  the degree vector of the Schubert cells in closed form, and paired
-  with the k-th power of the normal series sigma_1/(1 + sigma_1);
+  products by sigma_1, sigma_{1,1} and delta alone, each taken from one
+  n-free row per cell of the engine's two-row ring (`tangent_chern`), read
+  through the degree vector of the Schubert cells in closed form, and
+  paired with the k-th power of the normal series sigma_1/(1 + sigma_1);
 - chi_y, with no Schubert product and no engine.  With the root series
   Q(x) = x(1 + y e^-x)/(1 - e^-x), chi_y(X) is the integral over Gr(2,n) of
   Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)) times N(h)^k, N(h) = h/Q(h) for
@@ -54,7 +55,7 @@ from functools import cache
 from math import comb
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
-from .schubert import ChowClass, betti, get_ring
+from .schubert import ChowClass, betti, box_cut, get_ring, two_row_product
 
 # ---------------------------------------------------------------------------
 # the total Chern class of the tangent bundle, from T = n S^dual - End(S)
@@ -78,12 +79,46 @@ def _times(rows: dict, cls: dict, weight: int = 1, acc: dict | None = None) -> d
     return acc
 
 
-def _delta(s1: dict, s11: dict, cls: dict) -> dict:
-    """delta * cls, where delta = (x1 - x2)^2 = sigma_1^2 - 4 sigma_{1,1} for the
-    Chern roots x1, x2 of S^dual.  End(S) = S^dual (x) S has Chern roots 0, 0
-    and +-(x1 - x2).  Applied as sigma_1 (sigma_1 cls) - 4 sigma_{1,1} cls on
-    the sigma_1 and sigma_{1,1} rows s1 and s11."""
-    return _times(s11, cls, -4, _times(s1, _times(s1, cls)))
+def _delta_row(s1: dict, s11: dict, lam) -> dict:
+    """delta * sigma_lam in the two-row ring, where delta = (x1 - x2)^2 =
+    sigma_1^2 - 4 sigma_{1,1} for the Chern roots x1, x2 of S^dual.
+    End(S) = S^dual (x) S has Chern roots 0, 0 and +-(x1 - x2).  Composed as
+    sigma_1 (sigma_1 sigma_lam) - 4 sigma_{1,1} sigma_lam on the sigma_1 and
+    sigma_{1,1} rows s1 and s11."""
+    return _times(s11, {lam: 1}, -4, _times(s1, s1[lam]))
+
+
+class _Rows(dict):
+    """{lam: row} for every two-row partition lam, each row computed by
+    `row(lam)` on first use and kept."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, lam):
+        out = self[lam] = self.row(lam)
+        return out
+
+
+# _engine_rows by engine; per process and unlocked, so not for concurrent
+# threads
+_ROWS: dict = {}
+
+
+def _engine_rows(engine: str) -> tuple:
+    """The sigma_1, sigma_{1,1} and delta rows of the engine's two-row ring,
+    {lam: sigma * sigma_lam as {nu: coefficient}} with no box, shared by the
+    rings of every n."""
+    rows = _ROWS.get(engine)
+    if rows is None:
+        s1 = _Rows(lambda lam: two_row_product(engine, lam, (1, 0)))
+        s11 = _Rows(lambda lam: two_row_product(engine, lam, (1, 1)))
+        delta = _Rows(lambda lam: _delta_row(s1, s11, lam))
+        rows = _ROWS[engine] = (s1, s11, delta)
+    return rows
 
 
 def _divide_exactly(cls: dict, m: int) -> dict:
@@ -102,27 +137,26 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
 
     In K-theory T = n S^dual - End(S), and c(End S) = 1 - delta, so
     c(T) = P/(1 - delta) with P = c(S^dual)^n = (1 + sigma_1 + sigma_{1,1})^n.
-    Both are built degree by degree with products by sigma_1 and sigma_{1,1}
-    only: the recurrences run on graded {partition: int} classes and the
-    engine's sigma_1 and sigma_{1,1} rows, fetched from `ChowRing.product`
-    once per Schubert cell.  The degree derivation (d on degree d) gives
-    Miller's recurrence
+    Both are built degree by degree with products by sigma_1, sigma_{1,1}
+    and delta only: the recurrences run on graded {partition: int} classes
+    and the engine's sigma_1, sigma_{1,1} and delta rows of `_engine_rows`,
+    which are n-free, with every term outside the 2 x (n-2) box dropped by
+    `box_cut` as they run (a ring map, so nothing else changes).  The degree
+    derivation (d on degree d) gives Miller's recurrence
     m P_m = (n - m + 1) sigma_1 P_(m-1) + (2n - m + 2) sigma_{1,1} P_(m-2),
     divided exactly in integers, and c_d = P_d + delta c_(d-2).  The top
     class must integrate to the Euler characteristic of Gr(2,n), the number
     of Schubert cells.
     """
     ring = get_ring(n, engine)
-    s1 = {lam: ring.product(lam, (1, 0)) for lam in ring.basis()}
-    s11 = {lam: ring.product(lam, (1, 1)) for lam in ring.basis()}
+    s1, s11, delta = _engine_rows(engine)
+    side = ring.max_col
     # P_m and c_m for m = -1, 0, 1, ... at list index m + 1
     power, chern = [{}, {(0, 0): 1}], [{}, {(0, 0): 1}]
     for m in range(1, ring.dim + 1):
         acc = _times(s11, power[m - 1], _miller(n, 2, m), _times(s1, power[m], _miller(n, 1, m)))
-        power.append(_divide_exactly(acc, m))
-        chern.append(_delta(s1, s11, chern[m - 1]))
-        for p, v in power[m + 1].items():
-            chern[m + 1][p] = chern[m + 1].get(p, 0) + v
+        power.append(_divide_exactly(box_cut(acc, side), m))
+        chern.append(box_cut(_times(delta, chern[m - 1], 1, dict(power[m + 1])), side))
     # the components have distinct degrees
     total = ChowClass(ring, {p: v for c in chern for p, v in c.items()})
     if total.integrate() != len(ring.basis()):

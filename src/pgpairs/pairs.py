@@ -97,11 +97,21 @@ def _ambient_classes(n: int) -> tuple:
 
 
 @cache
+def _ambient_poincare(n: int) -> tuple:
+    """The Poincare polynomials of Gr(2,n) and H(2,n)."""
+    return tuple(c.to_poincare() for c in _ambient_classes(n))
+
+
+@cache
 def _decomposables(n: int, k: int) -> tuple:
     """The decomposable terms of the two sides of the relation as Poincare
-    polynomials: [Gr(2,n)][P^(k-2)] and [H(2,n)][P^(k-1)]."""
-    gr, h = _ambient_classes(n)
-    return (gr * projective_class(k - 2)).to_poincare(), (h * projective_class(k - 1)).to_poincare()
+    polynomials, [Gr(2,n)][P^(k-2)] and [H(2,n)][P^(k-1)] for k >= 1, each
+    from that of k - 1 by [P^j] = [P^(j-1)] + L^j."""
+    gr, h = _ambient_poincare(n)
+    if k == 1:
+        return TPoly(), h
+    gr_prev, h_prev = _decomposables(n, k - 1)
+    return gr_prev + gr.shift(2 * (k - 2)), h_prev + h.shift(2 * (k - 1))
 
 
 def fiber_classes(n: int):

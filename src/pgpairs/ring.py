@@ -154,9 +154,8 @@ class LPoly:
         coefficient(2d - j) for all j, and nothing lives above degree 2d."""
         if d < 0:
             return self.is_zero()
-        if self.degree > 2 * d:
-            return False
-        return all(self.coefficient(j) == self.coefficient(2 * d - j) for j in range(d + 1))
+        # a term above degree 2d mirrors to a negative degree, which self lacks
+        return {2 * d - j: v for j, v in self._c.items()} == self._c
 
     def to_poincare(self) -> "TPoly":
         """Realize a cellular class as its Poincare polynomial, degree j -> t^(2j).

@@ -5,11 +5,12 @@ partitions (a, b) with n-2 >= a >= b >= 0.  Structure constants of two-row
 partitions do not depend on n: H*(Gr(2,n)) is the quotient of the ring of
 two-row Schur classes by the sigma_nu with nu_0 > n-2, and that quotient is a
 ring map (Fulton, Young Tableaux, 9.4).  So each engine computes its two-row
-products once per process for every n, and the box is applied in one place,
-`ChowRing.product`.  The `pieri` engine uses the Pieri rule for special
-classes together with the two-row Giambelli identity
-sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an independent
-Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
+products once per process for every n (`two_row_product`), and the box is
+tested in one place, `box_cut`, which both `ChowRing.product` and the Chern
+class recurrences of `chern.tangent_chern` apply.  The `pieri` engine uses
+the Pieri rule for special classes together with the two-row Giambelli
+identity sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an
+independent Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
 module also builds the classes of Gr(2,n) and of its smooth hyperplane
 sections in Z[L], each by two routes that must agree.
 """
@@ -43,7 +44,8 @@ def betti(n: int, j: int) -> int:
         return 0
     m = j // 2
     side = n - 2
-    return sum(1 for a in range(max((m + 1) // 2, m - side), min(m, side) + 1) if m - a <= a)
+    # (a, m - a) is a partition in the box exactly when ceil(m/2) <= a <= min(m, side)
+    return max(0, min(m, side) - (m + 1) // 2 + 1)
 
 
 def sum_even_powers(n: int) -> LPoly:
@@ -156,6 +158,10 @@ def _product_pieri(lam, mu) -> dict:
 
 
 def _product_lr(lam, mu) -> dict:
+    # c^nu_{lam,mu} = c^nu_{mu,lam}: fill with the content of the factor with
+    # fewer boxes, as the fillings number far fewer
+    if mu[0] + mu[1] > lam[0] + lam[1]:
+        lam, mu = mu, lam
     # a nonzero coefficient needs lam, mu inside nu and nu[0] <= lam[0] + mu[0]:
     # in a lattice filling of nu/lam with content mu the first row holds only 1s
     total = lam[0] + lam[1] + mu[0] + mu[1]
@@ -168,6 +174,26 @@ def _product_lr(lam, mu) -> dict:
         if c:
             out[nu] = c
     return out
+
+
+def two_row_product(engine: str, lam, mu) -> dict:
+    """The engine's structure constants sigma_lam * sigma_mu of two-row
+    partitions as {nu: coefficient}, with no box: the same for every n, and
+    computed once per process and engine."""
+    key = (engine, lam, mu) if lam <= mu else (engine, mu, lam)
+    full = _PRODUCTS.get(key)
+    if full is None:
+        product = _product_pieri if engine == "pieri" else _product_lr
+        full = _PRODUCTS[key] = product(key[1], key[2])
+    return full
+
+
+def box_cut(terms: dict, side: int) -> dict:
+    """The terms {nu: coefficient} of a two-row class with nu in the 2 x side
+    box: its image in H*(Gr(2, side + 2)), which drops each sigma_nu with
+    nu_0 > side.  The quotient is a ring map, so a product may be cut before
+    or after it is multiplied further."""
+    return {nu: c for nu, c in terms.items() if nu[0] <= side}
 
 
 class ChowRing:
@@ -223,12 +249,8 @@ class ChowRing:
         key = (lam, mu) if lam <= mu else (mu, lam)
         hit = self._table.get(key)
         if hit is None:
-            lam, mu = self._cell(key[0]), self._cell(key[1])
-            full = _PRODUCTS.get((self.engine, lam, mu))
-            if full is None:
-                engine = _product_pieri if self.engine == "pieri" else _product_lr
-                full = _PRODUCTS[self.engine, lam, mu] = engine(lam, mu)
-            hit = self._table[key] = {nu: c for nu, c in full.items() if nu[0] <= self.max_col}
+            full = two_row_product(self.engine, self._cell(key[0]), self._cell(key[1]))
+            hit = self._table[key] = box_cut(full, self.max_col)
         return hit
 
 
@@ -350,7 +372,7 @@ class ChowClass:
 # The memos below are per process and unlocked, so they are not for
 # concurrent threads.  _PRODUCTS holds the two-row structure constants of
 # each engine, (engine, lam, mu) -> {nu: coefficient} for lam <= mu, shared
-# by the rings of every n.
+# by the rings of every n and read through `two_row_product`.
 _PRODUCTS: dict = {}
 _RINGS: dict = {}
 

@@ -40,9 +40,12 @@ def test_whitney_identity_to_top_degree():
 
 
 def test_tangent_top_class_is_checked(monkeypatch):
-    # drop the -4 sigma_{1,1} from delta: c(T) changes and its top class no
-    # longer integrates to the number of Schubert cells
-    monkeypatch.setattr(chern, "_delta", lambda s1, s11, cls: chern._times(s1, chern._times(s1, cls)))
+    # drop the -4 sigma_{1,1} from every delta row: c(T) changes and its top
+    # class no longer integrates to the number of Schubert cells.  The rows
+    # are memoized per engine, so they are rebuilt under the mutant in a
+    # fresh table that the monkeypatch throws away afterwards.
+    monkeypatch.setattr(chern, "_ROWS", {})
+    monkeypatch.setattr(chern, "_delta_row", lambda s1, s11, lam: chern._times(s1, chern._times(s1, {lam: 1})))
     for engine in ENGINES:
         for n in (4, 5, 7):
             with pytest.raises(InconsistentEuler):
@@ -61,22 +64,44 @@ def test_tangent_power_recurrence_is_checked(monkeypatch):
 
 def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
     # the rings of every n share one table of two-row structure constants per
-    # engine; filling it from n = 18 down or from n = 4 up gives the same ring
-    # tables, c(T) and sigma_1 moments
+    # engine, and c(T) reads one set of n-free sigma_1, sigma_{1,1} and delta
+    # rows per engine; filling them from n = 18 down or from n = 4 up gives
+    # the same ring tables, rows, c(T) and sigma_1 moments
     runs = []
     for order in (range(18, 3, -1), range(4, 19)):
         monkeypatch.setattr(schubert, "_PRODUCTS", {})
         monkeypatch.setattr(schubert, "_RINGS", {})
+        monkeypatch.setattr(chern, "_ROWS", {})
         chern._euler_pairing.cache_clear()
         run = {}
         for n in order:
             for engine in ENGINES:
                 pairing = chern._euler_pairing(n, engine)
                 ring = get_ring(n, engine)
+                for lam in ring.basis():
+                    ring.product(lam, (1, 0))
+                    ring.product(lam, (1, 1))
                 run[n, engine] = (dict(ring._table), tangent_chern(n, engine), pairing)
+        run["rows"] = {engine: [dict(rows) for rows in chern._ROWS[engine]] for engine in ENGINES}
+        run["products"] = dict(schubert._PRODUCTS)
         runs.append(run)
     chern._euler_pairing.cache_clear()
     assert runs[0] == runs[1]
+
+
+def test_n_free_rows_cut_to_the_box_are_the_ring_products():
+    # box_cut is the quotient ring map onto H*(Gr(2,n)): the n-free sigma_1,
+    # sigma_{1,1} and delta rows, cut to the box, are the ring's products
+    for engine in ENGINES:
+        s1, s11, delta = chern._engine_rows(engine)
+        for n in range(4, 13):
+            r = get_ring(n, engine)
+            delta_class = r.sigma(1) * r.sigma(1) - r.sigma(1, 1).scale(4)
+            for lam in r.basis():
+                assert schubert.box_cut(s1[lam], r.max_col) == r.product(lam, (1, 0)), (engine, n, lam)
+                assert schubert.box_cut(s11[lam], r.max_col) == r.product(lam, (1, 1)), (engine, n, lam)
+                expected = (delta_class * r.sigma(*lam)).terms
+                assert schubert.box_cut(delta[lam], r.max_col) == expected, (engine, n, lam)
 
 
 # c(T) and its sigma_1 moments by full class products, the route before the

@@ -394,6 +394,14 @@ def _count_calls(monkeypatch, sites):
     return calls
 
 
+def test_decomposables_match_the_products_by_projective_classes():
+    for n in range(4, 25):
+        gr, h = grassmannian_class(n), hyperplane_section_class(n)
+        for k in range(1, 13):
+            expected = (gr * projective_class(k - 2)).to_poincare(), (h * projective_class(k - 1)).to_poincare()
+            assert pairs_module._decomposables(n, k) == expected, (n, k)
+
+
 def test_report_builds_each_polynomial_once(monkeypatch):
     names = ("poincare_x", "derive_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect")
     sites = [(pairs_module, name) for name in names]
@@ -408,7 +416,7 @@ def test_report_builds_each_polynomial_once(monkeypatch):
 def test_grid_builds_each_ambient_class_once_per_n(monkeypatch):
     from pgpairs.cli import run_grid
 
-    for memo in (pairs_module._ambient_classes, pairs_module._decomposables, check_l_equivalence):
+    for memo in (pairs_module._ambient_classes, pairs_module._ambient_poincare, pairs_module._decomposables, check_l_equivalence):
         memo.cache_clear()
     sites = [(pairs_module, "grassmannian_class"), (pairs_module, "hyperplane_section_class")]
     calls = _count_calls(monkeypatch, sites)

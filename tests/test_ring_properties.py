@@ -87,3 +87,17 @@ def test_tpoly_negative_result_raises(a, b):
 def test_to_poincare_is_multiplicative(a, b):
     assert (a * b).to_poincare() == a.to_poincare() * b.to_poincare()
     assert (a + b).to_poincare() == a.to_poincare() + b.to_poincare()
+
+
+@checked
+@given(polys(max_degree=16), st.integers(-2, 9))
+def test_is_palindromic_matches_its_definition(a, d):
+    if d < 0:
+        expected = a.is_zero()
+    else:
+        mirrored = all(a.coefficient(j) == a.coefficient(2 * d - j) for j in range(d + 1))
+        expected = a.degree <= 2 * d and mirrored
+    assert a.is_palindromic(d) == expected
+    # a palindrome built from a's low half is recognized (zero when d < 0)
+    low = {j: v for j, v in a.coeffs().items() if j <= d}
+    assert LPoly({**low, **{2 * d - j: v for j, v in low.items()}}).is_palindromic(d)

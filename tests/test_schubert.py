@@ -172,6 +172,15 @@ def test_betti_examples():
             assert betti(n, j) == expected
 
 
+def test_betti_closed_form_counts_the_box_partitions():
+    # past both ends of every degree range, odd degrees included
+    for n in range(4, 31):
+        sizes = [a + b for a, b in box_partitions(n)]
+        for j in range(-2, 4 * (n - 2) + 3):
+            expected = sizes.count(j // 2) if j >= 0 and j % 2 == 0 else 0
+            assert betti(n, j) == expected, (n, j)
+
+
 def test_betti_middle_difference_identity():
     for n in range(6, 15):
         for kp in (1, 2, 3):
