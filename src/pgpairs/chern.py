@@ -55,7 +55,7 @@ from functools import cache
 from math import comb
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
-from .schubert import ChowClass, betti, box_cut, get_ring, two_row_product
+from .schubert import ChowClass, _Rows, betti, box_cut, get_ring, product_rows
 
 # ---------------------------------------------------------------------------
 # the total Chern class of the tangent bundle, from T = n S^dual - End(S)
@@ -88,37 +88,22 @@ def _delta_row(s1: dict, s11: dict, lam) -> dict:
     return _times(s11, {lam: 1}, -4, _times(s1, s1[lam]))
 
 
-class _Rows(dict):
-    """{lam: row} for every two-row partition lam, each row computed by
-    `row(lam)` on first use and kept."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        super().__init__()
-        self.row = row
-
-    def __missing__(self, lam):
-        out = self[lam] = self.row(lam)
-        return out
-
-
-# _engine_rows by engine; per process and unlocked, so not for concurrent
-# threads
+# the delta rows of _engine_rows by engine; per process and unlocked, so not
+# for concurrent threads
 _ROWS: dict = {}
 
 
 def _engine_rows(engine: str) -> tuple:
     """The sigma_1, sigma_{1,1} and delta rows of the engine's two-row ring,
     {lam: sigma * sigma_lam as {nu: coefficient}} with no box, shared by the
-    rings of every n."""
-    rows = _ROWS.get(engine)
-    if rows is None:
-        s1 = _Rows(lambda lam: two_row_product(engine, lam, (1, 0)))
-        s11 = _Rows(lambda lam: two_row_product(engine, lam, (1, 1)))
-        delta = _Rows(lambda lam: _delta_row(s1, s11, lam))
-        rows = _ROWS[engine] = (s1, s11, delta)
-    return rows
+    rings of every n: the engine's own (1, 0) and (1, 1) tables of
+    `schubert.product_rows`, and the delta rows composed from them once per
+    cell and kept here."""
+    s1, s11 = product_rows(engine, (1, 0)), product_rows(engine, (1, 1))
+    delta = _ROWS.get(engine)
+    if delta is None:
+        delta = _ROWS[engine] = _Rows(lambda lam: _delta_row(s1, s11, lam))
+    return s1, s11, delta
 
 
 def _divide_exactly(cls: dict, m: int) -> dict:

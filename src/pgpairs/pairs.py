@@ -192,14 +192,6 @@ def cayley_hypersurface_class(pair: PGPair, p_x: TPoly) -> TPoly:
     Grassmannian-side fibration: [Gr][P^(k-2)] + [X] L^(k-1)."""
     if not p_x.is_palindromic(pair.dim_x):
         raise InvalidParameter("poincare_x is not palindromic about dim X")
-    return _grassmannian_side(pair, p_x)
-
-
-@cache
-def _grassmannian_side(pair: PGPair, p_x: TPoly) -> TPoly:
-    """The value of `cayley_hypersurface_class`, kept so that a report reads
-    the class that `derive_poincare_y` solved with instead of building it
-    again."""
     return _decomposables(pair.n, pair.k)[0] + p_x.shift(2 * (pair.k - 1))
 
 
@@ -218,7 +210,13 @@ def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
     polynomial; any failure signals an inconsistent input rather than being
     repaired.
     """
-    num = LPoly(cayley_hypersurface_class(pair, p_x).coeffs()) - _decomposables(pair.n, pair.k)[1]
+    return _solve_poincare_y(pair, cayley_hypersurface_class(pair, p_x))
+
+
+def _solve_poincare_y(pair: PGPair, easy: TPoly) -> TPoly:
+    """P(Y) from the Grassmannian-side class `easy` of the incidence
+    divisor, as in `derive_poincare_y`."""
+    num = LPoly(easy.coeffs()) - _decomposables(pair.n, pair.k)[1]
     # NonExactDivision below the twist, NegativeCoefficient on a bad relation
     p_y = TPoly(num.div_exact(LPoly.monomial(2 * pair.s)).coeffs())
     defect = _dual_defect(pair, p_y)
@@ -396,11 +394,11 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     pair = make_pair(n, k)
     # each invariant once: P(X) solves its middle Betti number from the one
     # Euler characteristic, so P(X)(-1) is that Euler characteristic, and
-    # derive_poincare_y builds the Grassmannian-side class the checks read
+    # P(Y) is solved from the Grassmannian-side class the checks read
     p_x = poincare_x(n, k, engine)
     euler = p_x.evaluate(-1)
-    p_y = derive_poincare_y(pair, p_x)
-    easy = _grassmannian_side(pair, p_x)
+    easy = cayley_hypersurface_class(pair, p_x)
+    p_y = _solve_poincare_y(pair, easy)
     chi_y, row = _middle_row(n, k)
     v = _variable_part(n, pair.dim_x, p_x)
     b_mid = p_x.coefficient(pair.dim_x)

@@ -32,8 +32,9 @@ class LPoly:
     integer coefficients.
 
     Instances are immutable and hashable.  They hold no memo table; the
-    memo tables of `schubert` and `chern` are per process and are not for
-    concurrent threads.
+    product tables of `schubert` and the memos of `chern` and `pairs`, all
+    keyed on integers, partitions and engine names, are per process and are
+    not for concurrent threads.
     """
 
     __slots__ = ("_c",)

@@ -4,13 +4,15 @@ The Chow ring in the basis of Schubert classes sigma_{a,b}, indexed by
 partitions (a, b) with n-2 >= a >= b >= 0.  Structure constants of two-row
 partitions do not depend on n: H*(Gr(2,n)) is the quotient of the ring of
 two-row Schur classes by the sigma_nu with nu_0 > n-2, and that quotient is a
-ring map (Fulton, Young Tableaux, 9.4).  So each engine computes its two-row
-products once per process for every n (`two_row_product`), and the box is
-tested in one place, `box_cut`, which both `ChowRing.product` and the Chern
-class recurrences of `chern.tangent_chern` apply.  The `pieri` engine uses
-the Pieri rule for special classes together with the two-row Giambelli
-identity sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an
-independent Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
+ring map (Fulton, Young Tableaux, 9.4).  So each engine keeps one n-free
+table per factor, {lam: sigma_lam * sigma_mu} of `product_rows`, which every
+product of every ring reads: `ChowClass` products drop each nu outside the
+box as they add up, `ChowRing.product` cuts one row with `box_cut`, and the
+Chern class recurrences of `chern.tangent_chern` read the sigma_1 and
+sigma_{1,1} tables.  The `pieri` engine uses the Pieri rule for special
+classes together with the two-row Giambelli identity
+sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an independent
+Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
 module also builds the classes of Gr(2,n) and of its smooth hyperplane
 sections in Z[L], each by two routes that must agree.
 """
@@ -176,32 +178,48 @@ def _product_lr(lam, mu) -> dict:
     return out
 
 
-def two_row_product(engine: str, lam, mu) -> dict:
-    """The engine's structure constants sigma_lam * sigma_mu of two-row
-    partitions as {nu: coefficient}, with no box: the same for every n, and
-    computed once per process and engine."""
-    key = (engine, lam, mu) if lam <= mu else (engine, mu, lam)
-    full = _PRODUCTS.get(key)
-    if full is None:
+class _Rows(dict):
+    """{lam: row} for every two-row partition lam, each row computed by
+    `row(lam)` on first use and kept."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, lam):
+        out = self[lam] = self.row(lam)
+        return out
+
+
+def product_rows(engine: str, mu) -> _Rows:
+    """The engine's n-free table {lam: sigma_lam * sigma_mu as {nu:
+    coefficient}} for every two-row partition lam, with no box: the same for
+    every n, filled on first use and kept for the life of the process."""
+    rows = _PRODUCTS.get((engine, mu))
+    if rows is None:
+        if engine not in ENGINES:
+            raise InvalidParameter(f"unknown engine {engine!r}")
         product = _product_pieri if engine == "pieri" else _product_lr
-        full = _PRODUCTS[key] = product(key[1], key[2])
-    return full
+        rows = _PRODUCTS[engine, mu] = _Rows(lambda lam: product(lam, mu))
+    return rows
 
 
 def box_cut(terms: dict, side: int) -> dict:
     """The terms {nu: coefficient} of a two-row class with nu in the 2 x side
     box: its image in H*(Gr(2, side + 2)), which drops each sigma_nu with
     nu_0 > side.  The quotient is a ring map, so a product may be cut before
-    or after it is multiplied further."""
+    or after it is multiplied further; the product loop of `ChowClass`
+    applies the same test inline."""
     return {nu: c for nu, c in terms.items() if nu[0] <= side}
 
 
 class ChowRing:
-    """The Chow ring of Gr(2,n) with a memoized multiplication table.
-
-    The table is filled on demand from the engine's two-row structure
-    constants and lives as long as the ring, in one process; it has no
-    locking and is not for concurrent threads.
+    """The Chow ring of Gr(2,n) under one engine.  It holds no table: its
+    products read the engine's n-free tables of `product_rows`, shared by
+    the rings of every n in one process, with no locking, so not for
+    concurrent threads.
     """
 
     def __init__(self, n: int, engine: str = "pieri"):
@@ -216,7 +234,6 @@ class ChowRing:
         self.point = (self.max_col, self.max_col)
         self._basis = tuple(box_partitions(n))
         self._cells = {p: p for p in self._basis}
-        self._table = {}
 
     def _cell(self, p) -> tuple:
         """p as a partition (a, b) in the 2 x (n-2) box; anything else is an
@@ -246,12 +263,8 @@ class ChowRing:
     def product(self, lam, mu) -> dict:
         """Structure constants sigma_lam * sigma_mu as {nu: coefficient}: the
         engine's two-row product with every nu outside the box dropped."""
-        key = (lam, mu) if lam <= mu else (mu, lam)
-        hit = self._table.get(key)
-        if hit is None:
-            full = two_row_product(self.engine, self._cell(key[0]), self._cell(key[1]))
-            hit = self._table[key] = box_cut(full, self.max_col)
-        return hit
+        lam, mu = self._cell(lam), self._cell(mu)
+        return box_cut(product_rows(self.engine, mu)[lam], self.max_col)
 
 
 def _exact(v):
@@ -317,12 +330,15 @@ class ChowClass:
         if not isinstance(other, ChowClass):
             return self.scale(other)
         self._check(other)
+        side = self.ring.max_col
         out = {}
-        for lam, v1 in self.terms.items():
-            for mu, v2 in other.terms.items():
+        for mu, v2 in other.terms.items():
+            rows = product_rows(self.ring.engine, mu)
+            for lam, v1 in self.terms.items():
                 c = v1 * v2
-                for nu, m in self.ring.product(lam, mu).items():
-                    out[nu] = out.get(nu, 0) + c * m
+                for nu, m in rows[lam].items():
+                    if nu[0] <= side:  # box_cut, inline
+                        out[nu] = out.get(nu, 0) + c * m
         return ChowClass(self.ring, out)
 
     __rmul__ = __mul__
@@ -369,18 +385,12 @@ class ChowClass:
         return " + ".join(bits)
 
 
-# The memos below are per process and unlocked, so they are not for
-# concurrent threads.  _PRODUCTS holds the two-row structure constants of
-# each engine, (engine, lam, mu) -> {nu: coefficient} for lam <= mu, shared
-# by the rings of every n and read through `two_row_product`.
+# The engines' product tables, (engine, mu) -> `product_rows(engine, mu)`:
+# per process and unlocked, so not for concurrent threads.
 _PRODUCTS: dict = {}
-_RINGS: dict = {}
 
 
 def get_ring(n: int, engine: str = "pieri") -> ChowRing:
-    """The per-(n, engine) ring of this process, built on first use."""
-    key = (n, engine)
-    ring = _RINGS.get(key)
-    if ring is None:
-        ring = _RINGS[key] = ChowRing(n, engine)
-    return ring
+    """The Chow ring of Gr(2,n) under `engine`.  Rings hold no table, so a
+    new one costs only its basis."""
+    return ChowRing(n, engine)

@@ -63,14 +63,13 @@ def test_tangent_power_recurrence_is_checked(monkeypatch):
 
 
 def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
-    # the rings of every n share one table of two-row structure constants per
-    # engine, and c(T) reads one set of n-free sigma_1, sigma_{1,1} and delta
-    # rows per engine; filling them from n = 18 down or from n = 4 up gives
-    # the same ring tables, rows, c(T) and sigma_1 moments
+    # the rings of every n share one n-free product table per engine and
+    # factor, which c(T) reads too, with one set of n-free delta rows per
+    # engine; filling them from n = 18 down or from n = 4 up gives the same
+    # tables, delta rows, c(T), sigma_1 moments and ring products
     runs = []
     for order in (range(18, 3, -1), range(4, 19)):
         monkeypatch.setattr(schubert, "_PRODUCTS", {})
-        monkeypatch.setattr(schubert, "_RINGS", {})
         monkeypatch.setattr(chern, "_ROWS", {})
         chern._euler_pairing.cache_clear()
         run = {}
@@ -78,12 +77,10 @@ def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
             for engine in ENGINES:
                 pairing = chern._euler_pairing(n, engine)
                 ring = get_ring(n, engine)
-                for lam in ring.basis():
-                    ring.product(lam, (1, 0))
-                    ring.product(lam, (1, 1))
-                run[n, engine] = (dict(ring._table), tangent_chern(n, engine), pairing)
-        run["rows"] = {engine: [dict(rows) for rows in chern._ROWS[engine]] for engine in ENGINES}
-        run["products"] = dict(schubert._PRODUCTS)
+                products = {(lam, mu): ring.product(lam, mu) for lam in ring.basis() for mu in ((1, 0), (1, 1))}
+                run[n, engine] = (products, tangent_chern(n, engine), pairing)
+        run["delta"] = {engine: dict(chern._ROWS[engine]) for engine in ENGINES}
+        run["products"] = {key: dict(rows) for key, rows in schubert._PRODUCTS.items()}
         runs.append(run)
     chern._euler_pairing.cache_clear()
     assert runs[0] == runs[1]

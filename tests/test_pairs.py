@@ -403,7 +403,7 @@ def test_decomposables_match_the_products_by_projective_classes():
 
 
 def test_report_builds_each_polynomial_once(monkeypatch):
-    names = ("poincare_x", "derive_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect")
+    names = ("poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect")
     sites = [(pairs_module, name) for name in names]
     sites += [(pairs_module, "euler_characteristic_ci"), (chern_module, "euler_characteristic_ci")]
     for n, k in ((8, 4), (7, 7), (9, 4), (6, 6)):
@@ -411,6 +411,27 @@ def test_report_builds_each_polynomial_once(monkeypatch):
         build_pair_report(n, k)
         assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1), (n, k)
         monkeypatch.undo()
+
+
+def test_no_memo_grows_with_the_polynomials_a_caller_passes():
+    # derive_poincare_y keeps nothing keyed on p_x: 50 distinct palindromic
+    # inputs, failing ones included, leave every memo of the module as the
+    # first call left it
+    pair = make_pair(8, 4)
+    p_x = poincare_x(8, 4)
+    memos = [f for f in vars(pairs_module).values() if hasattr(f, "cache_info")]
+    sizes = []
+    failed = 0
+    for i in range(50):
+        # an odd i adds classes at t^0 and t^(2 dim X), below the twist
+        p = p_x + TPoly({pair.dim_x: i, 0: i % 2, 2 * pair.dim_x: i % 2})
+        try:
+            derive_poincare_y(pair, p)
+        except NonExactDivision:
+            failed += 1
+        sizes.append([memo.cache_info().currsize for memo in memos])
+    assert failed == 25
+    assert all(size == sizes[0] for size in sizes)
 
 
 def test_grid_builds_each_ambient_class_once_per_n(monkeypatch):

@@ -228,6 +228,15 @@ def test_each_engine_fills_its_own_table(monkeypatch):
     assert ChowRing(6, "lr").product((1, 0), (1, 0)) == {}
 
 
+@pytest.mark.parametrize("engine", ["Pieri", "bogus", "", None], ids=repr)
+def test_unknown_engine_makes_no_table(engine, monkeypatch):
+    # an engine outside ENGINES is an error, never an lr table under its name
+    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    with pytest.raises(InvalidParameter):
+        schubert.product_rows(engine, (1, 0))
+    assert schubert._PRODUCTS == {}
+
+
 def test_lr_count_values():
     assert lr_count((1, 0), (1, 0), (2, 0)) == 1
     assert lr_count((1, 0), (1, 0), (1, 1)) == 1
@@ -290,14 +299,16 @@ def test_chow_class_rejects_terms_outside_the_box(bad):
 
 
 @pytest.mark.parametrize("bad", [(7, 0), (4, 0), (1, 2), (2, -1), (1,), (1, 0, 0)], ids=repr)
-def test_product_rejects_keys_outside_the_box(bad):
+def test_product_rejects_keys_outside_the_box(bad, monkeypatch):
     # the engines take any two-row partition, so the ring checks its keys
+    # before it makes a table or fills a row
+    monkeypatch.setattr(schubert, "_PRODUCTS", {})
     for engine in ENGINES:
         r = ChowRing(5, engine)
         for lam, mu in ((bad, (1, 0)), ((1, 0), bad)):
             with pytest.raises(InvalidParameter):
                 r.product(lam, mu)
-        assert not r._table
+    assert schubert._PRODUCTS == {}
 
 
 _coefficient = st.integers(-30, 30) | st.fractions(min_value=-8, max_value=8, max_denominator=9)
