@@ -32,7 +32,6 @@ from .schubert import (
     ChowClass,
     ChowRing,
     betti,
-    get_ring,
     grassmannian_class,
     hyperplane_section_class,
     lefschetz_shift,
@@ -62,7 +61,6 @@ __all__ = [
     "eval_dsl",
     "euler_characteristic_ci",
     "fiber_classes",
-    "get_ring",
     "grassmannian_class",
     "hyperplane_section_class",
     "hypersurface_poincare_oracle",

@@ -13,10 +13,10 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
 - Euler characteristic, on the Schubert ring of the chosen engine: the total
   Chern class c(T) = P/(1 - delta) with P = (1 + sigma_1 + sigma_{1,1})^n and
   delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built degree by degree from
-  products by sigma_1, sigma_{1,1} and delta alone, each taken from one
-  n-free row per cell of the engine's two-row ring (`tangent_chern`), read
-  through the degree vector of the Schubert cells in closed form, and
-  paired with the k-th power of the normal series sigma_1/(1 + sigma_1);
+  products by sigma_1 and sigma_{1,1} alone, each read off the engine's
+  n-free table by `schubert.add_product` (`tangent_chern`), read through
+  the degree vector of the Schubert cells in closed form, and paired with
+  the k-th power of the normal series sigma_1/(1 + sigma_1);
 - chi_y, with no Schubert product and no engine.  With the root series
   Q(x) = x(1 + y e^-x)/(1 - e^-x), chi_y(X) is the integral over Gr(2,n) of
   Q(x1)^n Q(x2)^n / (Q(0)^2 Q(u) Q(-u)) times N(h)^k, N(h) = h/Q(h) for
@@ -55,7 +55,7 @@ from functools import cache
 from math import comb
 
 from .errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
-from .schubert import ChowClass, _Rows, betti, box_cut, get_ring, product_rows
+from .schubert import ChowClass, ChowRing, add_product, betti
 
 # ---------------------------------------------------------------------------
 # the total Chern class of the tangent bundle, from T = n S^dual - End(S)
@@ -66,44 +66,6 @@ def _miller(n: int, j: int, m: int) -> int:
     recurrence; Knuth, TAOCP vol. 2, 4.7), run by `tangent_chern` on a
     graded class."""
     return (n + 1) * j - m
-
-
-def _times(rows: dict, cls: dict, weight: int = 1, acc: dict | None = None) -> dict:
-    """acc + weight * sigma * cls for a graded class cls {partition: int},
-    where rows[lam] is sigma_lam * sigma as {nu: coefficient}."""
-    acc = {} if acc is None else acc
-    for lam, v in cls.items():
-        v *= weight
-        for nu, c in rows[lam].items():
-            acc[nu] = acc.get(nu, 0) + v * c
-    return acc
-
-
-def _delta_row(s1: dict, s11: dict, lam) -> dict:
-    """delta * sigma_lam in the two-row ring, where delta = (x1 - x2)^2 =
-    sigma_1^2 - 4 sigma_{1,1} for the Chern roots x1, x2 of S^dual.
-    End(S) = S^dual (x) S has Chern roots 0, 0 and +-(x1 - x2).  Composed as
-    sigma_1 (sigma_1 sigma_lam) - 4 sigma_{1,1} sigma_lam on the sigma_1 and
-    sigma_{1,1} rows s1 and s11."""
-    return _times(s11, {lam: 1}, -4, _times(s1, s1[lam]))
-
-
-# the delta rows of _engine_rows by engine; per process and unlocked, so not
-# for concurrent threads
-_ROWS: dict = {}
-
-
-def _engine_rows(engine: str) -> tuple:
-    """The sigma_1, sigma_{1,1} and delta rows of the engine's two-row ring,
-    {lam: sigma * sigma_lam as {nu: coefficient}} with no box, shared by the
-    rings of every n: the engine's own (1, 0) and (1, 1) tables of
-    `schubert.product_rows`, and the delta rows composed from them once per
-    cell and kept here."""
-    s1, s11 = product_rows(engine, (1, 0)), product_rows(engine, (1, 1))
-    delta = _ROWS.get(engine)
-    if delta is None:
-        delta = _ROWS[engine] = _Rows(lambda lam: _delta_row(s1, s11, lam))
-    return s1, s11, delta
 
 
 def _divide_exactly(cls: dict, m: int) -> dict:
@@ -122,26 +84,30 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
 
     In K-theory T = n S^dual - End(S), and c(End S) = 1 - delta, so
     c(T) = P/(1 - delta) with P = c(S^dual)^n = (1 + sigma_1 + sigma_{1,1})^n.
-    Both are built degree by degree with products by sigma_1, sigma_{1,1}
-    and delta only: the recurrences run on graded {partition: int} classes
-    and the engine's sigma_1, sigma_{1,1} and delta rows of `_engine_rows`,
-    which are n-free, with every term outside the 2 x (n-2) box dropped by
-    `box_cut` as they run (a ring map, so nothing else changes).  The degree
-    derivation (d on degree d) gives Miller's recurrence
+    Both are built degree by degree with products by sigma_1 and sigma_{1,1}
+    only, on graded {partition: int} classes by `schubert.add_product`,
+    which reads the engine's n-free tables and drops every term outside the
+    2 x (n-2) box as the recurrences run (a ring map, so nothing else
+    changes).  The degree derivation (d on degree d) gives Miller's
+    recurrence
     m P_m = (n - m + 1) sigma_1 P_(m-1) + (2n - m + 2) sigma_{1,1} P_(m-2),
-    divided exactly in integers, and c_d = P_d + delta c_(d-2).  The top
-    class must integrate to the Euler characteristic of Gr(2,n), the number
-    of Schubert cells.
+    divided exactly in integers, and c_d = P_d + delta c_(d-2) with
+    delta c = sigma_1 (sigma_1 c) - 4 sigma_{1,1} c.  The top class must
+    integrate to the Euler characteristic of Gr(2,n), the number of
+    Schubert cells.
     """
-    ring = get_ring(n, engine)
-    s1, s11, delta = _engine_rows(engine)
+    ring = ChowRing(n, engine)
     side = ring.max_col
     # P_m and c_m for m = -1, 0, 1, ... at list index m + 1
     power, chern = [{}, {(0, 0): 1}], [{}, {(0, 0): 1}]
     for m in range(1, ring.dim + 1):
-        acc = _times(s11, power[m - 1], _miller(n, 2, m), _times(s1, power[m], _miller(n, 1, m)))
-        power.append(_divide_exactly(box_cut(acc, side), m))
-        chern.append(box_cut(_times(delta, chern[m - 1], 1, dict(power[m + 1])), side))
+        acc = add_product(engine, (1, 0), power[m], side, _miller(n, 1, m))
+        add_product(engine, (1, 1), power[m - 1], side, _miller(n, 2, m), acc)
+        power.append(_divide_exactly(acc, m))
+        # c_m = P_m + delta c_(m-2) with delta c = sigma_1 (sigma_1 c) - 4 sigma_{1,1} c
+        s1c = add_product(engine, (1, 0), chern[m - 1], side)
+        acc = add_product(engine, (1, 0), s1c, side, 1, dict(power[m + 1]))
+        chern.append(add_product(engine, (1, 1), chern[m - 1], side, -4, acc))
     # the components have distinct degrees
     total = ChowClass(ring, {p: v for c in chern for p, v in c.items()})
     if total.integrate() != len(ring.basis()):

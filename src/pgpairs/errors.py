@@ -43,10 +43,11 @@ class InconsistentEuler(PGError):
 
 
 class NonIntegralGenus(PGError):
-    """A genus computation produced an impossible value: a chi_y of degree
-    above dim X, or a chi_y that breaks Serre duality
-    chi^p = (-1)^dim chi^(dim - p).  Both genera are computed in integers, so
-    no route has a non-integer case; the name is kept for callers."""
+    """A genus computation produced an impossible value: a packed chi_y that
+    does not fit its proved digits, a chi_y of degree above dim X, or a chi_y
+    that breaks Serre duality chi^p = (-1)^dim chi^(dim - p).  Both genera
+    are computed in integers, so no route has a non-integer case; the name
+    is kept for callers."""
 
 
 class ParseError(PGError):

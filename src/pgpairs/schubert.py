@@ -5,11 +5,11 @@ partitions (a, b) with n-2 >= a >= b >= 0.  Structure constants of two-row
 partitions do not depend on n: H*(Gr(2,n)) is the quotient of the ring of
 two-row Schur classes by the sigma_nu with nu_0 > n-2, and that quotient is a
 ring map (Fulton, Young Tableaux, 9.4).  So each engine keeps one n-free
-table per factor, {lam: sigma_lam * sigma_mu} of `product_rows`, which every
-product of every ring reads: `ChowClass` products drop each nu outside the
-box as they add up, `ChowRing.product` cuts one row with `box_cut`, and the
-Chern class recurrences of `chern.tangent_chern` read the sigma_1 and
-sigma_{1,1} tables.  The `pieri` engine uses the Pieri rule for special
+table per factor, {lam: sigma_lam * sigma_mu} of `product_rows`, and one
+loop, `add_product`, reads it for every product of every ring: it drops each
+nu outside the box as it adds up, for `ChowClass` products, for
+`ChowRing.product` and for the Chern class recurrences of
+`chern.tangent_chern`.  The `pieri` engine uses the Pieri rule for special
 classes together with the two-row Giambelli identity
 sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an independent
 Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
@@ -206,13 +206,19 @@ def product_rows(engine: str, mu) -> _Rows:
     return rows
 
 
-def box_cut(terms: dict, side: int) -> dict:
-    """The terms {nu: coefficient} of a two-row class with nu in the 2 x side
-    box: its image in H*(Gr(2, side + 2)), which drops each sigma_nu with
-    nu_0 > side.  The quotient is a ring map, so a product may be cut before
-    or after it is multiplied further; the product loop of `ChowClass`
-    applies the same test inline."""
-    return {nu: c for nu, c in terms.items() if nu[0] <= side}
+def add_product(engine: str, mu, terms: dict, side: int, weight=1, acc: dict | None = None) -> dict:
+    """acc + weight * sigma_mu * terms for terms {lam: coefficient}, read off
+    the engine's table `product_rows(engine, mu)`, with each nu, nu_0 > side
+    dropped as it adds: the image in H*(Gr(2, side + 2)).  The quotient is a
+    ring map, so a product may be cut before it is multiplied further."""
+    acc = {} if acc is None else acc
+    rows = product_rows(engine, mu)
+    for lam, v in terms.items():
+        v *= weight
+        for nu, c in rows[lam].items():
+            if nu[0] <= side:
+                acc[nu] = acc.get(nu, 0) + v * c
+    return acc
 
 
 class ChowRing:
@@ -264,7 +270,7 @@ class ChowRing:
         """Structure constants sigma_lam * sigma_mu as {nu: coefficient}: the
         engine's two-row product with every nu outside the box dropped."""
         lam, mu = self._cell(lam), self._cell(mu)
-        return box_cut(product_rows(self.engine, mu)[lam], self.max_col)
+        return add_product(self.engine, mu, {lam: 1}, self.max_col)
 
 
 def _exact(v):
@@ -286,7 +292,8 @@ class ChowClass:
     Integral coefficients are stored as ints and the others as Fractions, so
     products of integral classes run on ints alone.  Every term must be a
     partition in the 2 x (n-2) box.  Immutable; products drop every class
-    outside the box, which is the ring structure rather than an error.
+    outside the box, which is the ring structure rather than an error.  Two
+    classes are equal when their n, engine and terms are.
     """
 
     __slots__ = ("ring", "terms")
@@ -330,15 +337,9 @@ class ChowClass:
         if not isinstance(other, ChowClass):
             return self.scale(other)
         self._check(other)
-        side = self.ring.max_col
         out = {}
-        for mu, v2 in other.terms.items():
-            rows = product_rows(self.ring.engine, mu)
-            for lam, v1 in self.terms.items():
-                c = v1 * v2
-                for nu, m in rows[lam].items():
-                    if nu[0] <= side:  # box_cut, inline
-                        out[nu] = out.get(nu, 0) + c * m
+        for mu, v in other.terms.items():
+            add_product(self.ring.engine, mu, self.terms, self.ring.max_col, v, out)
         return ChowClass(self.ring, out)
 
     __rmul__ = __mul__
@@ -368,11 +369,12 @@ class ChowClass:
         return (
             isinstance(other, ChowClass)
             and self.ring.n == other.ring.n
+            and self.ring.engine == other.ring.engine
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring.n, tuple(sorted(self.terms.items()))))
+        return hash((self.ring.n, self.ring.engine, tuple(sorted(self.terms.items()))))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -389,8 +391,3 @@ class ChowClass:
 # per process and unlocked, so not for concurrent threads.
 _PRODUCTS: dict = {}
 
-
-def get_ring(n: int, engine: str = "pieri") -> ChowRing:
-    """The Chow ring of Gr(2,n) under `engine`.  Rings hold no table, so a
-    new one costs only its basis."""
-    return ChowRing(n, engine)

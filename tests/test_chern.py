@@ -17,14 +17,13 @@ from pgpairs.chern import (
 )
 from pgpairs.errors import InconsistentEuler, InvalidParameter, NonIntegralGenus
 from pgpairs.pairs import hypersurface_poincare_oracle
-from pgpairs.schubert import ENGINES, ChowClass, betti, box_partitions, get_ring, grassmannian_class
+from pgpairs.schubert import ENGINES, ChowClass, ChowRing, betti, box_partitions, grassmannian_class
 
 
 def test_tangent_chern_of_gr24_is_classical():
-    r = get_ring(4)
     expected = {(0, 0): 1, (1, 0): 4, (1, 1): 7, (2, 0): 7, (2, 1): 12, (2, 2): 6}
     for engine in ENGINES:
-        assert tangent_chern(4, engine) == ChowClass(r, expected)
+        assert tangent_chern(4, engine) == ChowClass(ChowRing(4, engine), expected)
 
 
 def test_whitney_identity_to_top_degree():
@@ -32,7 +31,7 @@ def test_whitney_identity_to_top_degree():
     # c(T) (1 - delta) = c(S^dual)^n in every degree
     for engine in ENGINES:
         for n in range(4, 13):
-            r = get_ring(n, engine)
+            r = ChowRing(n, engine)
             delta = r.sigma(1) * r.sigma(1) - r.sigma(1, 1).scale(4)
             assert tangent_chern(n, engine) * (r.one() - delta) == (
                 r.one() + r.sigma(1) + r.sigma(1, 1)
@@ -40,12 +39,16 @@ def test_whitney_identity_to_top_degree():
 
 
 def test_tangent_top_class_is_checked(monkeypatch):
-    # drop the -4 sigma_{1,1} from every delta row: c(T) changes and its top
-    # class no longer integrates to the number of Schubert cells.  The rows
-    # are memoized per engine, so they are rebuilt under the mutant in a
-    # fresh table that the monkeypatch throws away afterwards.
-    monkeypatch.setattr(chern, "_ROWS", {})
-    monkeypatch.setattr(chern, "_delta_row", lambda s1, s11, lam: chern._times(s1, chern._times(s1, {lam: 1})))
+    # drop the -4 sigma_{1,1} c term from every delta step: c(T) changes and
+    # its top class no longer integrates to the number of Schubert cells
+    add_product = chern.add_product
+
+    def without_sigma11_term(engine, mu, terms, side, weight=1, acc=None):
+        if weight == -4:
+            return acc
+        return add_product(engine, mu, terms, side, weight, acc)
+
+    monkeypatch.setattr(chern, "add_product", without_sigma11_term)
     for engine in ENGINES:
         for n in (4, 5, 7):
             with pytest.raises(InconsistentEuler):
@@ -64,22 +67,19 @@ def test_tangent_power_recurrence_is_checked(monkeypatch):
 
 def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
     # the rings of every n share one n-free product table per engine and
-    # factor, which c(T) reads too, with one set of n-free delta rows per
-    # engine; filling them from n = 18 down or from n = 4 up gives the same
-    # tables, delta rows, c(T), sigma_1 moments and ring products
+    # factor, which c(T) reads too; filling them from n = 18 down or from
+    # n = 4 up gives the same tables, c(T), sigma_1 moments and ring products
     runs = []
     for order in (range(18, 3, -1), range(4, 19)):
         monkeypatch.setattr(schubert, "_PRODUCTS", {})
-        monkeypatch.setattr(chern, "_ROWS", {})
         chern._euler_pairing.cache_clear()
         run = {}
         for n in order:
             for engine in ENGINES:
                 pairing = chern._euler_pairing(n, engine)
-                ring = get_ring(n, engine)
+                ring = ChowRing(n, engine)
                 products = {(lam, mu): ring.product(lam, mu) for lam in ring.basis() for mu in ((1, 0), (1, 1))}
                 run[n, engine] = (products, tangent_chern(n, engine), pairing)
-        run["delta"] = {engine: dict(chern._ROWS[engine]) for engine in ENGINES}
         run["products"] = {key: dict(rows) for key, rows in schubert._PRODUCTS.items()}
         runs.append(run)
     chern._euler_pairing.cache_clear()
@@ -87,18 +87,29 @@ def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
 
 
 def test_n_free_rows_cut_to_the_box_are_the_ring_products():
-    # box_cut is the quotient ring map onto H*(Gr(2,n)): the n-free sigma_1,
-    # sigma_{1,1} and delta rows, cut to the box, are the ring's products
+    # the product loop cuts each n-free sigma_1 and sigma_{1,1} row to the
+    # box as it adds, and that cut is the quotient ring map onto H*(Gr(2,n)):
+    # delta c = sigma_1 (sigma_1 c) - 4 sigma_{1,1} c, cut at every step as
+    # in tangent_chern, is the class product by sigma_1^2 - 4 sigma_{1,1},
+    # and the uncut product cut once
+    uncut = 10**9
+    add_product = schubert.add_product
     for engine in ENGINES:
-        s1, s11, delta = chern._engine_rows(engine)
         for n in range(4, 13):
-            r = get_ring(n, engine)
+            r = ChowRing(n, engine)
+            side = r.max_col
             delta_class = r.sigma(1) * r.sigma(1) - r.sigma(1, 1).scale(4)
             for lam in r.basis():
-                assert schubert.box_cut(s1[lam], r.max_col) == r.product(lam, (1, 0)), (engine, n, lam)
-                assert schubert.box_cut(s11[lam], r.max_col) == r.product(lam, (1, 1)), (engine, n, lam)
-                expected = (delta_class * r.sigma(*lam)).terms
-                assert schubert.box_cut(delta[lam], r.max_col) == expected, (engine, n, lam)
+                for mu in ((1, 0), (1, 1)):
+                    row = schubert.product_rows(engine, mu)[lam]
+                    in_box = {nu: c for nu, c in row.items() if nu[0] <= side}
+                    assert add_product(engine, mu, {lam: 1}, side) == in_box, (engine, n, lam, mu)
+                steps = []
+                for cut in (side, uncut):
+                    twice = add_product(engine, (1, 0), add_product(engine, (1, 0), {lam: 1}, cut), cut)
+                    delta = add_product(engine, (1, 1), {lam: 1}, cut, -4, twice)
+                    steps.append({nu: c for nu, c in delta.items() if c and nu[0] <= side})
+                assert steps[0] == steps[1] == (delta_class * r.sigma(*lam)).terms, (engine, n, lam)
 
 
 # c(T) and its sigma_1 moments by full class products, the route before the
@@ -106,7 +117,7 @@ def test_n_free_rows_cut_to_the_box_are_the_ring_products():
 
 
 def _tangent_chern_by_products(n, engine):
-    ring = get_ring(n, engine)
+    ring = ChowRing(n, engine)
     c_dual_n = (ring.one() + ring.sigma(1) + ring.sigma(1, 1)) ** n
     delta = ring.sigma(1) * ring.sigma(1) - ring.sigma(1, 1).scale(4)
     total = c_dual_n
@@ -135,7 +146,7 @@ def test_graded_recurrences_match_full_product_oracle():
 
 def test_tangent_first_chern_class():
     for n in range(4, 13):
-        r = get_ring(n)
+        r = ChowRing(n)
         assert tangent_chern(n).component(1) == r.sigma(1).scale(n)
 
 
@@ -311,7 +322,7 @@ def test_euler_pairing_matches_full_product_oracle():
     # chi(X) = integral of c(T) * lef^k, lef = sigma_1/(1 + sigma_1)
     for engine in ENGINES:
         for n in range(4, 10):
-            ring = get_ring(n, engine)
+            ring = ChowRing(n, engine)
             lef = _sigma1_series(ring, [0] + [(-1) ** (j - 1) for j in range(1, ring.dim + 1)])
             integrand = tangent_chern(n, engine)
             for k in range(2 * (n - 2) + 1):
@@ -333,7 +344,7 @@ def test_moment_pairing_matches_full_product(case):
     # in place of c(T): integral of cls * lef^k, lef = sigma_1/(1 + sigma_1),
     # by full class products for every k
     n, terms = case
-    ring = get_ring(n)
+    ring = ChowRing(n)
     cls = ChowClass(ring, terms)
     moments = chern._sigma1_moments(cls)
     assert moments == _sigma1_moments_by_products(cls)
@@ -448,7 +459,7 @@ def _newton_power_sums(c_t, upto):
 def test_direct_power_sums_match_newton_on_tangent_chern():
     for engine in ENGINES:
         for n in range(4, 11):
-            ring = get_ring(n, engine)
+            ring = ChowRing(n, engine)
             newton = _newton_power_sums(tangent_chern(n, engine), ring.dim)
             assert _tangent_power_sums(ring)[1:] == newton, (engine, n)
 
@@ -491,7 +502,7 @@ def _schubert_chi_y(n, engine):
     hyperplanes, with T_y(T) = prod Q(t) over the roots t of T built in the
     Chow ring of `engine` as (1 + y)^dim exp(sum_m g_m p_m(T)), where
     g = log(Q/(1 + y)) and Q(x) = x (1 + y e^-x)/(1 - e^-x)."""
-    ring = get_ring(n, engine)
+    ring = ChowRing(n, engine)
     dim = ring.dim
     psums = _tangent_power_sums(ring)
     exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(dim + 1)]
@@ -548,7 +559,7 @@ def test_catalan_integral_matches_schubert_integral(case):
     weights = chern._top_integrals(n)
     value = sum(c * weights[b] for (a, b), c in f.items() if a + 2 * b == dim)
     for engine in ENGINES:
-        ring = get_ring(n, engine)
+        ring = ChowRing(n, engine)
         cls = ring.zero()
         for (a, b), c in f.items():
             cls = cls + (ring.sigma(1) ** a * ring.sigma(1, 1) ** b).scale(c)
@@ -752,7 +763,7 @@ def _degree_vector_by_pieri_steps(ring):
 def test_closed_form_degree_vector_matches_pieri_steps():
     for engine in ENGINES:
         for n in range(4, 19):
-            ring = get_ring(n, engine)
+            ring = ChowRing(n, engine)
             for lam, d in _degree_vector_by_pieri_steps(ring).items():
                 moments = chern._sigma1_moments(ChowClass(ring, {lam: 1}))
                 assert moments == [d if j == ring.dim - sum(lam) else 0 for j in range(ring.dim + 1)], (engine, lam)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgpairs
 from pgpairs import schubert
 from pgpairs.errors import AmbientMismatch, InvalidParameter
 from pgpairs.ring import LPoly, projective_class
@@ -18,7 +19,6 @@ from pgpairs.schubert import (
     ChowRing,
     betti,
     box_partitions,
-    get_ring,
     grassmannian_class,
     hyperplane_section_class,
     lefschetz_shift,
@@ -107,12 +107,12 @@ def test_sum_even_powers():
 
 
 def test_multiply_pieri_examples():
-    r = get_ring(4)
+    r = ChowRing(4)
     s1 = r.sigma(1)
     assert s1 * s1 == r.sigma(2) + r.sigma(1, 1)
     assert s1 * r.sigma(2, 1) == r.sigma(2, 2)
     for n in (4, 6, 9):
-        rn = get_ring(n)
+        rn = ChowRing(n)
         top = rn.sigma(n - 2, n - 2)
         assert (top * rn.sigma(1)).is_zero()
 
@@ -121,7 +121,7 @@ def test_whitney_identity_for_the_tautological_sequence():
     # c(S) c(Q) = 1 with c(S) = 1 - sigma_1 + sigma_{1,1} and c_i(Q) = sigma_i
     for engine in ENGINES:
         for n in range(4, 13):
-            r = get_ring(n, engine)
+            r = ChowRing(n, engine)
             c_q = r.one()
             for i in range(1, n - 1):
                 c_q = c_q + r.sigma(i)
@@ -129,7 +129,7 @@ def test_whitney_identity_for_the_tautological_sequence():
 
 
 def test_multiply_respects_grading_with_truncation():
-    r = get_ring(5)
+    r = ChowRing(5)
     x = (r.sigma(2) + r.sigma(1)) * (r.sigma(3) + r.sigma(1, 1))
     for part, coeff in x.terms.items():
         assert sum(part) <= 2 * (5 - 2)
@@ -137,11 +137,11 @@ def test_multiply_respects_grading_with_truncation():
 
 
 def test_integrate_examples():
-    r = get_ring(4)
+    r = ChowRing(4)
     assert (r.sigma(1) ** 4).integrate() == 2
     assert (r.sigma(1) ** 2).integrate() == 0
     for n in range(4, 11):
-        rn = get_ring(n)
+        rn = ChowRing(n)
         # Plücker degree of Gr(2,n) is the Catalan number C_{n-2}
         catalan = math.comb(2 * (n - 2), n - 2) // (n - 1)
         assert (rn.sigma(1) ** (2 * (n - 2))).integrate() == catalan
@@ -149,7 +149,7 @@ def test_integrate_examples():
 
 def test_duality_pairing():
     for n in range(4, 11):
-        r = get_ring(n)
+        r = ChowRing(n)
         side = n - 2
         for a, b in box_partitions(n):
             dual = (side - b, side - a)
@@ -247,7 +247,7 @@ def test_lr_count_values():
 
 def test_multiply_commutative_associative_sampled():
     rng = random.Random(424242)
-    r = get_ring(7)
+    r = ChowRing(7)
     basis = box_partitions(7)
     for _ in range(25):
         x = r.sigma(*rng.choice(basis)) + r.sigma(*rng.choice(basis)).scale(
@@ -261,13 +261,26 @@ def test_multiply_commutative_associative_sampled():
 
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        get_ring(4).sigma(1) * get_ring(5).sigma(1)
+        ChowRing(4).sigma(1) * ChowRing(5).sigma(1)
+
+
+def test_classes_of_two_engines_are_not_equal():
+    # classes that refuse to be added or multiplied together are not equal,
+    # and classes that differ only in their engine hash apart
+    pieri, lr = ChowRing(5, "pieri").sigma(1), ChowRing(5, "lr").sigma(1)
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(AmbientMismatch):
+            op(pieri, lr)
+    assert pieri != lr and pieri.terms == lr.terms
+    assert hash(pieri) != hash(lr)
+    assert pieri == ChowRing(5, "pieri").sigma(1) and hash(pieri) == hash(ChowRing(5, "pieri").sigma(1))
+    assert len({pieri, lr}) == 2
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/2", Decimal(1), True, None], ids=repr)
 def test_coefficient_that_is_not_an_exact_number_rejected(bad):
     # a float, a string, a Decimal, a bool or None is not silently converted
-    r = get_ring(4)
+    r = ChowRing(4)
     with pytest.raises(InvalidParameter):
         ChowClass(r, {(1, 0): bad})
     with pytest.raises(InvalidParameter):
@@ -279,7 +292,7 @@ def test_coefficient_that_is_not_an_exact_number_rejected(bad):
 
 
 def test_sigma_validation():
-    r = get_ring(4)
+    r = ChowRing(4)
     with pytest.raises(InvalidParameter):
         r.sigma(3, 0)
     with pytest.raises(InvalidParameter):
@@ -290,7 +303,7 @@ def test_sigma_validation():
 def test_chow_class_rejects_terms_outside_the_box(bad):
     # a pair that is not a partition in the 2 x 3 box of Gr(2,5) is an error,
     # also with a zero coefficient, never a term that integrates to 0
-    r = get_ring(5)
+    r = ChowRing(5)
     for coefficient in (1, 0):
         with pytest.raises(InvalidParameter):
             ChowClass(r, {(1, 0): 1, bad: coefficient})
@@ -325,16 +338,16 @@ def _two_classes(draw):
 @given(_two_classes())
 def test_pieri_and_lr_products_agree_on_random_classes(case):
     n, a, b = case
-    products = [ChowClass(get_ring(n, e), a) * ChowClass(get_ring(n, e), b) for e in ENGINES]
-    assert products[0] == products[1]
-    for cls in (ChowClass(get_ring(n), a), *products):
+    products = [ChowClass(ChowRing(n, e), a) * ChowClass(ChowRing(n, e), b) for e in ENGINES]
+    assert products[0].terms == products[1].terms
+    for cls in (ChowClass(ChowRing(n), a), *products):
         for v in cls.terms.values():
             # an integral coefficient is stored as an int, any other as a Fraction
             assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), (v, type(v))
 
 
 def test_integral_classes_keep_int_coefficients():
-    r = get_ring(6)
+    r = ChowRing(6)
     c = (r.one() + r.sigma(1) + r.sigma(1, 1)) ** 6
     assert all(type(v) is int for v in c.terms.values())
     assert type(c.integrate()) is int and type(r.zero().integrate()) is int
@@ -342,3 +355,14 @@ def test_integral_classes_keep_int_coefficients():
     assert half.scale(2) == c and all(type(v) is int for v in half.scale(2).terms.values())
     assert repr(r.sigma(1).scale(Fraction(6, 2))) == "3*s(1, 0)"
     assert hash(r.sigma(1).scale(3)) == hash(ChowClass(r, {(1, 0): Fraction(3)}))
+
+
+def test_star_import_binds_exactly_the_public_names():
+    # a stale __all__ entry, such as a deleted function, breaks star-import
+    namespace = {}
+    exec("from pgpairs import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(pgpairs.__all__)
+    assert len(set(pgpairs.__all__)) == len(pgpairs.__all__)
+    for name in pgpairs.__all__:
+        assert namespace[name] is getattr(pgpairs, name)
