@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .dsl import eval_dsl
@@ -29,40 +28,12 @@ from .pairs import CHECK_NAMES, SCHEMA_VERSION, build_pair_report, make_pair
 from .ring import LPoly
 from .schubert import ENGINES
 
-_SAFE_INT = 2**53 - 1
 _FORMATS = ("json", "markdown", "csv")
-_CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
 MAX_NK = 24
 
 
-def _encode(obj):
-    """Make a report JSON-safe: exact integers beyond the 53-bit range become
-    decimal strings so nothing is rounded by downstream consumers."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _SAFE_INT else obj
-    if isinstance(obj, (list, tuple)):
-        return [_encode(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    return obj
-
-
-def decode_ints(obj):
-    """Inverse of `_encode`: only strings it can write, the canonical decimal
-    text of an integer beyond the 53-bit range, become integers again."""
-    if isinstance(obj, str) and _CANONICAL_INT.fullmatch(obj) and abs(int(obj)) > _SAFE_INT:
-        return int(obj)
-    if isinstance(obj, list):
-        return [decode_ints(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: decode_ints(v) for k, v in obj.items()}
-    return obj
-
-
 def _dump_json(payload) -> str:
-    return json.dumps(_encode(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

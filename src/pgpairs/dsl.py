@@ -17,13 +17,24 @@ operators.  Deeper input is a ParseError at the token that crosses the bound.
 An integer literal has at most MAX_DIGITS = 1000 digits, and a constructor
 argument is at most MAX_ARG = 1000; a longer literal or a larger argument is a
 ParseError at that literal.
+
+Beyond time linear in the length of the text, work is bounded by one budget
+of MAX_WORK = 3,000,000 units per expression, each step charged before it
+runs.  Gr, H, F1 and F2, which enumerate cells, cost their last argument
+squared, and P and SumEven their argument.  A class of degree d whose
+largest coefficient has b bits has size (d + 1) * (1 + b // 512): `*` costs
+the product of its operands' sizes, and `+`, `-` and `==` their sum.  `div`
+costs as `*` with the dividend's largest coefficient grown by the bits that
+long division can add to a remainder (`_growth`).  A unit takes under a
+microsecond, so the budget is a few seconds.  A step past it is an
+InvalidParameter naming its fragment.
 """
 
 from __future__ import annotations
 
 from operator import add, eq, mul, sub
 
-from .errors import EvalError, NonExactDivision, ParseError, PGError
+from .errors import EvalError, InvalidParameter, NonExactDivision, ParseError, PGError
 from .ring import LPoly, projective_class
 from .schubert import grassmannian_class, hyperplane_section_class, sum_even_powers
 from .pairs import fiber_classes
@@ -32,20 +43,23 @@ _DIGITS = "0123456789"
 MAX_DEPTH = 100
 MAX_DIGITS = 1000
 MAX_ARG = 1000
+MAX_WORK = 3_000_000
+_UNIT_BITS = 512
 
 # One row per precedence level, loosest first: the operators of the level and
 # whether a chain of them may go on after the first.
 _LEVELS = ((("==",), False), (("+", "-"), True), (("*", "div"), True))
 
 # name -> (what it takes, fixed leading arguments, lower bound of the last
-# argument, class builder applied to the last argument)
+# argument, class builder applied to the last argument, power of the last
+# argument that it is charged)
 _CTORS = {
-    "P": ("one nonnegative integer", (), 0, projective_class),
-    "Gr": ("arguments (2, n) with n >= 4", (2,), 4, grassmannian_class),
-    "H": ("arguments (2, n) with n >= 4", (2,), 4, hyperplane_section_class),
-    "F1": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[0]),
-    "F2": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[1]),
-    "SumEven": ("one integer n >= 2", (), 2, sum_even_powers),
+    "P": ("one nonnegative integer", (), 0, projective_class, 1),
+    "Gr": ("arguments (2, n) with n >= 4", (2,), 4, grassmannian_class, 2),
+    "H": ("arguments (2, n) with n >= 4", (2,), 4, hyperplane_section_class, 2),
+    "F1": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[0], 2),
+    "F2": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[1], 2),
+    "SumEven": ("one integer n >= 2", (), 2, sum_even_powers, 1),
 }
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "==": eq}
@@ -176,7 +190,27 @@ def _show(node) -> str:
     return f"({_show(node[2])} {node[1]} {_show(node[3])})"
 
 
-def _eval(node):
+def _size(p: LPoly, extra_bits: int = 0) -> int:
+    bits = max((abs(v).bit_length() for v in p.coeffs().values()), default=0)
+    return (p.degree + 1) * (1 + (bits + extra_bits) // _UNIT_BITS)
+
+
+def _growth(a: LPoly, b: LPoly) -> int:
+    """Bits by which long division of a by b can grow a remainder: each of
+    its deg a - deg b + 1 steps multiplies it by at most 1 + max|b| / |lead
+    of b|."""
+    c = b.coeffs()
+    ratio = -(-max(map(abs, c.values())) // abs(c[b.degree]))
+    return max(a.degree - b.degree + 1, 0) * ratio.bit_length()
+
+
+def _charge(budget: list, units: int, node) -> None:
+    budget[0] -= units
+    if budget[0] < 0:
+        raise InvalidParameter(f"more work than MAX_WORK = {MAX_WORK} units: {_show(node)}")
+
+
+def _eval(node, budget: list):
     kind = node[0]
     if kind == "int":
         return LPoly({0: node[1]})
@@ -184,20 +218,23 @@ def _eval(node):
         return LPoly.monomial(1)
     if kind == "ctor":
         name, args = node[1], node[2]
-        takes, fixed, low, build = _CTORS[name]
+        takes, fixed, low, build, power = _CTORS[name]
         if not (args[:-1] == fixed and args[-1] >= low):
             raise EvalError(f"{name} takes {takes}", _show(node))
+        _charge(budget, args[-1] ** power, node)
         try:
             return build(args[-1])
         except PGError as exc:
             raise EvalError(str(exc), _show(node)) from exc
-    op, lhs, rhs = node[1], _eval(node[2]), _eval(node[3])
+    op, lhs, rhs = node[1], _eval(node[2], budget), _eval(node[3], budget)
     if isinstance(lhs, bool) or isinstance(rhs, bool):
         raise EvalError("comparison results cannot feed arithmetic", _show(node))
     if op != "div":
+        _charge(budget, _size(lhs) * _size(rhs) if op == "*" else _size(lhs) + _size(rhs), node)
         return _ARITHMETIC[op](lhs, rhs)
     if rhs.is_zero():
         raise EvalError("division by zero", _show(node))
+    _charge(budget, _size(lhs, _growth(lhs, rhs)) * _size(rhs), node)
     try:
         return lhs.div_exact(rhs)
     except NonExactDivision as exc:
@@ -206,5 +243,6 @@ def _eval(node):
 
 def eval_dsl(source: str):
     """Parse and evaluate one expression; returns an LPoly or, for a
-    comparison, a bool.  ParseError carries the line and column."""
-    return _eval(_Parser(source).parse())
+    comparison, a bool.  ParseError carries the line and column; work past
+    MAX_WORK is an InvalidParameter."""
+    return _eval(_Parser(source).parse(), [MAX_WORK])

@@ -9,12 +9,13 @@ table per factor, {lam: sigma_lam * sigma_mu} of `product_rows`, and one
 loop, `add_product`, reads it for every product of every ring: it drops each
 nu outside the box as it adds up, for `ChowClass` products, for
 `ChowRing.product` and for the Chern class recurrences of
-`chern.tangent_chern`.  The `pieri` engine uses the Pieri rule for special
-classes together with the two-row Giambelli identity
-sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}; an independent
-Littlewood-Richardson engine, `lr`, is available as a cross-check.  The
-module also builds the classes of Gr(2,n) and of its smooth hyperplane
-sections in Z[L], each by two routes that must agree.
+`chern.tangent_chern`.  The `pieri` engine writes the product in closed
+form: sigma_{a,b} = sigma_{1,1}^b * sigma_{a-b}, and Pieri's rule gives
+sigma_p * sigma_q = sum over j = 0..min(p, q) of sigma_{p+q-j, j}, so every
+two-row structure constant is 0 or 1.  An independent Littlewood-Richardson
+engine, `lr`, is available as a cross-check.  The module also builds the
+classes of Gr(2,n) and of its smooth hyperplane sections in Z[L], each by
+two routes that must agree.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def lr_count(lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient for two-row shapes, by enumerating
     the skew fillings of nu/lam with content mu directly.
 
-    Independent of the Pieri/Giambelli path; used as the second engine.
+    Independent of the closed form of the `pieri` engine; used as the second
+    engine.
     """
     if nu[0] < lam[0] or nu[1] < lam[1]:
         return 0
@@ -134,29 +136,12 @@ def lr_count(lam, mu, nu) -> int:
     return count
 
 
-def _pieri(p: int, lam) -> list:
-    """Expansion of sigma_p * sigma_lam in the two-row ring: one term per
-    partition obtained by adding p boxes with at most one new box per column."""
-    a, b = lam
-    total = a + b + p
-    return [(a2, total - a2) for a2 in range(max(a, total - a), total - b + 1)]
-
-
 def _product_pieri(lam, mu) -> dict:
-    # Giambelli on the factor with fewer boxes: sigma_1 * sigma_lam is one Pieri step
-    if mu[0] + mu[1] > lam[0] + lam[1]:
-        lam, mu = mu, lam
-    c, d = mu
-    acc = {}
-    for nu1 in _pieri(c, lam):
-        for nu2 in _pieri(d, nu1):
-            acc[nu2] = acc.get(nu2, 0) + 1
-    # two-row Giambelli: sigma_{c,d} = sigma_c*sigma_d - sigma_{c+1}*sigma_{d-1}
-    if d >= 1:
-        for nu1 in _pieri(c + 1, lam):
-            for nu2 in _pieri(d - 1, nu1):
-                acc[nu2] = acc.get(nu2, 0) - 1
-    return {nu: v for nu, v in acc.items() if v}
+    # sigma_{a,b} = sigma_{1,1}^b sigma_{a-b}, and Pieri gives sigma_p sigma_q
+    # = sum over j = 0..min(p, q) of sigma_{p+q-j, j}: every coefficient is 1
+    (a, b), (c, d) = lam, mu
+    p, q, s = a - b, c - d, b + d
+    return {(p + q - j + s, j + s): 1 for j in range(min(p, q) + 1)}
 
 
 def _product_lr(lam, mu) -> dict:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgpairs.cli import main
-from pgpairs.dsl import MAX_ARG, MAX_DEPTH, MAX_DIGITS, eval_dsl
-from pgpairs.errors import EvalError, ParseError
+from pgpairs import dsl
+from pgpairs.dsl import MAX_ARG, MAX_DEPTH, MAX_DIGITS, MAX_WORK, eval_dsl
+from pgpairs.errors import EvalError, InvalidParameter, ParseError
 from pgpairs.ring import LPoly, projective_class
 from pgpairs.schubert import grassmannian_class, hyperplane_section_class
 
@@ -213,6 +215,65 @@ def test_constructor_argument_past_the_bound_is_a_parse_error(source, column):
         eval_dsl(source)
     assert (exc.value.line, exc.value.column) == (1, column)
     assert f"exceeds {MAX_ARG}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "source, work, fragment",
+    [
+        # P 3 + 4, the product 4 * 5, SumEven 6, the sum 8 + 5, Gr 5^2, the
+        # comparison 8 + 7
+        ("P(3)*P(4) + SumEven(6) == Gr(2,5)", 86, "(((P(3) * P(4)) + SumEven(6)) == Gr(2, 5))"),
+        # a 601-bit coefficient counts two units and a 1201-bit one three:
+        # 2 * 2 for the product and 3 + 3 for the comparison
+        (f"{2**600} * {2**600} == {2**1200}", 4 + 6, f"(({2**600} * {2**600}) == {2**1200})"),
+        # each of the 2 steps of long division by L - 1 may grow a remainder
+        # by a bit, so the dividend counts 3 * 1 units, times the divisor's
+        # 2, after 2 * 2 for L * L, 3 + 1 for L * L - 1 and 2 + 1 for L - 1
+        ("(L*L - 1) div (L - 1)", 4 + 4 + 3 + 6, "(((L * L) - 1) div (L - 1))"),
+    ],
+    ids=["constructors_and_operators", "coefficient_bits", "division"],
+)
+def test_work_is_charged_step_by_step(monkeypatch, source, work, fragment):
+    monkeypatch.setattr(dsl, "MAX_WORK", work)
+    eval_dsl(source)
+    monkeypatch.setattr(dsl, "MAX_WORK", work - 1)
+    with pytest.raises(InvalidParameter) as exc:
+        eval_dsl(source)
+    assert str(exc.value) == f"more work than MAX_WORK = {work - 1} units: {fragment}"
+
+
+def test_work_up_to_the_budget_evaluates():
+    assert MAX_WORK == 3_000_000
+    # 1000 + 1000 + 1001^2 units, and 1000^2 for H(2,1000)
+    assert eval_dsl("P(1000)*P(1000)") == projective_class(1000) * projective_class(1000)
+    assert eval_dsl("H(2,1000) == H(2,1000)") is True
+
+
+_BIG = "*".join(["9" * 1000] * 5)
+
+
+@pytest.mark.parametrize(
+    "source, fragment",
+    [
+        ("*".join(["P(1000)"] * 100), "((P(1000) * P(1000)) * P(1000))"),
+        ("+".join(["H(2,1000)"] * 100), "H(2, 1000)"),
+        (f"(P(100)*{_BIG})*(P(100)*{_BIG})", None),
+        (f"(P(1000)*(L - 1)) div (L - {'9' * 1000})", None),
+    ],
+    ids=["100_factors", "100_summands", "16600_bit_coefficients", "growing_remainder"],
+)
+def test_work_past_the_budget_is_refused_early(source, fragment):
+    # each of these runs for seconds or longer unbounded: 100 factors of
+    # P(1000) for hours, the square of a class with 16,600-bit coefficients
+    # for 3 s, and a division whose remainder grows by 3,300 bits a step for
+    # 10 s
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameter) as exc:
+        eval_dsl(source)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value).startswith(f"more work than MAX_WORK = {MAX_WORK} units: ")
+    if fragment is not None:
+        assert str(exc.value).endswith(f": {fragment}")
 
 
 @pytest.mark.parametrize(

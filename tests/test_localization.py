@@ -18,13 +18,24 @@ k h^j)) h^k / prod r, with p_j the power sums of the tangent weights.  The
 sums at y0 = 0..dim X must be integers, and so must the coefficients of the
 polynomial in y through them, found by Lagrange interpolation.
 
-Neither route reads a structure constant, a Catalan weight or the chi_y
-coordinate v of `chern`, so they check `chern` from outside.
+For odd n, the dual Y of the pair (n, k) is the zero locus on M = P^(k-1) x
+Gr(3,n) of a section of E = F(1), F = ker(U^v (x) V^v -> Sym^2 U^v) of rank
+3n - 6, so dim Y = k - 4.  With weights a_i on P^(k-1), the fixed point
+(i, J) has tangent weights a_l - a_i (l != i) and w_l - w_j (j in J, l not in
+J), and E has the weights -w_j - w_l - a_i (j in J, l not in J) and
+-w_j - w_j' - a_i (j < j' in J).  e(Y) is the integral of c(T) c_top(E) /
+c(E), so the point contributes [t^(k-4)] prod_T(1 + t r) prod_E 1/(1 + t e)
+times prod_E e / prod_T r; the sum must be an integer.
+
+None of these routes reads a structure constant, a Catalan weight or the
+chi_y coordinate v of `chern`, so they check `chern` and the derived P(Y)
+from outside.
 
 Run as a script, `python tests/test_localization.py N_MIN N_MAX` checks the
 Euler characteristic of every k for n in N_MIN..N_MAX under both engines,
-and `python tests/test_localization.py N_MIN N_MAX chi_y` checks chi_y of
-every k.
+`python tests/test_localization.py N_MIN N_MAX chi_y` checks chi_y of every
+k, and `python tests/test_localization.py N_MIN N_MAX e_y` checks e(Y) of
+every pair with odd n.
 """
 
 import sys
@@ -36,6 +47,8 @@ from math import comb, factorial, prod
 import pytest
 
 from pgpairs.chern import chi_y_ci, euler_characteristic_ci
+from pgpairs.errors import PGError
+from pgpairs.pairs import derive_poincare_y, make_pair, poincare_x
 from pgpairs.schubert import ENGINES
 
 
@@ -146,6 +159,44 @@ def localized_chi_y(n):
     return out
 
 
+def localized_euler_y(n, k):
+    """e(Y) of the pair (n, k), n odd, by Atiyah-Bott on P^(k-1) x Gr(3,n);
+    a sum that is not an integer fails."""
+    d = k - 4
+    w = _weights(n)
+    a = [0] + [3 * 2**i - 1 for i in range(k - 1)]
+    total = Fraction(0)
+    for J in combinations(range(n), 3):
+        rest = [l for l in range(n) if l not in J]
+        grass = [w[l] - w[j] for j in J for l in rest]
+        sums = [w[j] + w[l] for j in J for l in rest] + [w[j] + w[i] for j, i in combinations(J, 2)]
+        for i in range(k):
+            roots = [a[l] - a[i] for l in range(k) if l != i] + grass
+            bundle = [-v - a[i] for v in sums]
+            # [t^0..t^d] of prod_E 1/(1 + t e): divide by each (1 + t e) in turn
+            inverse = [1] + [0] * d
+            for e in bundle:
+                for m in range(1, d + 1):
+                    inverse[m] -= e * inverse[m - 1]
+            c = _elementary(roots, d)
+            top = sum(c[d - m] * inverse[m] for m in range(d + 1))
+            total += Fraction(top * prod(bundle), prod(roots))
+    assert total.denominator == 1, (n, k, total)
+    return total.numerator
+
+
+def odd_pairs(n_min, n_max):
+    """Every pair (n, k) with odd n in n_min..n_max that `make_pair` accepts."""
+    out = []
+    for n in range(n_min + 1 - n_min % 2, n_max + 1, 2):
+        for k in range(1, 2 * (n - 2) + 1):
+            try:
+                out.append(make_pair(n, k))
+            except PGError:
+                pass
+    return out
+
+
 def check_range(n_min, n_max):
     for n in range(n_min, n_max + 1):
         for k, euler in enumerate(localized_euler(n)):
@@ -157,6 +208,12 @@ def check_chi_y_range(n_min, n_max):
     for n in range(n_min, n_max + 1):
         for k, chi_y in enumerate(localized_chi_y(n)):
             assert chi_y_ci(n, k) == chi_y, (n, k)
+
+
+def check_euler_y_range(n_min, n_max):
+    for pair in odd_pairs(n_min, n_max):
+        derived = derive_poincare_y(pair, poincare_x(pair.n, pair.k)).evaluate(-1)
+        assert localized_euler_y(pair.n, pair.k) == derived, (pair.n, pair.k)
 
 
 def test_localized_euler_of_small_grassmannians():
@@ -193,6 +250,21 @@ def test_chi_y_matches_localization(n):
     check_chi_y_range(n, n)
 
 
+def test_localized_euler_of_the_pfaffian_calabi_yau():
+    # the dual of the (7,7) section is Rodland's Pfaffian Calabi-Yau
+    # threefold, h^(1,1) = 1 and h^(1,2) = 50; the dual of (5,4) is the
+    # 5 points of a zero-dimensional linear section of the Pfaffian
+    assert localized_euler_y(7, 7) == -98
+    assert localized_euler_y(5, 4) == 5
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_euler_of_y_matches_localization(n):
+    # every pair with odd n <= 11: 24 of them
+    assert len(odd_pairs(n, n)) == {5: 3, 7: 7, 9: 7, 11: 7}[n]
+    check_euler_y_range(n, n)
+
+
 if __name__ == "__main__":
-    check = {"euler": check_range, "chi_y": check_chi_y_range}[sys.argv[3] if len(sys.argv) > 3 else "euler"]
+    check = {"euler": check_range, "chi_y": check_chi_y_range, "e_y": check_euler_y_range}[sys.argv[3] if len(sys.argv) > 3 else "euler"]
     check(int(sys.argv[1]), int(sys.argv[2]))

@@ -201,9 +201,9 @@ def test_engines_agree_on_full_tables():
 def test_table_fill_matches_unpruned_lr_candidates():
     # every (lam, mu) in the box, in both orders: the pruned candidate range of
     # the n-free _product_lr misses no nonzero coefficient over every two-row
-    # nu of the right size (a superset of box(n+2)'s), Pieri with Giambelli on
-    # the factor with fewer boxes gives the same structure constants, and each
-    # ring's product is their view in the box
+    # nu of the right size (a superset of box(n+2)'s), the closed form of the
+    # pieri engine gives the same structure constants, and each ring's product
+    # is their view in the box
     for n in range(4, 13):
         rings = [ChowRing(n, engine) for engine in ENGINES]
         cells = box_partitions(n)
