@@ -191,7 +191,7 @@ def _show(node) -> str:
 
 
 def _size(p: LPoly, extra_bits: int = 0) -> int:
-    bits = max((abs(v).bit_length() for v in p.coeffs().values()), default=0)
+    bits = max(map(abs, p.coeffs_dense())).bit_length()
     return (p.degree + 1) * (1 + (bits + extra_bits) // _UNIT_BITS)
 
 
@@ -199,8 +199,8 @@ def _growth(a: LPoly, b: LPoly) -> int:
     """Bits by which long division of a by b can grow a remainder: each of
     its deg a - deg b + 1 steps multiplies it by at most 1 + max|b| / |lead
     of b|."""
-    c = b.coeffs()
-    ratio = -(-max(map(abs, c.values())) // abs(c[b.degree]))
+    c = b.coeffs_dense()
+    ratio = -(-max(map(abs, c)) // abs(c[-1]))
     return max(a.degree - b.degree + 1, 0) * ratio.bit_length()
 
 

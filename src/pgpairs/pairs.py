@@ -18,7 +18,8 @@ equivalence between the two sides.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
+from itertools import zip_longest
 from math import comb
 
 # middle_hodge stays importable from here, where perfbench/tracing.py wraps it
@@ -28,6 +29,7 @@ from .errors import (
     InvalidParameter,
     NegativeCoefficient,
     NegativeDimension,
+    NonExactDivision,
     OutOfSmoothRange,
     UncoveredPair,
 )
@@ -88,15 +90,22 @@ def make_pair(n: int, k: int) -> PGPair:
 # class constructors of `schubert` and `ring` alone; lefschetz_shift, betti
 # and the Euler characteristic, which tests replace by wrong formulas, are
 # read by their callers, so no memo serves a value from before the swap.
+#
+# The two ambient memos are bounded.  A pair report reads them for every k of
+# its n, and the CLI names n <= MAX_NK = 24 (cli.py), so _AMBIENT_MEMO = 24
+# entries keep every n of that domain.  The DSL's F1(n) and F2(n) reach them
+# for any n up to MAX_ARG = 1000 (dsl.py), and an unbounded memo would keep
+# the classes of every such n for the life of the process.
+_AMBIENT_MEMO = 24
 
 
-@cache
+@lru_cache(maxsize=_AMBIENT_MEMO)
 def _ambient_classes(n: int) -> tuple:
     """[Gr(2,n)] and the class [H(2,n)] of its smooth hyperplane section."""
     return grassmannian_class(n), hyperplane_section_class(n)
 
 
-@cache
+@lru_cache(maxsize=_AMBIENT_MEMO)
 def _ambient_poincare(n: int) -> tuple:
     """The Poincare polynomials of Gr(2,n) and H(2,n)."""
     return tuple(c.to_poincare() for c in _ambient_classes(n))
@@ -145,16 +154,14 @@ def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
     from the Euler characteristic.
     """
     d = _section_params(n, k)
-    coeffs = {j: betti(n, j) for j in range(d)}
+    low = [betti(n, j) for j in range(d)]
     chi = euler_characteristic_ci(n, k, engine)
-    alt = sum((-1) ** j * b for j, b in coeffs.items())
-    coeffs[d] = (-1) ** d * (chi - 2 * alt)
-    for j in range(d + 1, 2 * d + 1):
-        coeffs[j] = coeffs[2 * d - j]
-    defect = _section_defect(n, k, LPoly(coeffs))
+    alt = sum(low[::2]) - sum(low[1::2])
+    coeffs = low + [(-1) ** d * (chi - 2 * alt)] + low[::-1]
+    defect = _section_defect(n, k, LPoly.from_coeffs(coeffs))
     if defect:
         raise InconsistentEuler(defect)
-    return TPoly(coeffs)
+    return TPoly.from_coeffs(coeffs)
 
 
 def _section_defect(n: int, k: int, p: LPoly) -> str | None:
@@ -168,7 +175,8 @@ def _section_defect(n: int, k: int, p: LPoly) -> str | None:
         return f"odd middle Betti number {mid} in odd dimension {d}"
     if d % 2 == 0 and mid < betti(n, d):
         return f"middle Betti number {mid} below the ambient value {betti(n, d)}"
-    if not p.is_palindromic(d) or any(p.coefficient(j) for j in range(1, 2 * d, 2) if j != d):
+    # on a palindrome about d, odd degree j > d mirrors the odd degree 2d - j < d
+    if not p.is_palindromic(d) or any(p.coeffs_dense()[1:d:2]):
         return "section polynomial is not palindromic with odd degrees vanishing off the middle"
     return None
 
@@ -216,9 +224,14 @@ def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
 def _solve_poincare_y(pair: PGPair, easy: TPoly) -> TPoly:
     """P(Y) from the Grassmannian-side class `easy` of the incidence
     divisor, as in `derive_poincare_y`."""
-    num = LPoly(easy.coeffs()) - _decomposables(pair.n, pair.k)[1]
-    # NonExactDivision below the twist, NegativeCoefficient on a bad relation
-    p_y = TPoly(num.div_exact(LPoly.monomial(2 * pair.s)).coeffs())
+    twist = 2 * pair.s
+    h = _decomposables(pair.n, pair.k)[1].coeffs_dense()
+    num = [a - b for a, b in zip_longest(easy.coeffs_dense(), h, fillvalue=0)]
+    below = LPoly.from_coeffs(num[:twist])
+    if not below.is_zero():
+        raise NonExactDivision(f"remainder of degree {below.degree} left by division")
+    # NegativeCoefficient on a bad relation
+    p_y = TPoly.from_coeffs(num[twist:])
     defect = _dual_defect(pair, p_y)
     if defect:
         raise InconsistentEuler(defect)
@@ -339,9 +352,9 @@ def hypersurface_poincare_oracle(d: int, ambient_dim: int) -> TPoly:
     mid = (-1) ** dim * (chi - 2 * evens_below)
     if mid < 0 or (dim % 2 == 1 and mid % 2 == 1):
         raise InconsistentEuler(f"impossible middle Betti number {mid}")
-    coeffs = {j: 1 for j in range(0, 2 * dim + 1, 2) if j != dim}
+    coeffs = [1, 0] * dim + [1]
     coeffs[dim] = mid
-    out = TPoly(coeffs)
+    out = TPoly.from_coeffs(coeffs)
     if not out.is_palindromic(dim):
         raise InconsistentEuler(f"Poincare polynomial {out} of a degree-{d} hypersurface is not palindromic")
     return out

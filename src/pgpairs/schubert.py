@@ -33,9 +33,8 @@ ENGINES = ("pieri", "lr")
 def box_partitions(n: int):
     """All partitions (a, b) in the 2 x (n-2) box, sorted by degree then lex."""
     side = n - 2
-    parts = [(a, b) for a in range(side + 1) for b in range(a + 1)]
-    parts.sort(key=lambda p: (p[0] + p[1], p))
-    return parts
+    # (a, m - a) is a partition in the box exactly when ceil(m/2) <= a <= min(m, side)
+    return [(a, m - a) for m in range(2 * side + 1) for a in range((m + 1) // 2, min(m, side) + 1)]
 
 
 def betti(n: int, j: int) -> int:
@@ -55,7 +54,7 @@ def sum_even_powers(n: int) -> LPoly:
     """1 + L^2 + L^4 + ... with exponents up to n-2."""
     if n < 2:
         raise InvalidParameter(f"sum_even_powers needs n >= 2, got {n}")
-    return LPoly({2 * k: 1 for k in range((n - 2) // 2 + 1)})
+    return LPoly.from_coeffs([1, 0] * ((n - 2) // 2) + [1])
 
 
 def lefschetz_shift(n: int) -> int:
@@ -73,12 +72,12 @@ def grassmannian_class(n: int, method: str = "cells") -> LPoly:
     if n < 4:
         raise InvalidParameter(f"Gr(2,{n}) needs n >= 4")
     if method == "cells":
-        out = {}
         top = 2 * (n - 2)
-        for a, b in box_partitions(n):
-            d = top - (a + b)
-            out[d] = out.get(d, 0) + 1
-        return LPoly(out)
+        out = [0] * (top + 1)
+        # row a of the box holds the cells (a, 0..a), of dimensions top - 2a .. top - a
+        for a in range(n - 1):
+            out[top - 2 * a : top - a + 1] = [v + 1 for v in out[top - 2 * a : top - a + 1]]
+        return LPoly.from_coeffs(out)
     if method == "product_formula":
         base = projective_class(n - 2) if n % 2 == 0 else projective_class(n - 1)
         return base * sum_even_powers(n)

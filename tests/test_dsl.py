@@ -4,17 +4,18 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgpairs.cli import main
-from pgpairs import dsl
+from pgpairs.cli import MAX_NK, main
+from pgpairs import dsl, pairs
 from pgpairs.dsl import MAX_ARG, MAX_DEPTH, MAX_DIGITS, MAX_WORK, eval_dsl
 from pgpairs.errors import EvalError, InvalidParameter, ParseError
-from pgpairs.ring import LPoly, projective_class
+from pgpairs.ring import MAX_DEGREE, LPoly, projective_class
 from pgpairs.schubert import grassmannian_class, hyperplane_section_class
 
 
@@ -247,6 +248,23 @@ def test_work_up_to_the_budget_evaluates():
     # 1000 + 1000 + 1001^2 units, and 1000^2 for H(2,1000)
     assert eval_dsl("P(1000)*P(1000)") == projective_class(1000) * projective_class(1000)
     assert eval_dsl("H(2,1000) == H(2,1000)") is True
+
+
+def test_every_class_the_budget_admits_is_within_the_degree_bound():
+    # each step is charged at least the degree of its result, so a class of
+    # an admitted expression has degree below MAX_WORK
+    assert MAX_WORK <= MAX_DEGREE
+    assert eval_dsl("P(1000)*P(1000)").degree == 2000
+
+
+def test_fiber_classes_past_the_cli_domain_keep_a_bounded_memo():
+    # F1(n) reaches the ambient memo of pairs for every n up to MAX_ARG; it
+    # keeps each n of the CLI domain 4..MAX_NK and never more entries
+    memos = (pairs._ambient_classes, pairs._ambient_poincare)
+    assert all(memo.cache_info().maxsize == pairs._AMBIENT_MEMO >= MAX_NK - 3 for memo in memos)
+    for n in chain(range(4, MAX_NK + 1), range(MAX_ARG - 19, MAX_ARG + 1)):
+        eval_dsl(f"F1({n})")
+        assert pairs._ambient_classes.cache_info().currsize <= pairs._AMBIENT_MEMO
 
 
 _BIG = "*".join(["9" * 1000] * 5)

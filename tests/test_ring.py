@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic: examples and algebraic properties."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from pgpairs.errors import InvalidParameter, NegativeCoefficient, NonExactDivision
-from pgpairs.ring import LPoly, TPoly, projective_class
+from pgpairs.ring import MAX_DEGREE, LPoly, TPoly, projective_class
 
 
 def L(coeffs):
@@ -166,3 +167,19 @@ def test_tpoly_negative_scaling_type_and_repr():
     assert type(3 * p) is TPoly
     assert TPoly({0: 1}) != LPoly({0: 1})
     assert repr(p) == "TPoly(1 + 2*t^2)"
+
+
+def test_exponents_past_the_bound_are_refused_at_once():
+    # a dense value holds one slot per degree: {10**9: 1} would be 8 GB
+    past = [
+        lambda: LPoly({10**9: 1}),
+        lambda: TPoly({MAX_DEGREE + 1: 0}),
+        lambda: LPoly.monomial(10**12, 3),
+        lambda: TPoly({0: 1, MAX_DEGREE + 1: 1}),
+    ]
+    for build in past:
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=f"^exponent \\d+ exceeds MAX_DEGREE = {MAX_DEGREE}$"):
+            build()
+        assert time.perf_counter() - start < 0.1
+    assert LPoly.monomial(MAX_DEGREE, 2).degree == MAX_DEGREE
