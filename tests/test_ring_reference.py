@@ -33,11 +33,11 @@ def build(cls, coeffs: dict):
     return cls(coeffs), ORACLE[cls](coeffs)
 
 
-def outcome(f, *args):
-    """("ok", value) or (error type name, message); NegativeCoefficient keeps
+def outcome(f, x):
+    """("ok", f(x)) or (error type name, message); NegativeCoefficient keeps
     only its type, since its message may name another negative term."""
     try:
-        return ("ok", f(*args))
+        return ("ok", f(x))
     except NegativeCoefficient:
         return ("NegativeCoefficient", None)
     except Exception as exc:  # noqa: BLE001 - compared, not handled
@@ -61,16 +61,12 @@ def view(p):
     )
 
 
-def agree(new, old, op, *args):
-    got, want = outcome(op, new, *args), outcome(op, old, *args)
+def agree(new, old, op):
+    got, want = outcome(op, new), outcome(op, old)
     if got[0] == want[0] == "ok":
         assert view(got[1]) == view(want[1])
     else:
         assert got == want
-
-
-def first_negative_by_degree(old_value_coeffs: dict):
-    return min((d, v) for d, v in old_value_coeffs.items() if v < 0)
 
 
 BINARY = [
@@ -125,7 +121,7 @@ def test_negative_coefficient_names_the_first_negative_by_degree(a, b):
         return
     with pytest.raises(NegativeCoefficient) as raised:
         TPoly(a) - TPoly(b)
-    degree, value = first_negative_by_degree(diff)
+    degree, value = min((d, v) for d, v in diff.items() if v < 0)
     assert NEGATIVE.fullmatch(str(raised.value)).groups() == (str(value), str(degree))
     with pytest.raises(NegativeCoefficient, match=f"^coefficient {value} in degree {degree}$"):
         TPoly(diff)
