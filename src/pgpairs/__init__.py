@@ -15,17 +15,13 @@ from .pairs import (
     build_pair_report,
     cayley_hypersurface_class,
     cayley_hypersurface_class_dual,
-    cayley_trick_poincare,
     check_l_equivalence,
-    check_variable_betti_link,
     derive_poincare_y,
     fiber_classes,
     hypersurface_poincare_oracle,
     make_pair,
-    motivic_equivalence_status,
     nl_status,
     poincare_x,
-    variable_betti,
 )
 from .ring import LPoly, TPoly, projective_class
 from .schubert import (
@@ -52,9 +48,7 @@ __all__ = [
     "build_pair_report",
     "cayley_hypersurface_class",
     "cayley_hypersurface_class_dual",
-    "cayley_trick_poincare",
     "check_l_equivalence",
-    "check_variable_betti_link",
     "chi_y_ci",
     "derive_poincare_y",
     "errors",
@@ -68,11 +62,9 @@ __all__ = [
     "lr_count",
     "make_pair",
     "middle_hodge",
-    "motivic_equivalence_status",
     "nl_status",
     "poincare_x",
     "projective_class",
     "sum_even_powers",
     "tangent_chern",
-    "variable_betti",
 ]

@@ -24,12 +24,11 @@ from .errors import (
     OutOfSmoothRange,
     PGError,
 )
-from .pairs import CHECK_NAMES, SCHEMA_VERSION, build_pair_report, make_pair
+from .pairs import CHECK_NAMES, MAX_NK, SCHEMA_VERSION, build_pair_report, make_pair
 from .ring import LPoly
 from .schubert import ENGINES
 
 _FORMATS = ("json", "markdown", "csv")
-MAX_NK = 24
 
 
 def _dump_json(payload) -> str:

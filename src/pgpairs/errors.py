@@ -34,10 +34,6 @@ class NegativeDimension(PGError):
     """The requested section or its dual has negative expected dimension."""
 
 
-class UncoveredPair(PGError):
-    """The requested identity is only established for specific (n, k)."""
-
-
 class InconsistentEuler(PGError):
     """An Euler characteristic forces an impossible middle Betti number."""
 

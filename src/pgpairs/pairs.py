@@ -10,9 +10,12 @@ cut-and-paste relation
 is verified and solved at the level of Poincare polynomials, where every step
 is an exactness assertion.  The module also carries the classical smooth
 hypersurface oracle (whose ambient is projective space, sharing no code with
-the Schubert engine) as the anti-self-confirmation cross-check, the
-Noether-Lefschetz catalogue, and the applicability test for the motivic
-equivalence between the two sides.
+the Schubert engine) as the anti-self-confirmation cross-check, and the
+Noether-Lefschetz catalogue.
+
+`build_pair_report` is the one route to a pair's invariants: the variable
+Betti number, the middle-Betti link and the motivic-equivalence status read
+the P(X) and P(Y) it computes once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import (
     NegativeDimension,
     NonExactDivision,
     OutOfSmoothRange,
-    UncoveredPair,
 )
 from .ring import LPoly, TPoly, projective_class
 from .schubert import (
@@ -85,6 +87,9 @@ def make_pair(n: int, k: int) -> PGPair:
     return PGPair(n=n, k=k, dim_x=dim_x, dim_y=dim_y, s=s, m=m, smooth_range=True)
 
 
+# every n and k of a CLI `pair` or `grid` request lies in -MAX_NK..MAX_NK
+MAX_NK = 24
+
 # The memos below are per process and unlocked, so they are not for
 # concurrent threads.  Each holds classes built from its arguments and the
 # class constructors of `schubert` and `ring` alone; lefschetz_shift, betti
@@ -92,20 +97,19 @@ def make_pair(n: int, k: int) -> PGPair:
 # read by their callers, so no memo serves a value from before the swap.
 #
 # The two ambient memos are bounded.  A pair report reads them for every k of
-# its n, and the CLI names n <= MAX_NK = 24 (cli.py), so _AMBIENT_MEMO = 24
-# entries keep every n of that domain.  The DSL's F1(n) and F2(n) reach them
-# for any n up to MAX_ARG = 1000 (dsl.py), and an unbounded memo would keep
-# the classes of every such n for the life of the process.
-_AMBIENT_MEMO = 24
+# its n, and the CLI names n <= MAX_NK, so MAX_NK entries keep every n of that
+# domain.  The DSL's F1(n) and F2(n) reach them for any n up to MAX_ARG = 1000
+# (dsl.py), and an unbounded memo would keep the classes of every such n for
+# the life of the process.
 
 
-@lru_cache(maxsize=_AMBIENT_MEMO)
+@lru_cache(maxsize=MAX_NK)
 def _ambient_classes(n: int) -> tuple:
     """[Gr(2,n)] and the class [H(2,n)] of its smooth hyperplane section."""
     return grassmannian_class(n), hyperplane_section_class(n)
 
 
-@lru_cache(maxsize=_AMBIENT_MEMO)
+@lru_cache(maxsize=MAX_NK)
 def _ambient_poincare(n: int) -> tuple:
     """The Poincare polynomials of Gr(2,n) and H(2,n)."""
     return tuple(c.to_poincare() for c in _ambient_classes(n))
@@ -188,13 +192,6 @@ def _variable_part(n: int, d: int, p_x: TPoly) -> int:
     return v
 
 
-def variable_betti(n: int, k: int, engine: str = "pieri") -> int:
-    """Dimension of the variable middle cohomology of X: its middle Betti
-    number minus the ambient one."""
-    d = _section_params(n, k)
-    return _variable_part(n, d, poincare_x(n, k, engine))
-
-
 def cayley_hypersurface_class(pair: PGPair, p_x: TPoly) -> TPoly:
     """Poincare realization of the incidence (1,1)-divisor computed from the
     Grassmannian-side fibration: [Gr][P^(k-2)] + [X] L^(k-1)."""
@@ -253,27 +250,11 @@ def _dual_defect(pair: PGPair, p_y: TPoly) -> str | None:
 
 
 def _link_covered(pair: PGPair) -> bool:
+    """Whether the middle-Betti link, v(X) = b_mid(Y) - 1, is established for
+    the pair: n even with k in {2,4}, n odd with k in {2,4,6}."""
     return (pair.n % 2 == 0 and pair.k in (2, 4)) or (
         pair.n % 2 == 1 and pair.k in (2, 4, 6)
     )
-
-
-def _link_holds(pair: PGPair, v: int, p_y: TPoly) -> bool:
-    return v == p_y.coefficient(pair.dim_y) - 1
-
-
-def check_variable_betti_link(pair: PGPair, engine: str = "pieri") -> bool:
-    """The middle-cohomology link between the two sides: the variable middle
-    Betti number of X equals the middle Betti number of Y minus one.
-
-    Established for n even with k in {2,4} and n odd with k in {2,4,6}; other
-    pairs raise UncoveredPair.
-    """
-    if not _link_covered(pair):
-        raise UncoveredPair(f"({pair.n},{pair.k}) is outside the verified range")
-    p_x = poincare_x(pair.n, pair.k, engine)
-    v = _variable_part(pair.n, pair.dim_x, p_x)
-    return _link_holds(pair, v, derive_poincare_y(pair, p_x))
 
 
 @cache
@@ -313,18 +294,11 @@ def transcendental_proxy(k: int) -> str:
     )
 
 
-def motivic_equivalence_status(n: int, k: int, engine: str = "pieri") -> str:
-    """Applicability of the motivic equivalence between the two sides.
-
-    'applies' needs k <= 6 or (n,k) = (7,7), a satisfied Noether-Lefschetz
-    status, and a positive variable Betti number (the computable proxy for
-    nonzero transcendental cohomology); a vanishing variable Betti number is
-    'hypothesis_fails'; anything else is 'not_covered'.
-    """
-    return _motivic_status(n, k, variable_betti(n, k, engine), nl_status(n, k))
-
-
 def _motivic_status(n: int, k: int, v: int, nl: str) -> str:
+    """Applicability of the motivic equivalence between the two sides: 'applies'
+    needs k <= 6 or (n,k) = (7,7), Noether-Lefschetz status nl 'satisfied'
+    and a positive variable Betti number v (the computable proxy for nonzero
+    transcendental cohomology); v = 0 is 'hypothesis_fails'; else 'not_covered'."""
     if v == 0:
         return "hypothesis_fails"
     if (k <= 6 or (n, k) == (7, 7)) and nl == "satisfied":
@@ -358,41 +332,6 @@ def hypersurface_poincare_oracle(d: int, ambient_dim: int) -> TPoly:
     if not out.is_palindromic(dim):
         raise InconsistentEuler(f"Poincare polynomial {out} of a degree-{d} hypersurface is not palindromic")
     return out
-
-
-def cayley_trick_poincare(
-    u_class: LPoly, s_poincare: TPoly, u_poincare: TPoly, r: int
-) -> TPoly:
-    """Poincare polynomial of the hyperplane-type divisor in a projectivized
-    rank-r bundle over U whose section cuts out S:
-
-        P = P(S) t^(2(r-1)) + P(U) P(P^(r-2)).
-
-    The result must be palindromic about dim U + r - 2; inconsistent inputs
-    (an S of impossible dimension) are rejected through that failure.
-    """
-    if r < 2:
-        raise InvalidParameter(f"projectivized bundle needs rank r >= 2, got {r}")
-    if u_class.to_poincare() != u_poincare:
-        raise InvalidParameter("ambient class and ambient Poincare polynomial disagree")
-    if u_poincare.is_zero() or u_poincare.degree % 2:
-        raise InvalidParameter("ambient Poincare polynomial has no even top degree")
-    dim_u = u_poincare.degree // 2
-    if not u_poincare.is_palindromic(dim_u):
-        raise InvalidParameter("ambient Poincare polynomial is not palindromic")
-    if not s_poincare.is_zero():
-        if s_poincare.degree % 2 or not s_poincare.is_palindromic(s_poincare.degree // 2):
-            raise InvalidParameter("section-locus Poincare polynomial is not palindromic")
-    result = s_poincare.shift(2 * (r - 1)) + u_poincare * projective_class(
-        r - 2
-    ).to_poincare()
-    dim_total = dim_u + r - 2
-    if not result.is_palindromic(dim_total):
-        raise InvalidParameter(
-            f"result {result!r} is not palindromic about {dim_total}: "
-            "the inputs are not the invariants of a bundle section"
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +377,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
         ),
         "variable_nonneg": (v >= 0, f"variable Betti number {v}"),
         "middle_betti_link": (
-            (_link_holds(pair, v, p_y), f"{v} = {p_y.coefficient(pair.dim_y)} - 1")
+            (v == p_y.coefficient(pair.dim_y) - 1, f"{v} = {p_y.coefficient(pair.dim_y)} - 1")
             if _link_covered(pair)
             else (None, "outside the verified (n,k) range")
         ),

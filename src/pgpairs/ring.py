@@ -45,8 +45,9 @@ class LPoly:
     """Polynomial in one formal variable with exact arbitrary-precision
     integer coefficients, stored as one tuple indexed by degree.
 
-    `LPoly({degree: coefficient})`, `from_coeffs` and `monomial` validate
-    their input, once; no operation validates again.  They refuse an exponent
+    `LPoly({degree: coefficient})` (a dict or None, nothing else),
+    `from_coeffs` and `monomial` validate their input, once; no operation
+    validates again.  They refuse an exponent
     above MAX_DEGREE = 3,000,000 with InvalidParameter, because a sparse
     input such as {10**9: 1} would otherwise allocate gigabytes.  The bound
     is MAX_WORK of `dsl`, and no class the program builds reaches it.  A DSL
@@ -67,6 +68,8 @@ class LPoly:
     _var = "L"
 
     def __init__(self, coeffs=None):
+        if not isinstance(coeffs, (dict, type(None))):
+            raise InvalidParameter(f"{type(self).__name__} takes a dict or None, not {type(coeffs).__name__}")
         self._c = self._checked(_dense(coeffs or {}))
 
     @classmethod

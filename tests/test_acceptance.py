@@ -17,13 +17,11 @@ from pgpairs.dsl import eval_dsl
 from pgpairs.errors import EvalError, NegativeDimension, ParseError
 from pgpairs.pairs import (
     build_pair_report,
-    cayley_trick_poincare,
+    cayley_hypersurface_class,
     check_l_equivalence,
-    check_variable_betti_link,
     derive_poincare_y,
     hypersurface_poincare_oracle,
     make_pair,
-    motivic_equivalence_status,
     poincare_x,
 )
 from pgpairs.ring import LPoly, projective_class
@@ -117,7 +115,8 @@ def test_criterion_03_middle_betti_link():
                 with pytest.raises(NegativeDimension):
                     make_pair(n, k)
                 continue
-            assert check_variable_betti_link(make_pair(n, k)), (n, k)
+            link = next(c for c in build_pair_report(n, k)["checks"] if c["name"] == "middle_betti_link")
+            assert link["status"] == "pass", (n, k)
             checked.append((n, k))
     assert len(checked) == 14
     print("PASS criterion 3 (Betti difference identity and middle-link on 14 pairs)")
@@ -167,7 +166,7 @@ def test_criterion_05_calabi_yau_threefold_pair_dual_engines():
     assert p_x.coefficient(3) == 102
     assert hodge.middle_hodge == (1, 50, 50, 1)
     assert hodge.chi_y[0] == 0
-    assert motivic_equivalence_status(7, 7) == "applies"
+    assert build_pair_report(7, 7)["motivic_equivalence"]["status"] == "applies"
     print("PASS criterion 5 (Calabi-Yau threefold pair, both engines agree)")
 
 
@@ -246,7 +245,7 @@ def test_criterion_07_constant_term_one_including_point_duals():
 def test_criterion_08_projectivized_bundle_divisor():
     u_class = grassmannian_class(10)
     p_s = poincare_x(10, 5)
-    p_z = cayley_trick_poincare(u_class, p_s, u_class.to_poincare(), 5)
+    p_z = cayley_hypersurface_class(make_pair(10, 5), p_s)
     expected = p_s.shift(8) + u_class.to_poincare() * projective_class(3).to_poincare()
     assert p_z == expected
     assert p_z.is_palindromic(19)

@@ -261,10 +261,10 @@ def test_fiber_classes_past_the_cli_domain_keep_a_bounded_memo():
     # F1(n) reaches the ambient memo of pairs for every n up to MAX_ARG; it
     # keeps each n of the CLI domain 4..MAX_NK and never more entries
     memos = (pairs._ambient_classes, pairs._ambient_poincare)
-    assert all(memo.cache_info().maxsize == pairs._AMBIENT_MEMO >= MAX_NK - 3 for memo in memos)
+    assert all(memo.cache_info().maxsize == MAX_NK for memo in memos)
     for n in chain(range(4, MAX_NK + 1), range(MAX_ARG - 19, MAX_ARG + 1)):
         eval_dsl(f"F1({n})")
-        assert pairs._ambient_classes.cache_info().currsize <= pairs._AMBIENT_MEMO
+        assert pairs._ambient_classes.cache_info().currsize <= MAX_NK
 
 
 _BIG = "*".join(["9" * 1000] * 5)

@@ -12,28 +12,24 @@ from pgpairs.errors import (
     NegativeDimension,
     NonExactDivision,
     OutOfSmoothRange,
-    UncoveredPair,
 )
 from pgpairs.pairs import (
+    MAX_NK,
     PGPair,
     build_pair_report,
     cayley_hypersurface_class,
     cayley_hypersurface_class_dual,
-    cayley_trick_poincare,
     check_l_equivalence,
-    check_variable_betti_link,
     derive_poincare_y,
     fiber_classes,
     hypersurface_poincare_oracle,
     make_pair,
-    motivic_equivalence_status,
     nl_status,
     poincare_x,
     transcendental_proxy,
-    variable_betti,
 )
 from pgpairs.ring import LPoly, TPoly, projective_class
-from pgpairs.schubert import grassmannian_class, hyperplane_section_class, lefschetz_shift
+from pgpairs.schubert import betti, grassmannian_class, hyperplane_section_class, lefschetz_shift
 
 
 def all_valid_pairs(n_max, k_max=10):
@@ -146,9 +142,10 @@ def test_poincare_x_smooth_range_enforced():
 
 
 def test_variable_betti_examples():
-    assert variable_betti(6, 5) == 10
-    assert variable_betti(8, 4) == 21
-    assert variable_betti(4, 1) == 0
+    assert build_pair_report(6, 5)["variable_betti"] == 10
+    assert build_pair_report(8, 4)["variable_betti"] == 21
+    # (4,1) has an empty dual, so no report: its v is b_3(X) - b_3(Gr(2,4))
+    assert poincare_x(4, 1).coefficient(3) - betti(4, 3) == 0
 
 
 # -- the relation ----------------------------------------------------------------
@@ -238,21 +235,27 @@ def test_dual_shape_sweep():
 # -- catalogues and statuses -------------------------------------------------------
 
 
+def _link_status(n, k):
+    return next(c["status"] for c in build_pair_report(n, k)["checks"] if c["name"] == "middle_betti_link")
+
+
 def test_variable_betti_link_on_verified_range():
-    for pair in all_valid_pairs(12):
-        even_list = pair.n % 2 == 0 and pair.k in (2, 4)
-        odd_list = pair.n % 2 == 1 and pair.k in (2, 4, 6)
-        if even_list or odd_list:
-            assert check_variable_betti_link(pair), (pair.n, pair.k)
+    # the link passes on exactly the pairs where it is established, n even
+    # with k in {2,4} and n odd with k in {2,4,6}, and is skipped on every
+    # other report of the CLI domain
+    pairs = all_valid_pairs(MAX_NK)
+    assert len(pairs) == 119
+    for pair in pairs:
+        covered = pair.k in ((2, 4) if pair.n % 2 == 0 else (2, 4, 6))
+        assert pairs_module._link_covered(pair) == covered, (pair.n, pair.k)
+        assert _link_status(pair.n, pair.k) == ("pass" if covered else "skip"), (pair.n, pair.k)
 
 
 def test_variable_betti_link_examples():
-    assert check_variable_betti_link(make_pair(8, 4))
-    assert check_variable_betti_link(make_pair(7, 6))
-    with pytest.raises(UncoveredPair):
-        check_variable_betti_link(make_pair(7, 7))
-    with pytest.raises(UncoveredPair):
-        check_variable_betti_link(make_pair(6, 5))
+    assert _link_status(8, 4) == "pass"
+    assert _link_status(7, 6) == "pass"
+    assert _link_status(7, 7) == "skip"
+    assert _link_status(6, 5) == "skip"
 
 
 def test_l_equivalence_check():
@@ -277,12 +280,14 @@ def test_nl_status_catalogue():
 
 
 def test_motivic_equivalence_status():
-    assert motivic_equivalence_status(7, 7) == "applies"
-    assert motivic_equivalence_status(10, 5) == "applies"
-    assert motivic_equivalence_status(4, 1) == "hypothesis_fails"
-    assert motivic_equivalence_status(5, 2) == "hypothesis_fails"
-    assert motivic_equivalence_status(7, 8) == "not_covered"  # k > 6 and not (7,7)
-    assert motivic_equivalence_status(6, 4) == "not_covered"  # NL unknown
+    def status(n, k):
+        return build_pair_report(n, k)["motivic_equivalence"]["status"]
+
+    assert status(7, 7) == "applies"
+    assert status(10, 5) == "applies"
+    assert status(4, 3) == "hypothesis_fails"  # the one report of the domain with v = 0
+    assert status(7, 8) == "not_covered"  # k > 6 and not (7,7)
+    assert status(6, 4) == "not_covered"  # NL unknown
 
 
 def test_transcendental_proxy_labels():
@@ -316,16 +321,12 @@ def test_dual_matches_oracle_for_even_n():
 # -- the projectivized-bundle divisor --------------------------------------------------
 
 
-def test_cayley_trick_rank_two_empty_locus():
-    u = projective_class(3)
-    out = cayley_trick_poincare(u, TPoly.zero(), u.to_poincare(), 2)
-    assert out == u.to_poincare()
-
-
 def test_cayley_trick_fano_nineteenfold():
+    # the divisor [Gr][P^3] + [X] L^4 in the projectivized rank-5 bundle over
+    # Gr(2,10) whose section cuts out the (10,5) section X
     u_class = grassmannian_class(10)
     p_s = poincare_x(10, 5)
-    p_z = cayley_trick_poincare(u_class, p_s, u_class.to_poincare(), 5)
+    p_z = cayley_hypersurface_class(make_pair(10, 5), p_s)
     assert p_z == p_s.shift(8) + u_class.to_poincare() * projective_class(3).to_poincare()
     assert p_z.degree == 38
     assert p_z.is_palindromic(19)
@@ -333,19 +334,9 @@ def test_cayley_trick_fano_nineteenfold():
 
 
 def test_cayley_trick_rejects_impossible_section_locus():
-    u = projective_class(1)
-    with pytest.raises(InvalidParameter):
-        cayley_trick_poincare(u, TPoly({0: 2}), u.to_poincare(), 2)
-
-
-def test_cayley_trick_input_validation():
-    u = projective_class(3)
-    with pytest.raises(InvalidParameter):
-        cayley_trick_poincare(u, TPoly.zero(), u.to_poincare(), 1)
-    with pytest.raises(InvalidParameter):
-        cayley_trick_poincare(u, TPoly.zero(), projective_class(2).to_poincare(), 2)
-    with pytest.raises(InvalidParameter):
-        cayley_trick_poincare(u, TPoly.from_coeffs([1, 1]), u.to_poincare(), 2)
+    # two points are not palindromic about dim X = 11
+    with pytest.raises(InvalidParameter, match="not palindromic about dim X"):
+        cayley_hypersurface_class(make_pair(10, 5), TPoly({0: 2}))
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -480,11 +471,10 @@ def test_wrong_lefschetz_shift_is_an_inconsistency(monkeypatch):
         make_pair(7, 7)
 
 
-def test_negative_variable_betti_number_is_rejected(monkeypatch):
+def test_negative_variable_betti_number_is_rejected():
     # b_8 of Gr(2,8) is 3, so a middle Betti number 0 leaves -3
-    monkeypatch.setattr("pgpairs.pairs.poincare_x", lambda n, k, engine="pieri": TPoly({0: 1, 8: 0, 16: 1}))
     with pytest.raises(NegativeCoefficient, match="variable Betti number -3"):
-        variable_betti(8, 4)
+        pairs_module._variable_part(8, 8, TPoly({0: 1, 8: 0, 16: 1}))
 
 
 def test_non_palindromic_oracle_is_an_inconsistency(monkeypatch):

@@ -152,6 +152,17 @@ def test_non_integer_exponents_and_coefficients_rejected(coeffs, cls):
         cls(coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs", [[1, 2], 5, (1, 2), 0, [], ""], ids=["list", "int", "tuple", "zero_int", "empty_list", "empty_str"]
+)
+def test_constructor_takes_only_a_dict_or_none(coeffs):
+    # a falsy argument such as 0 or [] is refused too, not read as zero
+    for cls in (LPoly, TPoly):
+        with pytest.raises(InvalidParameter, match=f"^{cls.__name__} takes a dict or None, not {type(coeffs).__name__}$"):
+            cls(coeffs)
+        assert cls(None) == cls({}) == cls.zero()
+
+
 @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "L", None], ids=["fraction", "float", "str", "none"])
 def test_arithmetic_with_non_polynomial_is_type_error(other):
     p = LPoly.one()
