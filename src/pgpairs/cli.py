@@ -19,7 +19,9 @@ from .errors import (
     EvalError,
     InconsistentEuler,
     InvalidParameter,
+    NegativeCoefficient,
     NegativeDimension,
+    NonExactDivision,
     NonIntegralGenus,
     OutOfSmoothRange,
     PGError,
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
                 text, code = run_grid(args.n_min, args.n_max, args.k_min, args.k_max, checks, args.format, args.engine)
         sys.stdout.write(text)
         return code
-    except (InconsistentEuler, NonIntegralGenus) as exc:
+    except (InconsistentEuler, NegativeCoefficient, NonExactDivision, NonIntegralGenus) as exc:
         sys.stderr.write(_diag(exc))
         return 3
     except EvalError as exc:

@@ -20,14 +20,15 @@ ParseError at that literal.
 
 Beyond time linear in the length of the text, work is bounded by one budget
 of MAX_WORK = 3,000,000 units per expression, each step charged before it
-runs.  Gr, H, F1 and F2, which enumerate cells, cost their last argument
-squared, and P and SumEven their argument.  A class of degree d whose
-largest coefficient has b bits has size (d + 1) * (1 + b // 512): `*` costs
-the product of its operands' sizes, and `+`, `-` and `==` their sum.  `div`
-costs as `*` with the dividend's largest coefficient grown by the bits that
-long division can add to a remainder (`_growth`).  A unit takes under a
-microsecond, so the budget is a few seconds.  A step past it is an
-InvalidParameter naming its fragment.
+runs.  Gr, H, F1 and F2 cost their last argument squared, and P and SumEven
+their argument.  Gr reads Betti numbers in closed form, in work linear in
+n, but its charge is unchanged, and so is every accept or refuse outcome.
+A class of degree d whose largest coefficient has b bits has size
+(d + 1) * (1 + b // 512): `*` costs the product of its operands' sizes, and
+`+`, `-` and `==` their sum.  `div` costs as `*` with the dividend's largest
+coefficient grown by the bits that long division can add to a remainder
+(`_growth`).  A unit takes under a microsecond, so the budget is a few
+seconds.  A step past it is an InvalidParameter naming its fragment.
 """
 
 from __future__ import annotations

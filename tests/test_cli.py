@@ -18,8 +18,17 @@ from pgpairs.cli import (
     run_grid,
     run_pair,
 )
-from pgpairs.errors import InconsistentEuler, InvalidParameter, PGError
+from pgpairs import pairs as pairs_module
+from pgpairs.errors import (
+    InconsistentEuler,
+    InvalidParameter,
+    NegativeCoefficient,
+    NonExactDivision,
+    NonIntegralGenus,
+    PGError,
+)
 from pgpairs.pairs import CHECK_NAMES
+from pgpairs.ring import LPoly
 from pgpairs.schubert import lefschetz_shift
 
 
@@ -335,6 +344,37 @@ def test_internal_inconsistency_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "InconsistentEuler", "message": "forced"}
+
+
+# the other report errors that exit 3, as internal inconsistencies
+@pytest.mark.parametrize("error", [NonIntegralGenus, NonExactDivision, NegativeCoefficient], ids=lambda e: e.__name__)
+def test_internal_errors_exit_3(monkeypatch, capsys, error):
+    def raising(n, k, engine):
+        raise error("forced")
+
+    monkeypatch.setattr("pgpairs.cli.build_pair_report", raising)
+    assert main(["pair", "--n", "7", "--k", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error.__name__, "message": "forced"}
+
+
+def test_a_relation_that_fails_exits_3(monkeypatch, capsys):
+    # a wrong [H(2,n)] breaks the cut-and-paste relation of (8,4): the
+    # division that solves it for P(Y) leaves a remainder
+    memos = (pairs_module._ambient_classes, pairs_module._ambient_poincare, pairs_module._decomposables)
+    for memo in memos:
+        memo.cache_clear()
+    h = pairs_module.hyperplane_section_class
+    monkeypatch.setattr(pairs_module, "hyperplane_section_class", lambda n: h(n) + LPoly.monomial(1))
+    try:
+        assert main(["pair", "--n", "8", "--k", "4"]) == 3
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "NonExactDivision", "message": "remainder of degree 8 left by division"}
 
 
 @pytest.mark.parametrize("argv, code", [(["eval", "1"], 0), (["eval", "1 div 0"], 1), (["eval", "1 ++"], 2)])

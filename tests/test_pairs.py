@@ -4,6 +4,7 @@ import pytest
 
 import pgpairs.chern as chern_module
 import pgpairs.pairs as pairs_module
+import pgpairs.schubert as schubert_module
 from pgpairs.chern import HodgeSummary, middle_hodge
 from pgpairs.errors import (
     InconsistentEuler,
@@ -449,6 +450,32 @@ def test_memos_serve_no_value_from_before_a_mutant(monkeypatch):
     monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
     f1, f2 = fiber_classes(7)
     assert f2 - f1 == LPoly.monomial(lefschetz_shift(7) + 1)
+
+
+@pytest.mark.parametrize(
+    "n, k, error",
+    [
+        (8, 4, NonExactDivision),
+        (9, 4, NonExactDivision),
+        (10, 5, NonExactDivision),
+        (7, 7, InconsistentEuler),
+        (6, 6, InconsistentEuler),
+    ],
+)
+def test_a_wrong_betti_everywhere_is_refused(monkeypatch, n, k, error):
+    # an extra class in degree 2 moves [Gr(2,n)] and P(X) together, but not
+    # [H(2,n)], whose product formula reads no Betti number: the relation fails
+    memos = (pairs_module._ambient_classes, pairs_module._ambient_poincare, pairs_module._decomposables, check_l_equivalence)
+    for module in (schubert_module, pairs_module, chern_module):
+        monkeypatch.setattr(module, "betti", lambda n, j: betti(n, j) + (j == 2))
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        with pytest.raises(error):
+            build_pair_report(n, k)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_report_check_statuses():

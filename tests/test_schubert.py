@@ -38,23 +38,25 @@ def _class_by_cell_enumeration(n):
 
 
 def test_grassmannian_class_cells_equals_enumeration():
-    for n in range(4, 15):
-        assert grassmannian_class(n, "cells") == _class_by_cell_enumeration(n)
+    for n in range(4, 41):
+        assert grassmannian_class(n) == _class_by_cell_enumeration(n)
 
 
 def test_grassmannian_class_two_methods_agree():
+    # the product formula, a second oracle: [P^(n-2)] (n even) or [P^(n-1)]
+    # (n odd) times the even-power sum
     for n in range(4, 15):
-        assert grassmannian_class(n, "cells") == grassmannian_class(n, "product_formula")
+        base = projective_class(n - 2 if n % 2 == 0 else n - 1)
+        assert grassmannian_class(n) == base * sum_even_powers(n)
 
 
 def test_grassmannian_class_examples():
-    assert grassmannian_class(4, "cells") == LPoly.from_coeffs([1, 1, 2, 1, 1])
-    assert grassmannian_class(4, "product_formula") == projective_class(2) * LPoly.from_coeffs([1, 0, 1])
-    assert grassmannian_class(5, "product_formula") == projective_class(4) * LPoly.from_coeffs([1, 0, 1])
-    with pytest.raises(InvalidParameter):
-        grassmannian_class(3)
-    with pytest.raises(InvalidParameter):
-        grassmannian_class(5, "nope")
+    assert grassmannian_class(4) == LPoly.from_coeffs([1, 1, 2, 1, 1])
+    assert grassmannian_class(4) == projective_class(2) * LPoly.from_coeffs([1, 0, 1])
+    assert grassmannian_class(5) == projective_class(4) * LPoly.from_coeffs([1, 0, 1])
+    for n in (-3, 0, 1, 2, 3):
+        with pytest.raises(InvalidParameter, match=f"Gr\\(2,{n}\\) needs n >= 4"):
+            grassmannian_class(n)
 
 
 def test_hyperplane_section_class_examples():
