@@ -95,8 +95,8 @@ MAX_NK = 24
 # class constructors of `schubert` and `ring` alone; lefschetz_shift, betti
 # and the Euler characteristic, which tests replace by wrong formulas, are
 # read by their callers, so no memo serves a value from before the swap.
-# [Gr(2,n)] reads `schubert.betti`, not this module's name for it: a test
-# that replaces that one clears `_ambient_classes` and what is built on it.
+# [Gr(2,n)] reads `schubert.betti`, not this module's name for it, so a test
+# that replaces `schubert.betti` must clear `_ambient_classes` and its users.
 #
 # The two ambient memos are bounded.  A pair report reads them for every k of
 # its n, and the CLI names n <= MAX_NK, so MAX_NK entries keep every n of that
