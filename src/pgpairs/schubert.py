@@ -7,26 +7,25 @@ two-row Schur classes by the sigma_nu with nu_0 > n-2, and that quotient is a
 ring map (Fulton, Young Tableaux, 9.4).  So each engine keeps one n-free
 table per factor, {lam: sigma_lam * sigma_mu} of `product_rows`, and one
 loop, `add_product`, reads it for every product of every ring: it drops each
-nu outside the box as it adds up, for `ChowClass` products, for
-`ChowRing.product` and for the Chern class recurrences of
-`chern.tangent_chern`.  The `pieri` engine writes the product in closed
-form: sigma_{a,b} = sigma_{1,1}^b * sigma_{a-b}, and Pieri's rule gives
-sigma_p * sigma_q = sum over j = 0..min(p, q) of sigma_{p+q-j, j}, so every
-two-row structure constant is 0 or 1.  An independent Littlewood-Richardson
-engine, `lr`, is available as a cross-check.  The module also builds the
-classes in Z[L] of Gr(2,n), from the Betti numbers of `betti`, and of its
-smooth hyperplane sections, by a product formula that reads no Betti number;
-the tests hold each against an oracle that shares no code with it.
+nu outside the box as it adds up.  Production reaches it through the Chern
+class recurrences of `chern.tangent_chern`; `ChowRing.product` and the
+product of two `ChowClass`es run the same loop.  A `ChowClass` has int
+coefficients and only a product, components, an integral and equality: the
+sums, scalars, powers and Fractions of the tests' oracles stay in the tests.
+The `pieri` engine writes the product in closed form: sigma_{a,b} =
+sigma_{1,1}^b * sigma_{a-b}, and Pieri's rule gives sigma_p * sigma_q = sum
+over j = 0..min(p, q) of sigma_{p+q-j, j}, so every two-row structure
+constant is 0 or 1.  An independent Littlewood-Richardson engine, `lr`, is
+available as a cross-check.  The module also builds the classes in Z[L] of
+Gr(2,n), from the Betti numbers of `betti`, and of its smooth hyperplane
+sections, by a product formula that reads no Betti number; the tests hold
+each against an oracle that shares no code with it.
 """
 
 from __future__ import annotations
 
 from .errors import AmbientMismatch, InvalidParameter
 from .ring import LPoly, projective_class
-
-TYPE_CHECKING = False  # no `typing` import at run time
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 ENGINES = ("pieri", "lr")
 
@@ -224,22 +223,9 @@ class ChowRing:
         except (KeyError, TypeError):
             raise InvalidParameter(f"{p!r} is not a partition in the 2 x {self.max_col} box") from None
 
-    # -- class constructors ------------------------------------------------
-
-    def sigma(self, a: int, b: int = 0) -> "ChowClass":
-        return ChowClass(self, {(a, b): 1})
-
-    def one(self) -> "ChowClass":
-        return self.sigma(0, 0)
-
-    def zero(self) -> "ChowClass":
-        return ChowClass(self, {})
-
     def basis(self) -> tuple:
         """The partitions of the 2 x (n-2) box, sorted by degree then lex."""
         return self._basis
-
-    # -- structure constants ------------------------------------------------
 
     def product(self, lam, mu) -> dict:
         """Structure constants sigma_lam * sigma_mu as {nu: coefficient}: the
@@ -248,27 +234,16 @@ class ChowRing:
         return add_product(self.engine, mu, {lam: 1}, self.max_col)
 
 
-def _exact(v):
-    """An int stays an int, an integral Fraction becomes one and any other
-    Fraction stays; anything else is an InvalidParameter, as for `LPoly`
-    coefficients.  Only a coefficient that is not an int imports `fractions`."""
-    if type(v) is int:
-        return v
-    from fractions import Fraction
-
-    if not isinstance(v, Fraction):
-        raise InvalidParameter(f"coefficient {v!r} must be an int or a Fraction")
-    return v.numerator if v.denominator == 1 else v
-
-
 class ChowClass:
-    """Graded rational linear combination of Schubert classes of one Gr(2,n).
+    """Integral linear combination of Schubert classes of one Gr(2,n), as
+    {partition: int} with no zero coefficient.
 
-    Integral coefficients are stored as ints and the others as Fractions, so
-    products of integral classes run on ints alone.  Every term must be a
-    partition in the 2 x (n-2) box.  Immutable; products drop every class
-    outside the box, which is the ring structure rather than an error.  Two
-    classes are equal when their n, engine and terms are.
+    Every term must be a partition in the 2 x (n-2) box and every
+    coefficient an int.  Immutable.  It has the product of two classes,
+    which drops every class outside the box (the ring structure, not an
+    error), the component of one degree and the integral; there is no sum
+    or scalar multiple.  Two classes are equal when their n, engine and
+    terms are.
     """
 
     __slots__ = ("ring", "terms")
@@ -278,8 +253,10 @@ class ChowClass:
         self.terms = {}
         for p, v in terms.items():
             p = ring._cell(p)
-            if c := _exact(v):
-                self.terms[p] = c
+            if type(v) is not int:
+                raise InvalidParameter(f"coefficient {v!r} must be an int")
+            if v:
+                self.terms[p] = v
 
     def _check(self, other: "ChowClass"):
         if self.ring.n != other.ring.n or self.ring.engine != other.ring.engine:
@@ -287,58 +264,21 @@ class ChowClass:
                 f"Gr(2,{self.ring.n})/{self.ring.engine} vs Gr(2,{other.ring.n})/{other.ring.engine}"
             )
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._check(other)
-        out = dict(self.terms)
-        for p, v in other.terms.items():
-            out[p] = out.get(p, 0) + v
-        return ChowClass(self.ring, out)
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        self._check(other)
-        out = dict(self.terms)
-        for p, v in other.terms.items():
-            out[p] = out.get(p, 0) - v
-        return ChowClass(self.ring, out)
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ring, {p: -v for p, v in self.terms.items()})
-
-    def scale(self, c) -> "ChowClass":
-        c = _exact(c)
-        return ChowClass(self.ring, {p: v * c for p, v in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, ChowClass):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         out = {}
         for mu, v in other.terms.items():
             add_product(self.ring.engine, mu, self.terms, self.ring.max_col, v, out)
         return ChowClass(self.ring, out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "ChowClass":
-        if k < 0:
-            raise InvalidParameter("negative powers are not defined")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def component(self, degree: int) -> "ChowClass":
         return ChowClass(self.ring, {p: v for p, v in self.terms.items() if p[0] + p[1] == degree})
 
-    def coefficient(self, part) -> int | Fraction:
-        return self.terms.get(tuple(part), 0)
-
-    def integrate(self) -> int | Fraction:
+    def integrate(self) -> int:
         """Degree pairing against the point class sigma_{n-2,n-2}."""
         return self.terms.get(self.ring.point, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
@@ -347,19 +287,6 @@ class ChowClass:
             and self.ring.engine == other.ring.engine
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ring.n, self.ring.engine, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for p in sorted(self.terms, key=lambda q: (q[0] + q[1], q)):
-            v = self.terms[p]
-            head = "" if v == 1 else f"{v}*"
-            bits.append(f"{head}s{p}")
-        return " + ".join(bits)
 
 
 # The engines' product tables, (engine, mu) -> `product_rows(engine, mu)`:

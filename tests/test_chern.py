@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_chow import DictChow
 from pgpairs import chern, schubert
 from pgpairs.chern import (
     HodgeSummary,
@@ -20,6 +21,11 @@ from pgpairs.pairs import hypersurface_poincare_oracle
 from pgpairs.schubert import ENGINES, ChowClass, ChowRing, betti, box_partitions, grassmannian_class
 
 
+def _delta(chow):
+    """delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, the c(End S) = 1 - delta term."""
+    return chow.sub(chow.mul(chow.sigma(1), chow.sigma(1)), chow.scale(chow.sigma(1, 1), 4))
+
+
 def test_tangent_chern_of_gr24_is_classical():
     expected = {(0, 0): 1, (1, 0): 4, (1, 1): 7, (2, 0): 7, (2, 1): 12, (2, 2): 6}
     for engine in ENGINES:
@@ -31,11 +37,11 @@ def test_whitney_identity_to_top_degree():
     # c(T) (1 - delta) = c(S^dual)^n in every degree
     for engine in ENGINES:
         for n in range(4, 13):
-            r = ChowRing(n, engine)
-            delta = r.sigma(1) * r.sigma(1) - r.sigma(1, 1).scale(4)
-            assert tangent_chern(n, engine) * (r.one() - delta) == (
-                r.one() + r.sigma(1) + r.sigma(1, 1)
-            ) ** n, (engine, n)
+            chow = DictChow(n, engine)
+            delta = _delta(chow)
+            assert chow.mul(tangent_chern(n, engine).terms, chow.sub(chow.one(), delta)) == chow.pow(
+                chow.add(chow.one(), chow.sigma(1), chow.sigma(1, 1)), n
+            ), (engine, n)
 
 
 def test_tangent_top_class_is_checked(monkeypatch):
@@ -96,10 +102,10 @@ def test_n_free_rows_cut_to_the_box_are_the_ring_products():
     add_product = schubert.add_product
     for engine in ENGINES:
         for n in range(4, 13):
-            r = ChowRing(n, engine)
-            side = r.max_col
-            delta_class = r.sigma(1) * r.sigma(1) - r.sigma(1, 1).scale(4)
-            for lam in r.basis():
+            chow = DictChow(n, engine)
+            side = chow.ring.max_col
+            delta_class = _delta(chow)
+            for lam in chow.ring.basis():
                 for mu in ((1, 0), (1, 1)):
                     row = schubert.product_rows(engine, mu)[lam]
                     in_box = {nu: c for nu, c in row.items() if nu[0] <= side}
@@ -109,45 +115,35 @@ def test_n_free_rows_cut_to_the_box_are_the_ring_products():
                     twice = add_product(engine, (1, 0), add_product(engine, (1, 0), {lam: 1}, cut), cut)
                     delta = add_product(engine, (1, 1), {lam: 1}, cut, -4, twice)
                     steps.append({nu: c for nu, c in delta.items() if c and nu[0] <= side})
-                assert steps[0] == steps[1] == (delta_class * r.sigma(*lam)).terms, (engine, n, lam)
+                assert steps[0] == steps[1] == chow.mul(delta_class, chow.sigma(*lam)), (engine, n, lam)
 
 
 # c(T) and its sigma_1 moments by full class products, the route before the
 # graded recurrences, kept here as an oracle
 
 
-def _tangent_chern_by_products(n, engine):
-    ring = ChowRing(n, engine)
-    c_dual_n = (ring.one() + ring.sigma(1) + ring.sigma(1, 1)) ** n
-    delta = ring.sigma(1) * ring.sigma(1) - ring.sigma(1, 1).scale(4)
+def _tangent_chern_by_products(chow):
+    c_dual_n = chow.pow(chow.add(chow.one(), chow.sigma(1), chow.sigma(1, 1)), chow.n)
+    delta = _delta(chow)
     total = c_dual_n
-    for _ in range(ring.dim // 2):
-        total = c_dual_n + delta * total
+    for _ in range(chow.dim // 2):
+        total = chow.add(c_dual_n, chow.mul(delta, total))
     return total
-
-
-def _sigma1_moments_by_products(cls):
-    ring = cls.ring
-    out, power = [], ring.one()
-    for j in range(ring.dim + 1):
-        out.append((cls.component(ring.dim - j) * power).integrate())
-        power = power * ring.sigma(1)
-    return out
 
 
 def test_graded_recurrences_match_full_product_oracle():
     for engine in ENGINES:
         for n in range(4, 17):
-            expected = _tangent_chern_by_products(n, engine)
-            assert tangent_chern(n, engine) == expected, (engine, n)
-            moments = _sigma1_moments_by_products(expected)
+            chow = DictChow(n, engine)
+            expected = _tangent_chern_by_products(chow)
+            assert tangent_chern(n, engine).terms == expected, (engine, n)
+            moments = chow.sigma1_moments(expected)
             assert chern._euler_pairing(n, engine) == moments, (engine, n)
 
 
 def test_tangent_first_chern_class():
     for n in range(4, 13):
-        r = ChowRing(n)
-        assert tangent_chern(n).component(1) == r.sigma(1).scale(n)
+        assert tangent_chern(n).component(1) == ChowClass(ChowRing(n), {(1, 0): n})
 
 
 def test_tangent_top_chern_integrates_to_cell_count():
@@ -309,12 +305,9 @@ def test_engines_agree_on_invariants():
         assert middle_hodge(n, k, "pieri") == middle_hodge(n, k, "lr")
 
 
-def _sigma1_series(ring, ser):
+def _sigma1_series(chow, ser):
     """The class sum_j ser[j] sigma_1^j, built by full Chow-ring products."""
-    out = ring.zero()
-    for j, c in enumerate(ser):
-        out = out + (ring.sigma(1) ** j).scale(c)
-    return out
+    return chow.add(*(chow.scale(chow.pow(chow.sigma(1), j), x) for j, x in enumerate(ser)))
 
 
 def test_euler_pairing_matches_full_product_oracle():
@@ -322,12 +315,12 @@ def test_euler_pairing_matches_full_product_oracle():
     # chi(X) = integral of c(T) * lef^k, lef = sigma_1/(1 + sigma_1)
     for engine in ENGINES:
         for n in range(4, 10):
-            ring = ChowRing(n, engine)
-            lef = _sigma1_series(ring, [0] + [(-1) ** (j - 1) for j in range(1, ring.dim + 1)])
-            integrand = tangent_chern(n, engine)
+            chow = DictChow(n, engine)
+            lef = _sigma1_series(chow, [0] + [(-1) ** (j - 1) for j in range(1, chow.dim + 1)])
+            integrand = tangent_chern(n, engine).terms
             for k in range(2 * (n - 2) + 1):
-                assert euler_characteristic_ci(n, k, engine) == integrand.integrate(), (engine, n, k)
-                integrand = integrand * lef
+                assert euler_characteristic_ci(n, k, engine) == chow.integrate(integrand), (engine, n, k)
+                integrand = chow.mul(integrand, lef)
 
 
 @st.composite
@@ -344,17 +337,17 @@ def test_moment_pairing_matches_full_product(case):
     # in place of c(T): integral of cls * lef^k, lef = sigma_1/(1 + sigma_1),
     # by full class products for every k
     n, terms = case
-    ring = ChowRing(n)
-    cls = ChowClass(ring, terms)
+    chow = DictChow(n)
+    cls = ChowClass(chow.ring, terms)
     moments = chern._sigma1_moments(cls)
-    assert moments == _sigma1_moments_by_products(cls)
-    lef = _sigma1_series(ring, [0] + [(-1) ** (j - 1) for j in range(1, ring.dim + 1)])
+    assert moments == chow.sigma1_moments(cls.terms)
+    lef = _sigma1_series(chow, [0] + [(-1) ** (j - 1) for j in range(1, chow.dim + 1)])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chern, "_euler_pairing", lambda n, engine: moments)
-        integrand = cls
-        for k in range(ring.dim + 1):
-            assert euler_characteristic_ci(n, k) == integrand.integrate(), k
-            integrand = integrand * lef
+        integrand = cls.terms
+        for k in range(chow.dim + 1):
+            assert euler_characteristic_ci(n, k) == chow.integrate(integrand), k
+            integrand = chow.mul(integrand, lef)
 
 
 # ---------------------------------------------------------------------------
@@ -425,33 +418,33 @@ def test_miller_power_matches_repeated_products(case):
 # moments by Schubert products
 
 
-def _tangent_power_sums(ring):
+def _tangent_power_sums(chow):
     """Power sums p_0..p_dim of the Chern roots of T = n S^dual - End(S):
     p_m(T) = n p_m(S^dual) - p_m(End S), where p_m(S^dual) = sigma_1 p_(m-1) -
     sigma_{1,1} p_(m-2) and p_m(End S) = 2 delta^(m/2) for even m, 0 for odd m."""
-    s1, s11 = ring.sigma(1), ring.sigma(1, 1)
-    dual = [ring.one().scale(2), s1]
-    for m in range(2, ring.dim + 1):
-        dual.append(s1 * dual[m - 1] - s11 * dual[m - 2])
-    delta = s1 * s1 - s11.scale(4)
-    delta_pow = ring.one()
-    out = [ring.one().scale(ring.dim)]  # p_0 = rank T
-    for m in range(1, ring.dim + 1):
-        p = dual[m].scale(ring.n)
+    s1, s11 = chow.sigma(1), chow.sigma(1, 1)
+    dual = [chow.scale(chow.one(), 2), s1]
+    for m in range(2, chow.dim + 1):
+        dual.append(chow.sub(chow.mul(s1, dual[m - 1]), chow.mul(s11, dual[m - 2])))
+    delta = _delta(chow)
+    delta_pow = chow.one()
+    out = [chow.scale(chow.one(), chow.dim)]  # p_0 = rank T
+    for m in range(1, chow.dim + 1):
+        p = chow.scale(dual[m], chow.n)
         if m % 2 == 0:
-            delta_pow = delta_pow * delta
-            p = p - delta_pow.scale(2)
+            delta_pow = chow.mul(delta_pow, delta)
+            p = chow.sub(p, chow.scale(delta_pow, 2))
         out.append(p)
     return out
 
 
-def _newton_power_sums(c_t, upto):
+def _newton_power_sums(chow, c_t, upto):
     """Newton's identities: p_m = (-1)^(m-1) m c_m + sum_{i<m} (-1)^(i-1) c_i p_(m-i)."""
     p = [None]
     for m in range(1, upto + 1):
-        acc = c_t.component(m).scale((-1) ** (m - 1) * m)
+        acc = chow.scale(chow.component(c_t, m), (-1) ** (m - 1) * m)
         for i in range(1, m):
-            acc = acc + (c_t.component(i) * p[m - i]).scale((-1) ** (i - 1))
+            acc = chow.add(acc, chow.scale(chow.mul(chow.component(c_t, i), p[m - i]), (-1) ** (i - 1)))
         p.append(acc)
     return p[1:]
 
@@ -459,9 +452,9 @@ def _newton_power_sums(c_t, upto):
 def test_direct_power_sums_match_newton_on_tangent_chern():
     for engine in ENGINES:
         for n in range(4, 11):
-            ring = ChowRing(n, engine)
-            newton = _newton_power_sums(tangent_chern(n, engine), ring.dim)
-            assert _tangent_power_sums(ring)[1:] == newton, (engine, n)
+            chow = DictChow(n, engine)
+            newton = _newton_power_sums(chow, tangent_chern(n, engine).terms, chow.dim)
+            assert _tangent_power_sums(chow)[1:] == newton, (engine, n)
 
 
 def _ser_log(a, trunc):
@@ -475,15 +468,15 @@ def _ser_log(a, trunc):
     return out
 
 
-def _chow_exp(arg, ring):
+def _chow_exp(arg, chow):
     """exp of a class with no degree-zero part, truncated at the ring dimension."""
-    out = ring.one()
-    cur = ring.one()
-    for i in range(1, ring.dim + 1):
-        cur = (cur * arg).scale(Fraction(1, i))
-        if cur.is_zero():
+    out = chow.one()
+    cur = chow.one()
+    for i in range(1, chow.dim + 1):
+        cur = chow.scale(chow.mul(cur, arg), Fraction(1, i))
+        if not cur:
             break
-        out = out + cur
+        out = chow.add(out, cur)
     return out
 
 
@@ -502,9 +495,9 @@ def _schubert_chi_y(n, engine):
     hyperplanes, with T_y(T) = prod Q(t) over the roots t of T built in the
     Chow ring of `engine` as (1 + y)^dim exp(sum_m g_m p_m(T)), where
     g = log(Q/(1 + y)) and Q(x) = x (1 + y e^-x)/(1 - e^-x)."""
-    ring = ChowRing(n, engine)
-    dim = ring.dim
-    psums = _tangent_power_sums(ring)
+    chow = DictChow(n, engine)
+    dim = chow.dim
+    psums = _tangent_power_sums(chow)
     exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(dim + 1)]
     b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)]  # (1 - e^-x)/x
     nodes = []
@@ -512,12 +505,10 @@ def _schubert_chi_y(n, engine):
         a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]  # 1 + y e^-x
         q_ser = _ser_div(a_ser, b_ser, dim)
         g_ser = _ser_log([c / (1 + y0) for c in q_ser], dim)
-        arg = ring.zero()
-        for m in range(1, dim + 1):
-            arg = arg + psums[m].scale(g_ser[m])
-        t_y = _chow_exp(arg, ring).scale(Fraction(1 + y0) ** dim)
-        normal = _ser_div([Fraction(0)] + [-c for c in exp_neg[1:]], a_ser, dim)
-        nodes.append(_series_power_pairings(chern._sigma1_moments(t_y), normal))
+        arg = chow.add(*(chow.scale(psums[m], g_ser[m]) for m in range(1, dim + 1)))
+        t_y = chow.scale(_chow_exp(arg, chow), Fraction(1 + y0) ** dim)
+        normal = _ser_div([Fraction(0)] + [-x for x in exp_neg[1:]], a_ser, dim)
+        nodes.append(_series_power_pairings(chow.sigma1_moments(t_y), normal))
     out = []
     for k in range(dim + 1):
         coeffs = _interpolate_divided_differences([node[k] for node in nodes])
@@ -559,11 +550,10 @@ def test_catalan_integral_matches_schubert_integral(case):
     weights = chern._top_integrals(n)
     value = sum(c * weights[b] for (a, b), c in f.items() if a + 2 * b == dim)
     for engine in ENGINES:
-        ring = ChowRing(n, engine)
-        cls = ring.zero()
-        for (a, b), c in f.items():
-            cls = cls + (ring.sigma(1) ** a * ring.sigma(1, 1) ** b).scale(c)
-        assert value == cls.integrate(), engine
+        chow = DictChow(n, engine)
+        s1, s11 = chow.sigma(1), chow.sigma(1, 1)
+        cls = chow.add(*(chow.scale(chow.mul(chow.pow(s1, a), chow.pow(s11, b)), x) for (a, b), x in f.items()))
+        assert value == chow.integrate(cls), engine
 
 
 # ---------------------------------------------------------------------------
