@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure (including a false comparison or a
 non-exact division or a zero divisor in `eval`), 2 usage or parse error, 3
-internal inconsistency.  Diagnostics go to stderr as one JSON object per error.
+internal inconsistency.  Every PGError goes to stderr as one JSON object; a
+malformed command line gets argparse's usage and error lines instead.
 
 Every n and k that a `pair` or `grid` request names lies in -MAX_NK..MAX_NK;
 anything past it is an InvalidParameter before any report is built.

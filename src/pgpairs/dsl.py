@@ -20,10 +20,10 @@ ParseError at that literal.
 
 Beyond time linear in the length of the text, work is bounded by one budget
 of MAX_WORK = 3,000,000 units per expression, each step charged before it
-runs.  Gr, H, F1 and F2 cost their last argument squared, and P and SumEven
-their argument.  Gr reads Betti numbers in closed form, in work linear in
-n, but its charge is unchanged, and so is every accept or refuse outcome.
-A class of degree d whose largest coefficient has b bits has size
+runs.  Gr(2,n) costs 2n - 3, the size of the class it returns, since it
+reads Betti numbers in closed form in work linear in n.  H, F1 and F2 build
+a product and cost their last argument squared, and P and SumEven their
+argument.  A class of degree d whose largest coefficient has b bits has size
 (d + 1) * (1 + b // 512): `*` costs the product of its operands' sizes, and
 `+`, `-` and `==` their sum.  `div` costs as `*` with the dividend's largest
 coefficient grown by the bits that long division can add to a remainder
@@ -52,15 +52,15 @@ _UNIT_BITS = 512
 _LEVELS = ((("==",), False), (("+", "-"), True), (("*", "div"), True))
 
 # name -> (what it takes, fixed leading arguments, lower bound of the last
-# argument, class builder applied to the last argument, power of the last
-# argument that it is charged)
+# argument, class builder applied to the last argument, units it is charged
+# as a function of the last argument)
 _CTORS = {
-    "P": ("one nonnegative integer", (), 0, projective_class, 1),
-    "Gr": ("arguments (2, n) with n >= 4", (2,), 4, grassmannian_class, 2),
-    "H": ("arguments (2, n) with n >= 4", (2,), 4, hyperplane_section_class, 2),
-    "F1": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[0], 2),
-    "F2": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[1], 2),
-    "SumEven": ("one integer n >= 2", (), 2, sum_even_powers, 1),
+    "P": ("one nonnegative integer", (), 0, projective_class, lambda n: n),
+    "Gr": ("arguments (2, n) with n >= 4", (2,), 4, grassmannian_class, lambda n: 2 * n - 3),
+    "H": ("arguments (2, n) with n >= 4", (2,), 4, hyperplane_section_class, lambda n: n * n),
+    "F1": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[0], lambda n: n * n),
+    "F2": ("one integer n >= 4", (), 4, lambda n: fiber_classes(n)[1], lambda n: n * n),
+    "SumEven": ("one integer n >= 2", (), 2, sum_even_powers, lambda n: n),
 }
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "==": eq}
@@ -219,10 +219,10 @@ def _eval(node, budget: list):
         return LPoly.monomial(1)
     if kind == "ctor":
         name, args = node[1], node[2]
-        takes, fixed, low, build, power = _CTORS[name]
+        takes, fixed, low, build, cost = _CTORS[name]
         if not (args[:-1] == fixed and args[-1] >= low):
             raise EvalError(f"{name} takes {takes}", _show(node))
-        _charge(budget, args[-1] ** power, node)
+        _charge(budget, cost(args[-1]), node)
         try:
             return build(args[-1])
         except PGError as exc:

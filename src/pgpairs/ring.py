@@ -46,22 +46,24 @@ class LPoly:
     integer coefficients, stored as one tuple indexed by degree.
 
     `LPoly({degree: coefficient})` (a dict or None, nothing else),
-    `from_coeffs` and `monomial` validate their input, once; no operation
-    validates again.  They refuse an exponent
-    above MAX_DEGREE = 3,000,000 with InvalidParameter, because a sparse
-    input such as {10**9: 1} would otherwise allocate gigabytes.  The bound
-    is MAX_WORK of `dsl`, and no class the program builds reaches it.  A DSL
-    expression is refused once its steps cost more than MAX_WORK units, and
-    each step is charged, before it runs, at least the degree of its result:
-    a product or quotient (deg a + 1)(deg b + 1), a sum deg a + deg b + 2,
-    and a constructor n or n^2 for a class of degree at most 2n; an atom has
-    degree 0 or 1.  So every DSL class has degree below MAX_WORK.  The
-    classes of a pair in the CLI domain n, k <= 24 have degree below 200.
+    `from_coeffs` and `monomial` refuse an exponent above MAX_DEGREE =
+    3,000,000 with InvalidParameter, because a sparse input such as
+    {10**9: 1} would otherwise allocate gigabytes.  The bound is MAX_WORK of
+    `dsl`, and no class the program builds reaches it.  A DSL expression is
+    refused once its steps cost more than MAX_WORK units, and each step is
+    charged, before it runs, at least the degree of its result: a product or
+    quotient (deg a + 1)(deg b + 1), a sum deg a + deg b + 2, Gr(2,n) its
+    degree 2n - 4 plus one, P(n) and SumEven(n) n, and H, F1 and F2 n^2 for
+    a class of degree below 2n; an atom has degree 0 or 1.  So every DSL
+    class has degree below MAX_WORK.  The classes of a pair in the CLI
+    domain n, k <= 24 have degree below 200.
 
-    Instances are immutable and hashable.  They hold no memo table; the
-    product tables of `schubert` and the memos of `chern` and `pairs`, all
-    keyed on integers, partitions and engine names, are per process and are
-    not for concurrent threads.
+    One operation does each job: zero is `LPoly()`, one `from_coeffs([1])`,
+    -p is `LPoly() - p`, c * p is `p * LPoly({0: c})`, and a quotient by L^j
+    is `div_exact(monomial(j))`.  Instances are immutable and hashable.
+    They hold no memo table; the product tables of `schubert` and the memos
+    of `chern` and `pairs`, all keyed on integers, partitions and engine
+    names, are per process and are not for concurrent threads.
     """
 
     __slots__ = ("_c",)
@@ -74,8 +76,7 @@ class LPoly:
 
     @classmethod
     def _make(cls, c) -> "LPoly":
-        """An instance on c, a sequence of ints indexed by degree that needs
-        no validation."""
+        """An instance on c, ints indexed by degree that need no validation."""
         out = object.__new__(cls)
         out._c = cls._checked(c)
         return out
@@ -87,14 +88,6 @@ class LPoly:
         while n and not c[n - 1]:
             n -= 1
         return tuple(c) if n == len(c) else tuple(c[:n])
-
-    @classmethod
-    def zero(cls) -> "LPoly":
-        return cls._make(())
-
-    @classmethod
-    def one(cls) -> "LPoly":
-        return cls._make((1,))
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "LPoly":
@@ -113,9 +106,6 @@ class LPoly:
 
     def coefficient(self, degree: int) -> int:
         return self._c[degree] if 0 <= degree < len(self._c) else 0
-
-    def coeffs(self) -> dict:
-        return {d: v for d, v in enumerate(self._c) if v}
 
     def coeffs_dense(self) -> list:
         return list(self._c) or [0]
@@ -142,12 +132,7 @@ class LPoly:
             return NotImplemented
         return self._make([x - y for x, y in zip_longest(self._c, other._c, fillvalue=0)])
 
-    def __neg__(self) -> "LPoly":
-        return self._make([-v for v in self._c])
-
     def __mul__(self, other):
-        if type(other) is int:
-            return self._make([v * other for v in self._c])
         if not isinstance(other, LPoly):
             return NotImplemented
         a, b = self._c, other._c
@@ -164,16 +149,12 @@ class LPoly:
                 out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
         return self._make(out)
 
-    __rmul__ = __mul__
-
     def shift(self, j: int) -> "LPoly":
-        """Multiply by the degree-j monomial; a negative j must leave no
-        term below degree 0."""
-        if j >= 0:
-            return self._make((0,) * j + self._c)
-        if any(self._c[:-j]):
+        """Multiply by the degree-j monomial, j >= 0.  A quotient by L^j is
+        `div_exact(LPoly.monomial(j))`, which checks that it is exact."""
+        if j < 0:
             raise InvalidParameter("exponents must be nonnegative")
-        return self._make(self._c[-j:])
+        return self._make((0,) * j + self._c)
 
     def div_exact(self, other: "LPoly") -> "LPoly":
         """Exact division; raises NonExactDivision unless other divides self."""

@@ -181,6 +181,19 @@ def test_grid_via_main(capsys):
     assert payload["summary"]["fail"] == 0
 
 
+def test_stderr_is_one_json_object_per_pgerror_and_argparse_text_for_a_malformed_command_line(capsys):
+    # a PGError, here an unknown check name, is one JSON object on stderr
+    assert main(["pair", "--n", "7", "--k", "7", "--checks", "nope"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PGError"
+    # argparse refuses a non-integer n and an unknown format in its own words
+    for argv in (["pair", "--n", "x", "--k", "2"], ["pair", "--n", "7", "--k", "7", "--format", "xml"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pgpairs pair ") and "error: argument --" in err
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(err)
+
+
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--cache-dir", "x"]])
 def test_grid_removed_flags_are_usage_errors(flag, capsys):
     argv = ["grid", "--n-min", "4", "--n-max", "5", "--k-min", "1", "--k-max", "6"]

@@ -221,9 +221,9 @@ def test_constructor_argument_past_the_bound_is_a_parse_error(source, column):
 @pytest.mark.parametrize(
     "source, work, fragment",
     [
-        # P 3 + 4, the product 4 * 5, SumEven 6, the sum 8 + 5, Gr 5^2, the
-        # comparison 8 + 7
-        ("P(3)*P(4) + SumEven(6) == Gr(2,5)", 86, "(((P(3) * P(4)) + SumEven(6)) == Gr(2, 5))"),
+        # P 3 + 4, the product 4 * 5, SumEven 6, the sum 8 + 5, Gr 2 * 5 - 3,
+        # the comparison 8 + 7
+        ("P(3)*P(4) + SumEven(6) == Gr(2,5)", 68, "(((P(3) * P(4)) + SumEven(6)) == Gr(2, 5))"),
         # a 601-bit coefficient counts two units and a 1201-bit one three:
         # 2 * 2 for the product and 3 + 3 for the comparison
         (f"{2**600} * {2**600} == {2**1200}", 4 + 6, f"(({2**600} * {2**600}) == {2**1200})"),
@@ -248,6 +248,14 @@ def test_work_up_to_the_budget_evaluates():
     # 1000 + 1000 + 1001^2 units, and 1000^2 for H(2,1000)
     assert eval_dsl("P(1000)*P(1000)") == projective_class(1000) * projective_class(1000)
     assert eval_dsl("H(2,1000) == H(2,1000)") is True
+
+
+def test_grassmannian_is_charged_the_size_of_its_class():
+    # Gr(2,n) costs 2n - 3, its degree plus one: 1997 + 1995 + 1993 units,
+    # then 1997 + 1995 and 1997 + 1993 for the sums.  Charged n^2, the three
+    # classes alone would cost 2,994,005 units and the sums pass MAX_WORK
+    expected = grassmannian_class(1000) + grassmannian_class(999) + grassmannian_class(998)
+    assert eval_dsl("Gr(2,1000)+Gr(2,999)+Gr(2,998)") == expected
 
 
 def test_every_class_the_budget_admits_is_within_the_degree_bound():

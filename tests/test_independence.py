@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
+import test_localization
 from pgpairs import chern, pairs, schubert
+from test_schubert import _class_by_cell_enumeration
 
 
 def _entered(call) -> list:
@@ -40,6 +42,12 @@ def _lr_tables():
     for lam in cells:
         for mu in cells:
             schubert._product_lr(lam, mu)
+
+
+def _localization_case(name, call):
+    """A localization oracle of tests/test_localization.py: it reads no
+    Schubert table and no chi_y coordinate, so nothing in schubert or chern."""
+    return (name, call, ("test_localization", name), {"pgpairs.schubert", "pgpairs.chern"}, set())
 
 
 # (name, call, a function it must enter, forbidden modules, forbidden functions)
@@ -79,6 +87,17 @@ CASES = [
         set(),
         {("pgpairs.schubert", "_product_pieri")},
     ),
+    _localization_case("localized_euler", lambda: test_localization.localized_euler(6)),
+    _localization_case("localized_chi_y", lambda: test_localization.localized_chi_y(5)),
+    _localization_case("localized_euler_y", lambda: test_localization.localized_euler_y(5, 5)),
+    _localization_case("localized_chi_y_y", lambda: test_localization.localized_chi_y_y(5, 6)),
+    (
+        "cell enumeration",  # the oracle of grassmannian_class
+        lambda: [_class_by_cell_enumeration(n) for n in range(4, 25)],
+        ("test_schubert", "_class_by_cell_enumeration"),
+        {"pgpairs.schubert"},
+        set(),
+    ),
 ]
 
 
@@ -87,6 +106,7 @@ def _cold_memos(monkeypatch):
     monkeypatch.setattr(schubert, "_PRODUCTS", {})
     chern._chi_polys.cache_clear()
     chern._euler_pairing.cache_clear()
+    test_localization.localized_chi_y.cache_clear()
 
 
 def _violation(name, call, needed, modules, functions):

@@ -25,7 +25,13 @@ Gr(3,n) of a section of E = F(1), F = ker(U^v (x) V^v -> Sym^2 U^v) of rank
 J), and E has the weights -w_j - w_l - a_i (j in J, l not in J) and
 -w_j - w_j' - a_i (j < j' in J).  e(Y) is the integral of c(T) c_top(E) /
 c(E), so the point contributes [t^(k-4)] prod_T(1 + t r) prod_E 1/(1 + t e)
-times prod_E e / prod_T r; the sum must be an integer.
+times prod_E e / prod_T r; the sum must be an integer.  chi_y(Y) is the
+integral of c_top(E) prod_T Q / prod_E Q, so at y0 the point contributes
+(1 + y0)^(k-4) [t^(k-4)] exp(sum_j l_j t^j (p_j(T) - p_j(E))) times
+prod_E e / prod_T r; as for X, the sums at y0 = 0..k-4 and the coefficients
+through them must be integers.  With d = k - 4, Y's middle Hodge row is
+h^(p,d-p) = (-1)^(d-p) (chi^p - (-1)^p b_2p) off the middle and (-1)^p chi^p
+at it, b_2p the Betti numbers of the derived P(Y).
 
 None of these routes reads a structure constant, a Catalan weight or the
 chi_y coordinate v of `chern`, so they check `chern` and the derived P(Y)
@@ -34,8 +40,9 @@ from outside.
 Run as a script, `python tests/test_localization.py N_MIN N_MAX` checks the
 Euler characteristic of every k for n in N_MIN..N_MAX under both engines,
 `python tests/test_localization.py N_MIN N_MAX chi_y` checks chi_y of every
-k, and `python tests/test_localization.py N_MIN N_MAX e_y` checks e(Y) of
-every pair with odd n.
+k, `python tests/test_localization.py N_MIN N_MAX e_y` checks e(Y) of every
+pair with odd n, and `python tests/test_localization.py N_MIN N_MAX chi_y_y`
+checks chi_y(Y) and Y's middle Hodge row of every pair with odd n.
 """
 
 import sys
@@ -159,30 +166,75 @@ def localized_chi_y(n):
     return out
 
 
-def localized_euler_y(n, k):
-    """e(Y) of the pair (n, k), n odd, by Atiyah-Bott on P^(k-1) x Gr(3,n);
-    a sum that is not an integer fails."""
-    d = k - 4
+def _partitions(d, largest=None):
+    """The partitions of d, each a tuple of parts, largest part first."""
+    if d == 0:
+        return [()]
+    top = d if largest is None else min(d, largest)
+    return [(j, *rest) for j in range(top, 0, -1) for rest in _partitions(d - j, j)]
+
+
+def _dual_fixed_points(n, k):
+    """(tangent weights of M, weights of E) at each fixed point (i, J) of
+    M = P^(k-1) x Gr(3,n)."""
     w = _weights(n)
     a = [0] + [3 * 2**i - 1 for i in range(k - 1)]
-    total = Fraction(0)
     for J in combinations(range(n), 3):
         rest = [l for l in range(n) if l not in J]
         grass = [w[l] - w[j] for j in J for l in rest]
         sums = [w[j] + w[l] for j in J for l in rest] + [w[j] + w[i] for j, i in combinations(J, 2)]
         for i in range(k):
-            roots = [a[l] - a[i] for l in range(k) if l != i] + grass
-            bundle = [-v - a[i] for v in sums]
-            # [t^0..t^d] of prod_E 1/(1 + t e): divide by each (1 + t e) in turn
-            inverse = [1] + [0] * d
-            for e in bundle:
-                for m in range(1, d + 1):
-                    inverse[m] -= e * inverse[m - 1]
-            c = _elementary(roots, d)
-            top = sum(c[d - m] * inverse[m] for m in range(d + 1))
-            total += Fraction(top * prod(bundle), prod(roots))
+            yield [a[l] - a[i] for l in range(k) if l != i] + grass, [-v - a[i] for v in sums]
+
+
+def localized_euler_y(n, k):
+    """e(Y) of the pair (n, k), n odd, by Atiyah-Bott on P^(k-1) x Gr(3,n);
+    a sum that is not an integer fails."""
+    d = k - 4
+    total = Fraction(0)
+    for roots, bundle in _dual_fixed_points(n, k):
+        # [t^0..t^d] of prod_E 1/(1 + t e): divide by each (1 + t e) in turn
+        inverse = [1] + [0] * d
+        for e in bundle:
+            for m in range(1, d + 1):
+                inverse[m] -= e * inverse[m - 1]
+        c = _elementary(roots, d)
+        top = sum(c[d - m] * inverse[m] for m in range(d + 1))
+        total += Fraction(top * prod(bundle), prod(roots))
     assert total.denominator == 1, (n, k, total)
     return total.numerator
+
+
+def localized_chi_y_y(n, k):
+    """chi_y(Y) of the pair (n, k), n odd, as [chi(O), chi(Omega^1), ...] of
+    length k - 3, by Atiyah-Bott on P^(k-1) x Gr(3,n) at y = 0..k-4 and
+    Lagrange interpolation; a sum or a coefficient that is not an integer
+    fails."""
+    d = k - 4
+    # [t^d] exp(sum_j l_j p_j t^j) is the sum over the partitions lam of d of
+    # prod_(j in lam) l_j / prod m_j! times prod_(j in lam) p_j, m_j the
+    # multiplicity of j in lam; so each fixed point is visited once, for
+    # every y0, and only the l_j depend on y0
+    parts = _partitions(d)
+    moments = [Fraction(0)] * len(parts)
+    for roots, bundle in _dual_fixed_points(n, k):
+        p = [sum(r**j for r in roots) - sum(e**j for e in bundle) for j in range(d + 1)]
+        weight = Fraction(prod(bundle), prod(roots))
+        for i, lam in enumerate(parts):
+            moments[i] += weight * prod(p[j] for j in lam)
+    values = []
+    for y in range(d + 1):
+        log = _log_q(Fraction(y), d)
+        total = sum(
+            moment * prod(log[j] for j in lam) / prod(factorial(lam.count(j)) for j in set(lam))
+            for lam, moment in zip(parts, moments)
+        )
+        total *= (1 + y) ** d
+        assert total.denominator == 1, (n, k, y, total)
+        values.append(total)
+    coefficients = _interpolate(values)
+    assert all(c.denominator == 1 for c in coefficients), (n, k, coefficients)
+    return [c.numerator for c in coefficients]
 
 
 def odd_pairs(n_min, n_max):
@@ -195,6 +247,25 @@ def odd_pairs(n_min, n_max):
             except PGError:
                 pass
     return out
+
+
+def check_chi_y_y(pair):
+    """Y's middle Hodge row from localized_chi_y_y and the derived P(Y), after
+    checking chi_y(Y) at y = -1 against e(Y) and the row against b_mid(Y)."""
+    p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
+    chi, d = localized_chi_y_y(pair.n, pair.k), pair.dim_y
+    assert len(chi) == d + 1 and sum((-1) ** p * c for p, c in enumerate(chi)) == p_y.evaluate(-1), (pair.n, pair.k)
+    row = [
+        (-1) ** p * c if 2 * p == d else (-1) ** (d - p) * (c - (-1) ** p * p_y.coefficient(2 * p))
+        for p, c in enumerate(chi)
+    ]
+    assert min(row) >= 0 and sum(row) == p_y.coefficient(d), (pair.n, pair.k, row)
+    return row
+
+
+def check_chi_y_y_range(n_min, n_max):
+    for pair in odd_pairs(n_min, n_max):
+        check_chi_y_y(pair)
 
 
 def check_range(n_min, n_max):
@@ -265,6 +336,20 @@ def test_euler_of_y_matches_localization(n):
     check_euler_y_range(n, n)
 
 
+def test_localized_middle_row_of_the_pfaffian_calabi_yau():
+    # h^(1,2) = 50 of Rodland's threefold, and the dual of (7,8), a fourfold
+    # with h^(2,2) = 99 in its middle row and no h^(4,0)
+    assert check_chi_y_y(make_pair(7, 7)) == [1, 50, 50, 1]
+    assert check_chi_y_y(make_pair(7, 8)) == [0, 13, 99, 13, 0]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_chi_y_of_y_matches_the_derived_betti_numbers(n):
+    # every pair with odd n <= 7: 10 of them
+    check_chi_y_y_range(n, n)
+
+
 if __name__ == "__main__":
-    check = {"euler": check_range, "chi_y": check_chi_y_range, "e_y": check_euler_y_range}[sys.argv[3] if len(sys.argv) > 3 else "euler"]
+    checks = {"euler": check_range, "chi_y": check_chi_y_range, "e_y": check_euler_y_range, "chi_y_y": check_chi_y_y_range}
+    check = checks[sys.argv[3] if len(sys.argv) > 3 else "euler"]
     check(int(sys.argv[1]), int(sys.argv[2]))

@@ -185,7 +185,7 @@ def test_derive_rejects_non_palindromic_input():
 
 def test_derive_rejects_disconnected_surgery():
     pair = make_pair(7, 7)
-    doubled = poincare_x(7, 7) * 2
+    doubled = poincare_x(7, 7) * TPoly({0: 2})
     with pytest.raises(InconsistentEuler):
         derive_poincare_y(pair, doubled)
 

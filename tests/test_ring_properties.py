@@ -24,12 +24,12 @@ tpolys = polys(TPoly, min_value=0)
 @checked
 @given(polys(), polys(), polys())
 def test_lpoly_ring_axioms(a, b, c):
-    zero, one = LPoly.zero(), LPoly.one()
+    zero, one = LPoly(), LPoly.from_coeffs([1])
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a + zero == a
-    assert a + (-a) == zero
-    assert a - b == a + (-b)
+    assert a + (zero - a) == zero
+    assert a - b == a + (zero - b)
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * one == a
@@ -39,8 +39,10 @@ def test_lpoly_ring_axioms(a, b, c):
 @checked
 @given(polys(), polys(), st.integers(-9, 9))
 def test_lpoly_int_scaling_and_shift(a, b, m):
-    assert m * a == a * m == a * LPoly({0: m})
+    # c * p is p * LPoly({0: c}), and L^-j * p is p.div_exact(L^j)
+    assert a * LPoly({0: m}) == LPoly.from_coeffs([m * v for v in a.coeffs_dense()])
     assert a.shift(3) == a * LPoly.monomial(3)
+    assert a.shift(3).div_exact(LPoly.monomial(3)) == a
     assert (a * b).degree == (-1 if a.is_zero() or b.is_zero() else a.degree + b.degree)
 
 
@@ -58,28 +60,24 @@ def test_div_exact_round_trips_or_raises(a, b):
 
 
 @checked
-@given(tpolys, tpolys, st.integers(0, 9), st.integers(0, 5))
-def test_tpoly_closed_under_nonnegative_operations(a, b, m, j):
-    for value in (a + b, a * b, a.shift(j), a * m, m * a):
+@given(tpolys, tpolys, st.integers(0, 5))
+def test_tpoly_closed_under_nonnegative_operations(a, b, j):
+    for value in (a + b, a * b, a.shift(j)):
         assert type(value) is TPoly
-        assert all(v >= 0 for v in value.coeffs().values())
-    assert LPoly(a.coeffs()) * LPoly(b.coeffs()) == LPoly((a * b).coeffs())
+        assert min(value.coeffs_dense()) >= 0
+    lpoly = LPoly.from_coeffs
+    assert lpoly(a.coeffs_dense()) * lpoly(b.coeffs_dense()) == lpoly((a * b).coeffs_dense())
 
 
 @checked
 @given(tpolys, tpolys)
 def test_tpoly_negative_result_raises(a, b):
-    diff = LPoly(a.coeffs()) - LPoly(b.coeffs())
-    if any(v < 0 for v in diff.coeffs().values()):
+    diff = LPoly.from_coeffs(a.coeffs_dense()) - LPoly.from_coeffs(b.coeffs_dense())
+    if min(diff.coeffs_dense()) < 0:
         with pytest.raises(NegativeCoefficient):
             a - b
     else:
-        assert a - b == TPoly(diff.coeffs())
-    if a.is_zero():
-        assert -a == a
-    else:
-        with pytest.raises(NegativeCoefficient):
-            -a
+        assert a - b == TPoly.from_coeffs(diff.coeffs_dense())
 
 
 @checked
@@ -99,5 +97,5 @@ def test_is_palindromic_matches_its_definition(a, d):
         expected = a.degree <= 2 * d and mirrored
     assert a.is_palindromic(d) == expected
     # a palindrome built from a's low half is recognized (zero when d < 0)
-    low = {j: v for j, v in a.coeffs().items() if j <= d}
+    low = {j: v for j, v in enumerate(a.coeffs_dense()) if j <= d}
     assert LPoly({**low, **{2 * d - j: v for j, v in low.items()}}).is_palindromic(d)

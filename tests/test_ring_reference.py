@@ -1,10 +1,12 @@
 """The dense-tuple LPoly and TPoly against the dict-backed oracle in dict_ring.py.
 
-Every public operation is run on both implementations with the same inputs,
-and the two must agree on the value and its printing, or raise the same error
-with the same message.  The one documented difference: a NegativeCoefficient
-from the dense classes names the first negative coefficient by degree, where
-the oracle names the first one its map happens to hold.
+Every public operation of the dense classes is run on both implementations
+with the same inputs, and the two must agree on the value and its printing,
+or raise the same error with the same message.  Two documented differences:
+a NegativeCoefficient from the dense classes names the first negative
+coefficient by degree, where the oracle names the first one its map happens
+to hold; and the dense `shift` refuses a negative j, which the oracle's
+shifts down.
 """
 
 import re
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dict_ring
-from pgpairs.errors import NegativeCoefficient, NonExactDivision
+from pgpairs.errors import InvalidParameter, NegativeCoefficient, NonExactDivision
 from pgpairs.ring import LPoly, TPoly, projective_class
 
 # derandomized so that a run is repeatable; no example database is written
@@ -52,7 +54,6 @@ def view(p):
         type(p).__name__,
         str(p),
         repr(p),
-        p.coeffs(),
         p.coeffs_dense(),
         p.degree,
         p.constant_term,
@@ -76,11 +77,9 @@ BINARY = [
     lambda a, b: a.div_exact(b),
 ]
 UNARY = [
-    lambda a: -a,
+    lambda a: type(a)() - a,
     lambda a: a.to_poincare(),
-    *[lambda a, m=m: a * m for m in (-2, 0, 3)],
-    *[lambda a, m=m: m * a for m in (-1, 2)],
-    *[lambda a, j=j: a.shift(j) for j in (-3, -1, 0, 2)],
+    *[lambda a, j=j: a.shift(j) for j in (0, 2)],
     *[lambda a, x=x: a.evaluate(x) for x in (-2, -1, 0, 1, 3)],
     *[lambda a, d=d: a.is_palindromic(d) for d in range(-1, 9)],
 ]
@@ -96,6 +95,8 @@ def test_every_operation_matches_the_dict_oracle(cls, data):
         agree((a, b), (old_a, old_b), lambda pair: op(*pair))
     for op in UNARY:
         agree(a, old_a, op)
+    with pytest.raises(InvalidParameter, match="^exponents must be nonnegative$"):
+        a.shift(-1)
     assert (a == b) == (old_a == old_b)
     assert (a != b) == (old_a != old_b)
     if a == b:
@@ -149,6 +150,6 @@ def test_constructors_match_the_oracle():
         assert view(projective_class(n)) == view(dict_ring.projective_class(n))
     for cls in (LPoly, TPoly):
         old = ORACLE[cls]
-        assert view(cls.zero()) == view(old.zero())
-        assert view(cls.one()) == view(old.one())
+        assert view(cls()) == view(old.zero())
+        assert view(cls.from_coeffs([1])) == view(old.one())
         assert view(cls.monomial(7, 4)) == view(old.monomial(7, 4))
