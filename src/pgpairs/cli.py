@@ -11,7 +11,6 @@ anything past it is an InvalidParameter before any report is built.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -258,6 +257,8 @@ def _grid_csv(payload: dict) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so a library import of this module skips it
+
     parser = argparse.ArgumentParser(
         prog="pgpairs",
         description="Exact invariants and consistency checks for linear sections "

@@ -96,25 +96,21 @@ MAX_NK = 24
 # and the Euler characteristic, which tests replace by wrong formulas, are
 # read by their callers, so no memo serves a value from before the swap.
 # [Gr(2,n)] reads `schubert.betti`, not this module's name for it, so a test
-# that replaces `schubert.betti` must clear `_ambient_classes` and its users.
+# that replaces `schubert.betti` must clear `_ambient` and its users.
 #
-# The two ambient memos are bounded.  A pair report reads them for every k of
-# its n, and the CLI names n <= MAX_NK, so MAX_NK entries keep every n of that
-# domain.  The DSL's F1(n) and F2(n) reach them for any n up to MAX_ARG = 1000
+# The ambient memo is bounded.  A pair report reads it for every k of its n,
+# and the CLI names n <= MAX_NK, so MAX_NK entries keep every n of that
+# domain.  The DSL's F1(n) and F2(n) reach it for any n up to MAX_ARG = 1000
 # (dsl.py), and an unbounded memo would keep the classes of every such n for
 # the life of the process.
 
 
 @lru_cache(maxsize=MAX_NK)
-def _ambient_classes(n: int) -> tuple:
-    """[Gr(2,n)] and the class [H(2,n)] of its smooth hyperplane section."""
-    return grassmannian_class(n), hyperplane_section_class(n)
-
-
-@lru_cache(maxsize=MAX_NK)
-def _ambient_poincare(n: int) -> tuple:
-    """The Poincare polynomials of Gr(2,n) and H(2,n)."""
-    return tuple(c.to_poincare() for c in _ambient_classes(n))
+def _ambient(n: int) -> tuple:
+    """[Gr(2,n)], the class [H(2,n)] of its smooth hyperplane section, and
+    their Poincare polynomials."""
+    gr, h = grassmannian_class(n), hyperplane_section_class(n)
+    return gr, h, gr.to_poincare(), h.to_poincare()
 
 
 @cache
@@ -122,7 +118,7 @@ def _decomposables(n: int, k: int) -> tuple:
     """The decomposable terms of the two sides of the relation as Poincare
     polynomials, [Gr(2,n)][P^(k-2)] and [H(2,n)][P^(k-1)] for k >= 1, each
     from that of k - 1 by [P^j] = [P^(j-1)] + L^j."""
-    gr, h = _ambient_poincare(n)
+    gr, h = _ambient(n)[2:]
     if k == 1:
         return TPoly(), h
     gr_prev, h_prev = _decomposables(n, k - 1)
@@ -133,7 +129,7 @@ def fiber_classes(n: int):
     """Classes of the two fibers of the incidence projection to the dual
     projective space: the smooth hyperplane section off the dual variety, and
     the singular one over it, shifted by L^s."""
-    f1 = _ambient_classes(n)[1]
+    f1 = _ambient(n)[1]
     return f1, f1 + LPoly.monomial(lefschetz_shift(n))
 
 
@@ -266,7 +262,7 @@ def check_l_equivalence(n: int) -> bool:
     once per n."""
     if n % 2 == 0 or n < 5:
         raise InvalidParameter(f"L-equivalence check needs odd n >= 5, got {n}")
-    gr, h = _ambient_classes(n)
+    gr, h = _ambient(n)[:2]
     return projective_class(n - 1) * h == projective_class(n - 2) * gr
 
 

@@ -32,7 +32,18 @@ from pgpairs.ring import LPoly
 from pgpairs.schubert import lefschetz_shift
 
 
-_UNUSED_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers")
+_UNUSED_AT_IMPORT = (
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
+    "fractions",
+    "decimal",
+    "numbers",
+    "argparse",
+    "gettext",
+)
 
 
 def test_cli_import_loads_no_unused_standard_module():
@@ -375,7 +386,7 @@ def test_internal_errors_exit_3(monkeypatch, capsys, error):
 def test_a_relation_that_fails_exits_3(monkeypatch, capsys):
     # a wrong [H(2,n)] breaks the cut-and-paste relation of (8,4): the
     # division that solves it for P(Y) leaves a remainder
-    memos = (pairs_module._ambient_classes, pairs_module._ambient_poincare, pairs_module._decomposables)
+    memos = (pairs_module._ambient, pairs_module._decomposables)
     for memo in memos:
         memo.cache_clear()
     h = pairs_module.hyperplane_section_class

@@ -106,7 +106,6 @@ def _cold_memos(monkeypatch):
     monkeypatch.setattr(schubert, "_PRODUCTS", {})
     chern._chi_polys.cache_clear()
     chern._euler_pairing.cache_clear()
-    test_localization.localized_chi_y.cache_clear()
 
 
 def _violation(name, call, needed, modules, functions):

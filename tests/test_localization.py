@@ -13,10 +13,9 @@ in Fractions and must be an integer.
 chi_y(X) is the integral over X of prod Q(x) over the Chern roots x of T_X,
 with Q(x) = td(x) + y td(-x), td(x) = x/(1 - e^-x), and T_X = T - O(1)^k.
 Write log(Q(x)/(1 + y)) = sum_(j >= 1) l_j x^j.  At an integer y0 != -1 the
-point contributes (1 + y0)^(dim X) [t^(dim X)] exp(sum_j l_j t^j (p_j(T) -
-k h^j)) h^k / prod r, with p_j the power sums of the tangent weights.  The
-sums at y0 = 0..dim X must be integers, and so must the coefficients of the
-polynomial in y through them, found by Lagrange interpolation.
+point contributes (1 + y0)^(dim X) [t^(dim X)] exp(sum_j l_j p_j t^j) times
+h^k / prod r, with p_j = p_j(T) - k h^j and p_j(T) the power sums of the
+tangent weights.
 
 For odd n, the dual Y of the pair (n, k) is the zero locus on M = P^(k-1) x
 Gr(3,n) of a section of E = F(1), F = ker(U^v (x) V^v -> Sym^2 U^v) of rank
@@ -27,9 +26,16 @@ J), and E has the weights -w_j - w_l - a_i (j in J, l not in J) and
 c(E), so the point contributes [t^(k-4)] prod_T(1 + t r) prod_E 1/(1 + t e)
 times prod_E e / prod_T r; the sum must be an integer.  chi_y(Y) is the
 integral of c_top(E) prod_T Q / prod_E Q, so at y0 the point contributes
-(1 + y0)^(k-4) [t^(k-4)] exp(sum_j l_j t^j (p_j(T) - p_j(E))) times
-prod_E e / prod_T r; as for X, the sums at y0 = 0..k-4 and the coefficients
-through them must be integers.  With d = k - 4, Y's middle Hodge row is
+(1 + y0)^(k-4) [t^(k-4)] exp(sum_j l_j p_j t^j) times prod_E e / prod_T r,
+with p_j = p_j(T) - p_j(E).
+
+Both chi_y sums take [t^d] exp(sum_j l_j p_j t^j) one way, in `_chi_y`: it is
+the sum over the partitions lam of d of prod_(j in lam) l_j / prod m_j!
+times prod_(j in lam) p_j, m_j the multiplicity of j in lam.  So the moments,
+the point weights times prod_(j in lam) p_j, are summed over the fixed points
+once, and only the l_j change with y0.  The sums at y0 = 0..d must be
+integers, and so must the coefficients of the polynomial in y through them,
+found by Lagrange interpolation.  With d = k - 4, Y's middle Hodge row is
 h^(p,d-p) = (-1)^(d-p) (chi^p - (-1)^p b_2p) off the middle and (-1)^p chi^p
 at it, b_2p the Betti numbers of the derived P(Y).
 
@@ -47,7 +53,6 @@ checks chi_y(Y) and Y's middle Hodge row of every pair with odd n.
 
 import sys
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -132,46 +137,54 @@ def _interpolate(values):
     return out
 
 
-@cache
-def localized_chi_y(n):
-    """[chi_y(X_k) for k = 0..2(n-2)], each as its coefficient list
-    [chi(O), chi(Omega^1), ...] of length dim X_k + 1, by Atiyah-Bott at
-    y = 0..dim X_k and Lagrange interpolation; a sum or a coefficient that
-    is not an integer fails."""
-    top = 2 * (n - 2)
-    points = [
-        ([sum(r**j for r in roots) for j in range(top + 1)], h, prod(roots)) for roots, h in _fixed_points(n)
-    ]
-    logs = [_log_q(Fraction(y), top) for y in range(top + 1)]
-    out = []
-    for k in range(top + 1):
-        d = top - k
-        values = []
-        for y in range(d + 1):
-            log = logs[y]
-            total = Fraction(0)
-            for power_sums, h, euler_t in points:
-                s = [log[j] * (power_sums[j] - k * h**j) for j in range(d + 1)]
-                # e = exp(s) with s_0 = 0: m e_m = sum_(i <= m) i s_i e_(m-i)
-                e = [Fraction(1)]
-                for m in range(1, d + 1):
-                    e.append(sum(i * s[i] * e[m - i] for i in range(1, m + 1)) / m)
-                total += e[d] * Fraction(h**k, euler_t)
-            total *= (1 + y) ** d
-            assert total.denominator == 1, (n, k, y, total)
-            values.append(total)
-        coefficients = _interpolate(values)
-        assert all(c.denominator == 1 for c in coefficients), (n, k, coefficients)
-        out.append([c.numerator for c in coefficients])
-    return out
-
-
 def _partitions(d, largest=None):
     """The partitions of d, each a tuple of parts, largest part first."""
     if d == 0:
         return [()]
     top = d if largest is None else min(d, largest)
     return [(j, *rest) for j in range(top, 0, -1) for rest in _partitions(d - j, j)]
+
+
+def _chi_y(points, d, where):
+    """chi_y as [chi(O), chi(Omega^1), ...] of length d + 1 from the fixed
+    points, each a (weight, p): the point's factor outside the exp and p[j]
+    the j-th power sum of its virtual tangent weights.  Atiyah-Bott at
+    y = 0..d and Lagrange interpolation; a sum or a coefficient that is not
+    an integer fails, named by `where`."""
+    # [t^d] exp(sum_j l_j p_j t^j) over the partitions of d, as in the module
+    # docstring: each fixed point is visited once, for every y0
+    parts = _partitions(d)
+    moments = [Fraction(0)] * len(parts)
+    for weight, p in points:
+        for i, lam in enumerate(parts):
+            moments[i] += weight * prod(p[j] for j in lam)
+    values = []
+    for y in range(d + 1):
+        log = _log_q(Fraction(y), d)
+        total = sum(
+            moment * prod(log[j] for j in lam) / prod(factorial(lam.count(j)) for j in set(lam))
+            for lam, moment in zip(parts, moments)
+        )
+        total *= (1 + y) ** d
+        assert total.denominator == 1, (*where, y, total)
+        values.append(total)
+    coefficients = _interpolate(values)
+    assert all(c.denominator == 1 for c in coefficients), (*where, coefficients)
+    return [c.numerator for c in coefficients]
+
+
+def localized_chi_y(n):
+    """[chi_y(X_k) for k = 0..2(n-2)], each as its coefficient list
+    [chi(O), chi(Omega^1), ...] of length dim X_k + 1, by Atiyah-Bott; a sum
+    or a coefficient that is not an integer fails."""
+    top = 2 * (n - 2)
+    fixed = [([sum(r**j for r in roots) for j in range(top + 1)], h, prod(roots)) for roots, h in _fixed_points(n)]
+    out = []
+    for k in range(top + 1):
+        d = top - k
+        points = [(Fraction(h**k, euler_t), [p[j] - k * h**j for j in range(d + 1)]) for p, h, euler_t in fixed]
+        out.append(_chi_y(points, d, (n, k)))
+    return out
 
 
 def _dual_fixed_points(n, k):
@@ -207,34 +220,14 @@ def localized_euler_y(n, k):
 
 def localized_chi_y_y(n, k):
     """chi_y(Y) of the pair (n, k), n odd, as [chi(O), chi(Omega^1), ...] of
-    length k - 3, by Atiyah-Bott on P^(k-1) x Gr(3,n) at y = 0..k-4 and
-    Lagrange interpolation; a sum or a coefficient that is not an integer
-    fails."""
+    length k - 3, by Atiyah-Bott on P^(k-1) x Gr(3,n); a sum or a coefficient
+    that is not an integer fails."""
     d = k - 4
-    # [t^d] exp(sum_j l_j p_j t^j) is the sum over the partitions lam of d of
-    # prod_(j in lam) l_j / prod m_j! times prod_(j in lam) p_j, m_j the
-    # multiplicity of j in lam; so each fixed point is visited once, for
-    # every y0, and only the l_j depend on y0
-    parts = _partitions(d)
-    moments = [Fraction(0)] * len(parts)
+    points = []
     for roots, bundle in _dual_fixed_points(n, k):
         p = [sum(r**j for r in roots) - sum(e**j for e in bundle) for j in range(d + 1)]
-        weight = Fraction(prod(bundle), prod(roots))
-        for i, lam in enumerate(parts):
-            moments[i] += weight * prod(p[j] for j in lam)
-    values = []
-    for y in range(d + 1):
-        log = _log_q(Fraction(y), d)
-        total = sum(
-            moment * prod(log[j] for j in lam) / prod(factorial(lam.count(j)) for j in set(lam))
-            for lam, moment in zip(parts, moments)
-        )
-        total *= (1 + y) ** d
-        assert total.denominator == 1, (n, k, y, total)
-        values.append(total)
-    coefficients = _interpolate(values)
-    assert all(c.denominator == 1 for c in coefficients), (n, k, coefficients)
-    return [c.numerator for c in coefficients]
+        points.append((Fraction(prod(bundle), prod(roots)), p))
+    return _chi_y(points, d, (n, k))
 
 
 def odd_pairs(n_min, n_max):
@@ -315,7 +308,7 @@ def test_localized_chi_y_of_known_sections():
             assert sum(c * (-1) ** p for p, c in enumerate(chi_y)) == euler
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 10))
 def test_chi_y_matches_localization(n):
     # every k, past the smooth bound
     check_chi_y_range(n, n)
@@ -343,9 +336,9 @@ def test_localized_middle_row_of_the_pfaffian_calabi_yau():
     assert check_chi_y_y(make_pair(7, 8)) == [0, 13, 99, 13, 0]
 
 
-@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("n", [5, 7, 9])
 def test_chi_y_of_y_matches_the_derived_betti_numbers(n):
-    # every pair with odd n <= 7: 10 of them
+    # every pair with odd n <= 9: 17 of them
     check_chi_y_y_range(n, n)
 
 

@@ -429,7 +429,7 @@ def test_no_memo_grows_with_the_polynomials_a_caller_passes():
 def test_grid_builds_each_ambient_class_once_per_n(monkeypatch):
     from pgpairs.cli import run_grid
 
-    for memo in (pairs_module._ambient_classes, pairs_module._ambient_poincare, pairs_module._decomposables, check_l_equivalence):
+    for memo in (pairs_module._ambient, pairs_module._decomposables, check_l_equivalence):
         memo.cache_clear()
     sites = [(pairs_module, "grassmannian_class"), (pairs_module, "hyperplane_section_class")]
     calls = _count_calls(monkeypatch, sites)
@@ -465,7 +465,7 @@ def test_memos_serve_no_value_from_before_a_mutant(monkeypatch):
 def test_a_wrong_betti_everywhere_is_refused(monkeypatch, n, k, error):
     # an extra class in degree 2 moves [Gr(2,n)] and P(X) together, but not
     # [H(2,n)], whose product formula reads no Betti number: the relation fails
-    memos = (pairs_module._ambient_classes, pairs_module._ambient_poincare, pairs_module._decomposables, check_l_equivalence)
+    memos = (pairs_module._ambient, pairs_module._decomposables, check_l_equivalence)
     for module in (schubert_module, pairs_module, chern_module):
         monkeypatch.setattr(module, "betti", lambda n, j: betti(n, j) + (j == 2))
     for memo in memos:
