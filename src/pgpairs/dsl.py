@@ -98,6 +98,11 @@ def _tokenize(source: str):
     return tokens
 
 
+def _shown(value) -> str:
+    """A token's value as an error message names it."""
+    return "end of input" if value is None else repr(value)
+
+
 # AST nodes: ("int", v) ("L",) ("ctor", name, (ints)) ("bin", op, lhs, rhs)
 
 
@@ -115,7 +120,7 @@ class _Parser:
     def expect(self, value: str) -> None:
         _, found, line, column = self.next()
         if found != value:
-            raise ParseError(f"expected {value!r}, found {found!r}", line, column)
+            raise ParseError(f"expected {value!r}, found {_shown(found)}", line, column)
 
     def deeper(self, tok) -> None:
         self.depth += 1
@@ -169,12 +174,12 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return node
-        raise ParseError(f"unexpected {value!r}", line, column)
+        raise ParseError(f"unexpected {_shown(value)}", line, column)
 
     def int_arg(self) -> int:
         kind, value, line, column = self.next()
         if kind != "int":
-            raise ParseError(f"constructor arguments must be integer literals, found {value!r}", line, column)
+            raise ParseError(f"constructor arguments must be integer literals, found {_shown(value)}", line, column)
         if value > MAX_ARG:
             raise ParseError(f"constructor argument {value} exceeds {MAX_ARG}", line, column)
         return value

@@ -90,8 +90,9 @@ class LPoly:
         return tuple(c) if n == len(c) else tuple(c[:n])
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "LPoly":
-        return cls({degree: coeff})
+    def monomial(cls, degree: int) -> "LPoly":
+        """L^degree; c L^d is `LPoly({d: c})`."""
+        return cls({degree: 1})
 
     @classmethod
     def from_coeffs(cls, dense) -> "LPoly":

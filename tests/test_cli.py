@@ -383,19 +383,12 @@ def test_internal_errors_exit_3(monkeypatch, capsys, error):
     assert json.loads(captured.err) == {"error": error.__name__, "message": "forced"}
 
 
-def test_a_relation_that_fails_exits_3(monkeypatch, capsys):
+def test_a_relation_that_fails_exits_3(monkeypatch, capsys, cold_memos):
     # a wrong [H(2,n)] breaks the cut-and-paste relation of (8,4): the
     # division that solves it for P(Y) leaves a remainder
-    memos = (pairs_module._ambient, pairs_module._decomposables)
-    for memo in memos:
-        memo.cache_clear()
     h = pairs_module.hyperplane_section_class
     monkeypatch.setattr(pairs_module, "hyperplane_section_class", lambda n: h(n) + LPoly.monomial(1))
-    try:
-        assert main(["pair", "--n", "8", "--k", "4"]) == 3
-    finally:
-        for memo in memos:
-            memo.cache_clear()
+    assert main(["pair", "--n", "8", "--k", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "NonExactDivision", "message": "remainder of degree 8 left by division"}

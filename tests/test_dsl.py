@@ -89,13 +89,17 @@ def test_parse_error_position():
     "source, message, position",
     [
         ("1 == 2 == 3", "unexpected trailing '=='", (1, 8)),
-        ("", "unexpected None", (1, 1)),
-        ("P(3", "expected ')', found None", (1, 4)),
+        ("", "unexpected end of input", (1, 1)),
+        ("P(3", "expected ')', found end of input", (1, 4)),
         ("Gr 2", "expected '(', found 2", (1, 4)),
         ("P()", "constructor arguments must be integer literals, found ')'", (1, 3)),
+        ("P(", "constructor arguments must be integer literals, found end of input", (1, 3)),
         ("1 +\n\t* 2", "unexpected '*'", (2, 2)),
     ],
-    ids=["second_comparison", "empty", "unclosed_call", "call_without_parenthesis", "no_arguments", "tab_column"],
+    ids=[
+        "second_comparison", "empty", "unclosed_call", "call_without_parenthesis", "no_arguments", "cut_after_the_call",
+        "tab_column",
+    ],
 )
 def test_parse_error_message_and_position(source, message, position):
     with pytest.raises(ParseError) as exc:

@@ -1,6 +1,7 @@
 """pgpairs computes in exact integers: no float or complex literal, no true
 division `/` or `/=`, and no call to `float(` or `complex(` anywhere in the
-package source."""
+package source.  Its checks raise typed errors, so the source has no
+`assert` either: python -O would drop it."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "pgpairs"
 
 
 def _violations(source: str, filename: str = "<string>") -> list:
-    """'file:line what' for every inexact construct in `source`."""
+    """'file:line what' for every inexact construct and every assert in
+    `source`."""
     out = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -20,6 +22,8 @@ def _violations(source: str, filename: str = "<string>") -> list:
             what = "true division /="
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex"):
             what = f"call to {node.func.id}("
+        elif isinstance(node, ast.Assert):
+            what = "assert"
         else:
             continue
         out.append((node.lineno, f"{filename}:{node.lineno} {what}"))
@@ -35,6 +39,7 @@ def test_package_source_is_exact():
 
 def test_the_scan_finds_each_inexact_construct():
     source = "a = 1.5\nb = 2j\nc = a / b\nc /= 2\nd = float(c)\ne = complex(d)\nf = 7 // 2\nf //= 2\ng = '1/2'\n"
+    source += "assert f\nh = 'assert'\n"
     assert _violations(source) == [
         "<string>:1 float literal 1.5",
         "<string>:2 complex literal 2j",
@@ -42,4 +47,5 @@ def test_the_scan_finds_each_inexact_construct():
         "<string>:4 true division /=",
         "<string>:5 call to float(",
         "<string>:6 call to complex(",
+        "<string>:10 assert",
     ]

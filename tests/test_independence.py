@@ -15,6 +15,8 @@ import test_localization
 from pgpairs import chern, pairs, schubert
 from test_schubert import _class_by_cell_enumeration
 
+pytestmark = pytest.mark.usefixtures("cold_memos")
+
 
 def _entered(call) -> list:
     """(module, function name) of every Python function `call()` enters."""
@@ -99,13 +101,6 @@ CASES = [
         set(),
     ),
 ]
-
-
-@pytest.fixture(autouse=True)
-def _cold_memos(monkeypatch):
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
-    chern._chi_polys.cache_clear()
-    chern._euler_pairing.cache_clear()
 
 
 def _violation(name, call, needed, modules, functions):

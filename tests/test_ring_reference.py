@@ -152,4 +152,5 @@ def test_constructors_match_the_oracle():
         old = ORACLE[cls]
         assert view(cls()) == view(old.zero())
         assert view(cls.from_coeffs([1])) == view(old.one())
-        assert view(cls.monomial(7, 4)) == view(old.monomial(7, 4))
+        assert view(cls.monomial(7)) == view(old.monomial(7))
+        assert view(cls({7: 4})) == view(old.monomial(7, 4))
