@@ -290,11 +290,14 @@ def chi_y_ci(n: int, k: int) -> list:
 
 class HodgeSummary(namedtuple("HodgeSummary", "dim euler_char chi_y middle_betti middle_hodge")):
     """Euler characteristic, chi_y genus, and middle-degree Hodge data of a
-    smooth linear section; immutable, and checked on construction."""
+    smooth linear section; immutable, and checked on construction.  chi_y
+    and middle_hodge are stored as tuples, so the lists of a report's
+    `hodge` record give the same summary."""
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, euler_char: int, chi_y: tuple, middle_betti: int, middle_hodge: tuple):
+    def __new__(cls, dim: int, euler_char: int, chi_y, middle_betti: int, middle_hodge):
+        chi_y, middle_hodge = tuple(chi_y), tuple(middle_hodge)
         chi_at_minus_one = sum(c * (-1) ** p for p, c in enumerate(chi_y))
         if chi_at_minus_one != euler_char:
             raise InconsistentEuler(f"chi_y(-1) = {chi_at_minus_one} but the Euler characteristic is {euler_char}")

@@ -1,8 +1,13 @@
-"""The fixture `cold_memos`: every memo of pgpairs empty around a test."""
+"""Shared by the tests: the fixture `cold_memos`, every memo of pgpairs empty
+around a test; `valid_pairs`; and `run_checks`, the script mode of the test
+modules whose checks CI also runs over ranges too wide for tier-1."""
+
+import sys
 
 import pytest
 
 from pgpairs import chern, pairs, schubert
+from pgpairs.errors import PGError
 
 # every memo of pgpairs; tests/test_mutants.py fails if one is left off
 MEMOS = (pairs._ambient, pairs._decomposables, pairs.check_l_equivalence, chern._euler_pairing, chern._chi_polys)
@@ -20,3 +25,27 @@ def cold_memos(monkeypatch):
     clear_memos(monkeypatch)
     yield
     clear_memos(monkeypatch)
+
+
+def valid_pairs(n_min, n_max, k_max=10):
+    """Every pair with n in n_min..n_max and k in 1..k_max that `make_pair` accepts."""
+    out = []
+    for n in range(n_min, n_max + 1):
+        for k in range(1, k_max + 1):
+            try:
+                out.append(pairs.make_pair(n, k))
+            except PGError:
+                pass
+    return out
+
+
+def run_checks(checks, args):
+    """`N_MIN N_MAX [WORD]`: run checks[WORD], the first word by default, for
+    n in N_MIN..N_MAX.  Any other argument list prints the usage with every
+    word to stderr and exits 2."""
+    words = list(checks)
+    if len(args) in (2, 3) and all(a.isdigit() for a in args[:2]) and (len(args) == 2 or args[2] in checks):
+        checks[args[2] if len(args) == 3 else words[0]](int(args[0]), int(args[1]))
+        return
+    print(f"usage: N_MIN N_MAX [WORD], WORD one of {', '.join(words)} (default {words[0]})", file=sys.stderr)
+    sys.exit(2)

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conftest import valid_pairs
 from pgpairs.chern import chi_y_ci, euler_characteristic_ci, middle_hodge, tangent_chern
 from pgpairs.dsl import eval_dsl
 from pgpairs.errors import EvalError, NegativeDimension, ParseError
@@ -25,38 +26,15 @@ from pgpairs.pairs import (
     poincare_x,
 )
 from pgpairs.ring import LPoly, projective_class
-from pgpairs.schubert import (
-    betti,
-    grassmannian_class,
-    hyperplane_section_class,
-    lefschetz_shift,
-    sum_even_powers,
-)
-
-
-def _valid_pairs(n_lo, n_hi):
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        for k in range(1, 11):
-            try:
-                out.append(make_pair(n, k))
-            except Exception:
-                pass
-    return out
+from pgpairs.schubert import betti, grassmannian_class, hyperplane_section_class, lefschetz_shift
+from test_schubert import check_gr_class, check_hyperplane_class
 
 
 def test_criterion_01_class_product_formulas():
     t0 = time.perf_counter()
-    for n in range(4, 15):
-        base = projective_class(n - 2 if n % 2 == 0 else n - 1)
-        assert grassmannian_class(n) == base * sum_even_powers(n), n
-        # independent route to the hyperplane-section class: ambient Betti
-        # numbers below the middle, zero middle, duality above
-        d = 2 * (n - 2) - 1
-        expected = {}
-        for j in range(0, 2 * d + 1, 2):
-            expected[j // 2] = betti(n, j) if j < d else betti(n, 2 * d - j)
-        assert hyperplane_section_class(n) == LPoly(expected), n
+    # [Gr(2,n)] by the product formula, and [H(2,n)] by weak Lefschetz
+    check_gr_class(4, 14)
+    check_hyperplane_class(4, 14)
     # the subtraction form of the hyperplane class holds for n = 4 and 5
     for n in (4, 5):
         s = lefschetz_shift(n)
@@ -209,7 +187,7 @@ def test_criterion_06_chi_zero_value_for_pair_7_8():
 
 def test_criterion_07_dual_shape_sweep():
     t0 = time.perf_counter()
-    pairs = _valid_pairs(4, 12)
+    pairs = valid_pairs(4, 12)
     assert pairs
     for pair in pairs:
         p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
@@ -236,7 +214,7 @@ def test_criterion_07_dual_shape_sweep():
     ),
 )
 def test_criterion_07_constant_term_one_including_point_duals():
-    for pair in _valid_pairs(4, 12):
+    for pair in valid_pairs(4, 12):
         p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
         assert p_y.constant_term == 1, (
             f"({pair.n},{pair.k}) has dim Y = {pair.dim_y} and "

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import clear_memos
 from pgpairs.cli import (
     MAX_NK,
     console_main,
@@ -29,7 +30,7 @@ from pgpairs.errors import (
 )
 from pgpairs.pairs import CHECK_NAMES
 from pgpairs.ring import LPoly
-from pgpairs.schubert import lefschetz_shift
+from pgpairs.schubert import ENGINES, lefschetz_shift
 
 
 _UNUSED_AT_IMPORT = (
@@ -173,6 +174,18 @@ def test_grid_deterministic_across_runs():
     second, code2 = run_grid(4, 7, 1, 10, ())
     assert first == second
     assert code1 == code2 == 0
+
+
+def test_far_grid_passes_under_both_engines_with_the_same_rows(monkeypatch, cold_memos):
+    # n 4..24, k 1..12, past the golden range: each engine, from memos as
+    # cold as a fresh process's, fills its own table across every n
+    rows = []
+    for engine in ENGINES:
+        clear_memos(monkeypatch)
+        text, code = run_grid(4, 24, 1, 12, engine=engine)
+        assert code == 0, engine
+        rows.append(json.loads(text)["rows"])
+    assert rows[0] == rows[1]
 
 
 def test_grid_markdown_and_csv_render():

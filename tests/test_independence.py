@@ -7,10 +7,12 @@ enter.  Memos and product tables are cleared first, so a cached value cannot
 hide a call.
 """
 
+import pkgutil
 import sys
 
 import pytest
 
+import pgpairs
 import test_localization
 from pgpairs import chern, pairs, schubert
 from test_schubert import _class_by_cell_enumeration
@@ -93,6 +95,13 @@ CASES = [
     _localization_case("localized_chi_y", lambda: test_localization.localized_chi_y(5)),
     _localization_case("localized_euler_y", lambda: test_localization.localized_euler_y(5, 5)),
     _localization_case("localized_chi_y_y", lambda: test_localization.localized_chi_y_y(5, 6)),
+    (
+        "chi_o_y",  # Y's free resolution on P^(k-1): nothing of pgpairs at all
+        lambda: [test_localization.chi_o_y(n, k) for n in range(4, 14) for k in range(1, 2 * (n - 2) + 1)],
+        ("test_localization", "chi_o_y"),
+        {"pgpairs", *(f"pgpairs.{m.name}" for m in pkgutil.iter_modules(pgpairs.__path__))},
+        set(),
+    ),
     (
         "cell enumeration",  # the oracle of grassmannian_class
         lambda: [_class_by_cell_enumeration(n) for n in range(4, 25)],

@@ -41,16 +41,16 @@ at it, b_2p the Betti numbers of the derived P(Y).
 
 None of these routes reads a structure constant, a Catalan weight or the
 chi_y coordinate v of `chern`, so they check `chern` and the derived P(Y)
-from outside.
+from outside; `chi_o_y` reads nothing from pgpairs at all.
 
-Run as a script, `python tests/test_localization.py N_MIN N_MAX` checks the
-Euler characteristic of every k for n in N_MIN..N_MAX under both engines,
-`python tests/test_localization.py N_MIN N_MAX chi_y` checks chi_y of every
-k, `python tests/test_localization.py N_MIN N_MAX e_y` checks e(Y) of every
-pair with odd n, and `python tests/test_localization.py N_MIN N_MAX chi_y_y`
-checks chi_y(Y) and Y's middle Hodge row of every pair with odd n.
+Run as a script, `python tests/test_localization.py N_MIN N_MAX [WORD]`
+checks, for n in N_MIN..N_MAX, the Euler characteristic of every k under both
+engines (`euler`, the default), chi_y of every k (`chi_y`), e(Y) (`e_y`) or
+chi_y(Y) with chi(O_Y) and Y's middle Hodge row (`chi_y_y`) of every pair
+with odd n.
 """
 
+import importlib
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -58,8 +58,8 @@ from math import comb, factorial, prod
 
 import pytest
 
+from conftest import run_checks, valid_pairs
 from pgpairs.chern import chi_y_ci, euler_characteristic_ci
-from pgpairs.errors import PGError
 from pgpairs.pairs import derive_poincare_y, make_pair, poincare_x
 from pgpairs.schubert import ENGINES
 
@@ -230,23 +230,34 @@ def localized_chi_y_y(n, k):
     return _chi_y(points, d, (n, k))
 
 
+def chi_o_y(n, k):
+    """chi(O_Y) of the pair (n, k), the constant term of chi_y(Y), from Y's
+    free resolution on P^N, N = k - 1: 0 -> O(-n/2) -> O for even n, and the
+    Buchsbaum-Eisenbud complex 0 -> O(-n) -> O(-m-1)^n -> O(-m)^n -> O for
+    odd n = 2m + 1, with chi(P^N, O(j)) = C(N + j, N) read as a polynomial
+    in j."""
+    dim = k - 1
+    if n % 2 == 0:
+        twists = [(1, 0), (-1, -n // 2)]
+    else:
+        m = n // 2
+        twists = [(1, 0), (-n, -m), (n, -m - 1), (-1, -n)]
+    # C(N + j, N) = (j + 1) ... (j + N) / N!, a product of N consecutive ints
+    return sum(sign * prod(range(j + 1, j + dim + 1)) // factorial(dim) for sign, j in twists)
+
+
 def odd_pairs(n_min, n_max):
     """Every pair (n, k) with odd n in n_min..n_max that `make_pair` accepts."""
-    out = []
-    for n in range(n_min + 1 - n_min % 2, n_max + 1, 2):
-        for k in range(1, 2 * (n - 2) + 1):
-            try:
-                out.append(make_pair(n, k))
-            except PGError:
-                pass
-    return out
+    return [p for p in valid_pairs(n_min, n_max, 2 * (n_max - 2)) if p.n % 2]
 
 
 def check_chi_y_y(pair):
     """Y's middle Hodge row from localized_chi_y_y and the derived P(Y), after
-    checking chi_y(Y) at y = -1 against e(Y) and the row against b_mid(Y)."""
+    checking chi_y(Y) at y = 0 against chi_o_y, at y = -1 against e(Y), and
+    the row against b_mid(Y)."""
     p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
     chi, d = localized_chi_y_y(pair.n, pair.k), pair.dim_y
+    assert chi[0] == chi_o_y(pair.n, pair.k), (pair.n, pair.k, chi[0])
     assert len(chi) == d + 1 and sum((-1) ** p * c for p, c in enumerate(chi)) == p_y.evaluate(-1), (pair.n, pair.k)
     row = [
         (-1) ** p * c if 2 * p == d else (-1) ** (d - p) * (c - (-1) ** p * p_y.coefficient(2 * p))
@@ -338,11 +349,23 @@ def test_localized_middle_row_of_the_pfaffian_calabi_yau():
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_chi_y_of_y_matches_the_derived_betti_numbers(n):
-    # every pair with odd n <= 9: 17 of them
+    # every pair with odd n <= 9: 17 of them, chi(O_Y) included
     check_chi_y_y_range(n, n)
 
 
+CHECKS = {"euler": check_range, "chi_y": check_chi_y_range, "e_y": check_euler_y_range, "chi_y_y": check_chi_y_y_range}
+
+
+@pytest.mark.parametrize("module", ["test_localization", "test_schubert"])
+@pytest.mark.parametrize("args", [["4", "5", "nope"], ["4"], ["4", "x"], ["4", "5", "euler", "e_y"]], ids=" ".join)
+def test_script_mode_exits_2_with_its_words_on_a_bad_argument_list(module, args, capsys):
+    checks = importlib.import_module(module).CHECKS
+    with pytest.raises(SystemExit) as exit_:
+        run_checks(checks, args)
+    assert exit_.value.code == 2
+    words = ", ".join(checks)
+    assert capsys.readouterr() == ("", f"usage: N_MIN N_MAX [WORD], WORD one of {words} (default {next(iter(checks))})\n")
+
+
 if __name__ == "__main__":
-    checks = {"euler": check_range, "chi_y": check_chi_y_range, "e_y": check_euler_y_range, "chi_y_y": check_chi_y_y_range}
-    check = checks[sys.argv[3] if len(sys.argv) > 3 else "euler"]
-    check(int(sys.argv[1]), int(sys.argv[2]))
+    run_checks(CHECKS, sys.argv[1:])

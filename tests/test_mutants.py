@@ -8,13 +8,15 @@ it, at the parameters that end the name.  The catcher is an error type, an
 cold around each row (`cold_memos` in conftest.py), so no value from before
 a patch hides it.
 
-Two mutants survive today and are not rows:
+Two mutants pass every report for n 4..12, k 1..10, so they are not rows:
 - chi_y(8,4) = [1, -1, 2, -4, 20, -4, 2, -1, 1] in place of
   [1, -1, 2, -3, 22, -3, 2, -1, 1] keeps Serre duality, chi_y(-1) = Euler
-  and the row sum, and passes every report check (ROADMAP item 18);
+  and the row sum (ROADMAP item 18).  The suite still catches it:
+  Atiyah-Bott's chi_y in tests/test_localization.py refuses it, as
+  `test_the_chi_y_8_4_survivor_passes_the_report_but_not_localization`
+  shows;
 - any flip of `nl_status`: no report check reads it, and only the pinned
   values of `test_pairs.py::test_nl_status_catalogue` catch it.
-Both pass every report for n 4..12, k 1..10.
 """
 
 import importlib
@@ -32,6 +34,7 @@ from pgpairs.errors import InconsistentEuler, NonExactDivision, NonIntegralGenus
 from pgpairs.pairs import build_pair_report, hypersurface_poincare_oracle, make_pair
 from pgpairs.ring import LPoly, TPoly
 from pgpairs.schubert import ENGINES, betti, lefschetz_shift
+from test_localization import check_chi_y_range
 
 Mutant = namedtuple("Mutant", "patch call catcher")
 
@@ -222,6 +225,17 @@ def test_each_mutant_is_caught(name, monkeypatch, cold_memos):
         patch(monkeypatch)
         with pytest.raises(error, match=pattern):
             call()
+
+
+def test_the_chi_y_8_4_survivor_passes_the_report_but_not_localization(monkeypatch, cold_memos):
+    survivor = [1, -1, 2, -4, 20, -4, 2, -1, 1]
+    _swap(chern, "_chi_polys", lambda f: lambda n: [
+        [*survivor, *poly[9:]] if (n, k) == (8, 4) else poly for k, poly in enumerate(f(n))
+    ])(monkeypatch)
+    report = build_pair_report(8, 4)
+    assert report["all_checks_pass"] and report["hodge"]["middle_hodge"] == [0, 0, 0, 2, 20, 2, 0, 0, 0]
+    with pytest.raises(AssertionError, match=r"^\(8, 4\)"):
+        check_chi_y_range(8, 8)
 
 
 def _unlisted_memos() -> list:

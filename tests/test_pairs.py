@@ -4,6 +4,7 @@ import pytest
 
 import pgpairs.chern as chern_module
 import pgpairs.pairs as pairs_module
+from conftest import valid_pairs
 from pgpairs.chern import HodgeSummary, middle_hodge
 from pgpairs.errors import (
     InconsistentEuler,
@@ -29,19 +30,9 @@ from pgpairs.pairs import (
     transcendental_proxy,
 )
 from pgpairs.ring import LPoly, TPoly, projective_class
-from pgpairs.schubert import betti, grassmannian_class, hyperplane_section_class, lefschetz_shift
+from pgpairs.schubert import ENGINES, betti, grassmannian_class, hyperplane_section_class, lefschetz_shift
+from test_localization import chi_o_y
 from test_mutants import MUTANTS
-
-
-def all_valid_pairs(n_max, k_max=10):
-    out = []
-    for n in range(4, n_max + 1):
-        for k in range(1, k_max + 1):
-            try:
-                out.append(make_pair(n, k))
-            except (OutOfSmoothRange, NegativeDimension, InvalidParameter):
-                pass
-    return out
 
 
 # -- parameters ---------------------------------------------------------------
@@ -89,6 +80,17 @@ def test_pair_and_hodge_records_compare_and_hash_by_value():
     assert HodgeSummary(**fields) == h and hash(HodgeSummary(**fields)) == hash(h)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_report_hodge_record_is_the_library_summary(engine):
+    # on every pair of the 47-row grid, the report's lists give the
+    # HodgeSummary of middle_hodge, hashable
+    grid = valid_pairs(4, 12)
+    assert len(grid) == 47
+    for p in grid:
+        summary = HodgeSummary(**build_pair_report(p.n, p.k, engine)["hodge"])
+        assert summary == middle_hodge(p.n, p.k, engine) and hash(summary) == hash(middle_hodge(p.n, p.k, engine)), (p.n, p.k)
+
+
 def test_pair_and_hodge_records_repr():
     assert repr(make_pair(7, 7)) == "PGPair(n=7, k=7, dim_x=3, dim_y=3, s=6, m=0, smooth_range=True)"
     assert repr(middle_hodge(7, 7)) == (
@@ -97,7 +99,7 @@ def test_pair_and_hodge_records_repr():
 
 
 def test_shift_invariant():
-    for p in all_valid_pairs(12):
+    for p in valid_pairs(4, 12):
         assert p.m == p.s - p.k + 1
         assert p.smooth_range
 
@@ -171,10 +173,15 @@ def test_derive_known_duals():
 
 
 def test_derive_zero_dimensional_duals_count_points():
-    # the constant equals the degree of the dual zero-dimensional section
-    assert derive_poincare_y(make_pair(4, 2), poincare_x(4, 2)) == TPoly({0: 2})
-    assert derive_poincare_y(make_pair(6, 2), poincare_x(6, 2)) == TPoly({0: 3})
-    assert derive_poincare_y(make_pair(5, 4), poincare_x(5, 4)) == TPoly({0: 5})
+    # every zero-dimensional dual of the CLI domain: the constant is the
+    # number of points, chi(O_Y) from Y's free resolution on P^(k-1)
+    points = {(n, 2): n // 2 for n in range(4, MAX_NK + 1, 2)}
+    points.update(zip([(n, 4) for n in range(5, MAX_NK, 2)], [5, 14, 30, 55, 91, 140, 204, 285, 385, 506]))
+    duals = [p for p in valid_pairs(4, MAX_NK, MAX_NK) if p.dim_y == 0]
+    assert sorted((p.n, p.k) for p in duals) == sorted(points)
+    for p in duals:
+        assert chi_o_y(p.n, p.k) == points[p.n, p.k], (p.n, p.k)
+        assert derive_poincare_y(p, poincare_x(p.n, p.k)) == TPoly({0: points[p.n, p.k]}), (p.n, p.k)
 
 
 def test_derive_rejects_non_palindromic_input():
@@ -198,7 +205,7 @@ def test_derive_wrong_twist_is_non_exact():
 
 
 def test_cayley_hypersurface_two_fibrations_agree():
-    for pair in all_valid_pairs(10):
+    for pair in valid_pairs(4, 10):
         p_x = poincare_x(pair.n, pair.k)
         p_y = derive_poincare_y(pair, p_x)
         easy = cayley_hypersurface_class(pair, p_x)
@@ -222,7 +229,7 @@ def test_cayley_hypersurface_collapses_for_one_cut():
 
 
 def test_dual_shape_sweep():
-    for pair in all_valid_pairs(12):
+    for pair in valid_pairs(4, 12):
         p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
         assert p_y.degree == 2 * pair.dim_y
         assert p_y.is_palindromic(pair.dim_y)
@@ -244,7 +251,7 @@ def test_variable_betti_link_on_verified_range():
     # the link passes on exactly the pairs where it is established, n even
     # with k in {2,4} and n odd with k in {2,4,6}, and is skipped on every
     # other report of the CLI domain
-    pairs = all_valid_pairs(MAX_NK)
+    pairs = valid_pairs(4, MAX_NK)
     assert len(pairs) == 119
     for pair in pairs:
         covered = pair.k in ((2, 4) if pair.n % 2 == 0 else (2, 4, 6))
@@ -313,7 +320,7 @@ def test_hypersurface_oracle_examples():
 
 
 def test_dual_matches_oracle_for_even_n():
-    for pair in all_valid_pairs(12):
+    for pair in valid_pairs(4, 12):
         if pair.n % 2 == 0 and pair.dim_y >= 1:
             p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
             assert p_y == hypersurface_poincare_oracle(pair.n // 2, pair.k - 1), (pair.n, pair.k)

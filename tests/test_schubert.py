@@ -1,7 +1,13 @@
-"""Schubert calculus: classes, multiplication engines, pairing, Betti numbers."""
+"""Schubert calculus: classes, multiplication engines, pairing, Betti numbers.
+
+Run as a script, `python tests/test_schubert.py N_MIN N_MAX [WORD]` runs
+`check_gr_class` (`gr_class`, the default) or `check_products` (`products`)
+for n in N_MIN..N_MAX.
+"""
 
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgpairs
+from conftest import run_checks
 from dict_chow import DictChow
 from pgpairs import schubert
 from pgpairs.errors import AmbientMismatch, InvalidParameter
@@ -47,12 +54,16 @@ def test_grassmannian_class_cells_equals_enumeration():
         assert grassmannian_class(n) == _class_by_cell_enumeration(n)
 
 
-def test_grassmannian_class_two_methods_agree():
+def check_gr_class(n_min, n_max):
     # the product formula, a second oracle: [P^(n-2)] (n even) or [P^(n-1)]
     # (n odd) times the even-power sum
-    for n in range(4, 15):
+    for n in range(n_min, n_max + 1):
         base = projective_class(n - 2 if n % 2 == 0 else n - 1)
-        assert grassmannian_class(n) == base * sum_even_powers(n)
+        assert grassmannian_class(n) == base * sum_even_powers(n), n
+
+
+def test_grassmannian_class_two_methods_agree():
+    check_gr_class(4, 14)
 
 
 def test_grassmannian_class_examples():
@@ -71,19 +82,17 @@ def test_hyperplane_section_class_examples():
         hyperplane_section_class(3)
 
 
-def test_hyperplane_section_class_by_weak_lefschetz():
+def check_hyperplane_class(n_min, n_max):
     # oracle: Betti numbers of a smooth hyperplane section are those of the
     # Grassmannian below the middle, zero in the (odd) middle, dual above
-    for n in range(4, 15):
+    for n in range(n_min, n_max + 1):
         d = 2 * (n - 2) - 1
-        coeffs = {}
-        for j in range(0, d):
-            if j % 2 == 0:
-                coeffs[j // 2] = betti(n, j)
-        for j in range(d + 1, 2 * d + 1):
-            if j % 2 == 0:
-                coeffs[j // 2] = betti(n, 2 * d - j)
-        assert hyperplane_section_class(n) == LPoly(coeffs)
+        expected = {j // 2: betti(n, j) if j < d else betti(n, 2 * d - j) for j in range(0, 2 * d + 1, 2)}
+        assert hyperplane_section_class(n) == LPoly(expected), n
+
+
+def test_hyperplane_section_class_by_weak_lefschetz():
+    check_hyperplane_class(4, 14)
 
 
 def test_difference_of_classes_is_even_tail():
@@ -196,13 +205,18 @@ def test_betti_middle_difference_identity():
             assert diff == want
 
 
+def check_products(n_min, n_max):
+    # the closed-form pieri product equals the Littlewood-Richardson product,
+    # uncut, on every pair of partitions in the box of each n
+    for n in range(n_min, n_max + 1):
+        cells = box_partitions(n)
+        for lam in cells:
+            for mu in cells:
+                assert schubert._product_pieri(lam, mu) == schubert._product_lr(lam, mu), (n, lam, mu)
+
+
 def test_engines_agree_on_full_tables():
-    for n in range(4, 10):
-        rp = ChowRing(n, "pieri")
-        rl = ChowRing(n, "lr")
-        for lam in box_partitions(n):
-            for mu in box_partitions(n):
-                assert rp.product(lam, mu) == rl.product(lam, mu), (n, lam, mu)
+    check_products(4, 9)
 
 
 def test_table_fill_matches_unpruned_lr_candidates():
@@ -387,3 +401,10 @@ def test_star_import_binds_exactly_the_public_names():
     assert len(set(pgpairs.__all__)) == len(pgpairs.__all__)
     for name in pgpairs.__all__:
         assert namespace[name] is getattr(pgpairs, name)
+
+
+CHECKS = {"gr_class": check_gr_class, "products": check_products}
+
+
+if __name__ == "__main__":
+    run_checks(CHECKS, sys.argv[1:])
