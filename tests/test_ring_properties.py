@@ -11,9 +11,9 @@ from pgpairs.ring import LPoly, TPoly
 checked = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def polys(cls=LPoly, min_value=-50, max_value=50, max_degree=12):
+def polys(cls=LPoly, min_value=-50, max_value=50, max_degree=40):
     coeffs = st.dictionaries(
-        st.integers(0, max_degree), st.integers(min_value, max_value), max_size=6
+        st.integers(0, max_degree), st.integers(min_value, max_value), max_size=8
     )
     return coeffs.map(cls)
 
