@@ -1,8 +1,9 @@
 """Acceptance suite.
 
 One test per acceptance criterion (run with -v for one line per criterion).
-Each criterion holds its assertions: where a module test asserted the same
-thing, the criterion took the wider range and the module test lost its copy.
+Each assertion is written once: where a criterion and a module test assert
+the same thing, both call one `check_*` function of the module file, at the
+wider of their two ranges.
 Three sub-criteria are false as stated: two class identities and one value,
 chi(O) of the (7,8) section.  They are implemented faithfully, expected to
 fail, and marked strict xfail with the corrected statement in the reason, so
@@ -10,29 +11,40 @@ a regression in either direction is loud.  Everything else must pass at
 exact (integer) tolerance within the stated time budgets.
 """
 
-import math
 import time
 
 import pytest
 
 from conftest import valid_pairs
-from pgpairs.chern import chi_y_ci, euler_characteristic_ci, middle_hodge, tangent_chern
+from pgpairs.chern import chi_y_ci, euler_characteristic_ci, middle_hodge
 from pgpairs.dsl import eval_dsl
-from pgpairs.errors import EvalError, ParseError
-from pgpairs.pairs import (
-    MAX_NK,
-    build_pair_report,
-    cayley_hypersurface_class,
-    check_l_equivalence,
-    derive_poincare_y,
-    hypersurface_poincare_oracle,
-    make_pair,
-    poincare_x,
-)
+from pgpairs.errors import ParseError
+from pgpairs.pairs import MAX_NK, check_l_equivalence, derive_poincare_y, make_pair, poincare_x
 from pgpairs.ring import LPoly, TPoly, projective_class
-from pgpairs.schubert import betti, grassmannian_class, hyperplane_section_class, lefschetz_shift
-from test_pairs import check_link_on_verified_range
-from test_schubert import check_gr_class, check_hyperplane_class
+from pgpairs.schubert import grassmannian_class, hyperplane_section_class, lefschetz_shift
+from test_chern import (
+    check_chi_y_known_sections,
+    check_fano_chi_zero,
+    check_middle_hodge_known_values,
+    check_tangent_top_chern,
+)
+from test_dsl import check_decomposable_identity, check_grassmannian_product_identity, check_non_exact_division_raises
+from test_pairs import (
+    check_calabi_yau_threefold_report,
+    check_cayley_trick_fano_nineteenfold,
+    check_dual_shape_sweep,
+    check_even_n_duals,
+    check_fixed_point_duals,
+    check_known_duals,
+    check_link_on_verified_range,
+    check_pfaffian_cubic_fourfold_report,
+)
+from test_schubert import (
+    check_betti_middle_difference,
+    check_decomposable_identity_for_odd_n,
+    check_gr_class,
+    check_hyperplane_class,
+)
 
 
 def test_criterion_01_class_product_formulas():
@@ -81,44 +93,32 @@ def test_criterion_02_l_equivalence_identity():
     # odd it is the L-equivalence identity, which holds past the domain too
     zero = [(p.n, p.k) for p in valid_pairs(4, MAX_NK, MAX_NK) if _tate_defect(p.n, p.k).is_zero()]
     assert zero == [(4, 3), (5, 5), (6, 5), (7, 7), (9, 9)]
+    check_decomposable_identity_for_odd_n()
     for n in range(5, 14, 2):
-        assert _tate_defect(n, n).is_zero(), n
         assert check_l_equivalence(n)
-    for n in (5, 7, 9):
-        pair = make_pair(n, n)
-        p_x = poincare_x(n, n)
-        assert derive_poincare_y(pair, p_x) == p_x, n
+    check_fixed_point_duals()
     print("PASS criterion 2 (Tate defect, L-equivalence identity and fixed-point duals)")
 
 
 def test_criterion_03_middle_betti_link():
-    for n in range(6, 15):
-        for kp in (1, 2, 3):
-            want = math.ceil(kp / 2) if n % 2 == 0 else kp // 2
-            assert betti(n, 2 * n - 4) - betti(n, 2 * n - 4 - 2 * kp) == want, (n, kp)
+    check_betti_middle_difference()
     check_link_on_verified_range()
     print("PASS criterion 3 (Betti difference identity and middle-link on the CLI domain)")
 
 
 def test_criterion_04_hypersurface_cross_validation():
     t0 = time.perf_counter()
-    # every positive-dimensional dual with even n on the 47-row grid is a
-    # hypersurface of degree n/2 in P^(k-1)
-    p_y = {}
-    for pair in valid_pairs(4, 12):
-        if pair.n % 2 == 0 and pair.dim_y >= 1:
-            p_y[pair.n, pair.k] = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
-            assert p_y[pair.n, pair.k] == hypersurface_poincare_oracle(pair.n // 2, pair.k - 1), (pair.n, pair.k)
-    # cubic threefold, with the same polynomial as its section
+    # every even-n dual of the 47-row grid against the hypersurface oracle,
+    # and the pinned cubic threefold, cubic fourfold and quartic K3 duals
+    p_y = check_even_n_duals()
+    check_known_duals()
+    # cubic threefold
     assert euler_characteristic_ci(6, 5) == -6
-    assert p_y[6, 5] == poincare_x(6, 5) == TPoly.from_coeffs([1, 0, 1, 10, 1, 0, 1])
     # cubic fourfold
-    assert p_y[6, 6] == TPoly.from_coeffs([1, 0, 1, 0, 23, 0, 1, 0, 1])
     assert p_y[6, 6].evaluate(-1) == 27
     # quartic K3 behind the eightfold
     assert poincare_x(8, 4).coefficient(8) == 24
     assert euler_characteristic_ci(8, 4) == 36
-    assert p_y[8, 4] == TPoly.from_coeffs([1, 0, 22, 0, 1])
     # quintic threefold behind the elevenfold
     assert p_y[10, 5].coefficient(3) == 204
     assert p_y[10, 5].evaluate(-1) == -200
@@ -140,37 +140,17 @@ def test_criterion_05_calabi_yau_threefold_pair_dual_engines():
     assert chi == hodge.euler_char == -98
     assert hodge.middle_betti == 102
     assert hodge.middle_hodge == (1, 50, 50, 1)
-    rep = build_pair_report(7, 7)
-    assert rep["poincare_x"] == rep["poincare_y"] == p_x.coeffs_dense()
-    assert rep["euler"] == -98
-    assert rep["hodge"]["middle_hodge"] == [1, 50, 50, 1]
-    assert rep["motivic_equivalence"]["status"] == "applies"
-    assert rep["all_checks_pass"]
-    assert rep["findings"] == []
+    assert check_calabi_yau_threefold_report()["poincare_x"] == p_x.coeffs_dense()
     print("PASS criterion 5 (Calabi-Yau threefold pair, both engines agree)")
 
 
 def test_criterion_06_characteristic_class_sanity():
     # chi_y(-1) = Euler on every section of n 4..24 under both engines is
-    # tests/test_chern.py::test_engines_agree_on_invariants
-    for n in range(4, 11):
-        top = tangent_chern(n).component(2 * (n - 2)).integrate()
-        assert top == n * (n - 1) // 2 == grassmannian_class(n).evaluate(1), n
-    # chi(O) = 1 on every Fano section (k < n)
-    for n in range(4, 25):
-        for k in range(min(n, 2 * (n - 2) + 1)):
-            assert chi_y_ci(n, k)[0] == 1, (n, k)
-    assert chi_y_ci(6, 6) == [2, -20, 2]
-    assert chi_y_ci(7, 7) == [0, 49, -49, 0]  # chi(O) = 0: trivial canonical class
-    assert chi_y_ci(9, 9)[0] == 0
-    # the Fano threefold V14 of the (6,5) pair has h^{1,2} = 5
-    h = middle_hodge(6, 5)
-    assert (h.middle_hodge, h.middle_betti) == ((0, 5, 5, 0), 10)
-    # h^{2,0} >= 1 of the K3 section (6,6) and of the general-type surface (7,8)
-    h = middle_hodge(6, 6)
-    assert (h.middle_hodge, h.middle_betti) == ((1, 20, 1), 22)
-    h = middle_hodge(7, 8)
-    assert h.dim == 2 and h.middle_hodge[0] >= 1
+    # tests/test_chern.py::test_chi_y_at_minus_one_matches_euler
+    check_tangent_top_chern()
+    check_fano_chi_zero()
+    check_chi_y_known_sections()
+    check_middle_hodge_known_values()
     print("PASS criterion 6 (Chern integrals, chi(O) of the Fano sections n 4..24, special values)")
 
 
@@ -192,18 +172,7 @@ def test_criterion_06_chi_zero_value_for_pair_7_8():
 
 def test_criterion_07_dual_shape_sweep():
     t0 = time.perf_counter()
-    pairs = valid_pairs(4, 12)
-    assert pairs
-    for pair in pairs:
-        p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
-        assert p_y.degree == 2 * pair.dim_y, (pair.n, pair.k)
-        assert p_y.is_palindromic(pair.dim_y), (pair.n, pair.k)
-        assert min(p_y.coeffs_dense()) >= 0
-        if pair.dim_y >= 1:
-            assert p_y.constant_term == 1, (pair.n, pair.k)
-            assert p_y.coefficient(2 * pair.dim_y) == 1, (pair.n, pair.k)
-        else:
-            assert p_y.constant_term >= 2, (pair.n, pair.k)
+    pairs = check_dual_shape_sweep()
     assert time.perf_counter() - t0 < 60.0
     print(f"PASS criterion 7 (dual shape sweep over {len(pairs)} pairs)")
 
@@ -230,36 +199,19 @@ def test_criterion_07_constant_term_one_including_point_duals():
 
 
 def test_criterion_08_projectivized_bundle_divisor():
-    # the divisor [Gr][P^3] + [X] L^4 in the projectivized rank-5 bundle over
-    # Gr(2,10) whose section cuts out the (10,5) section X
-    u_class = grassmannian_class(10)
-    p_s = poincare_x(10, 5)
-    p_z = cayley_hypersurface_class(make_pair(10, 5), p_s)
-    expected = p_s.shift(8) + u_class.to_poincare() * projective_class(3).to_poincare()
-    assert p_z == expected
-    assert p_z.is_palindromic(19)
-    assert p_z.constant_term == 1
-    assert p_z.degree == 38
+    check_cayley_trick_fano_nineteenfold()
     print("PASS criterion 8 (divisor in the projectivized bundle over Gr(2,10))")
 
 
 def test_criterion_09_discrepancy_detection():
-    rep = build_pair_report(6, 6)
-    assert rep["poincare_y"][4] == 23  # the derived value is not altered
-    assert rep["poincare_x"][2] == 22  # nor is the surface input
-    assert len(rep["findings"]) == 1
-    assert "22" in rep["findings"][0] and "23" in rep["findings"][0]
-    assert "unaccounted" in rep["findings"][0]
-    assert rep["all_checks_pass"]
+    check_pfaffian_cubic_fourfold_report()
     print("PASS criterion 9 (degree-4 bookkeeping gap flagged, nothing repaired)")
 
 
 def test_criterion_10_expression_language():
-    assert eval_dsl("Gr(2,5) == P(4) * SumEven(5)") is True
-    assert eval_dsl("P(6)*H(2,7) == P(5)*Gr(2,7)") is True
-    with pytest.raises(EvalError) as exc:
-        eval_dsl("(1 + L) div (1 + L*L)")
-    assert "non-exact" in str(exc.value)
+    check_grassmannian_product_identity()
+    check_decomposable_identity()
+    check_non_exact_division_raises()
     with pytest.raises(ParseError) as exc:
         eval_dsl("Gr(2,\n  !5)")
     assert exc.value.line == 2

@@ -119,6 +119,17 @@ def test_tangent_first_chern_class():
         assert tangent_chern(n).component(1) == ChowClass(ChowRing(n), {(1, 0): n})
 
 
+def check_tangent_top_chern():
+    # c_top(T) integrates to the number of Schubert cells, [Gr(2,n)](1)
+    for n in range(4, 11):
+        top = tangent_chern(n).component(2 * (n - 2)).integrate()
+        assert top == n * (n - 1) // 2 == grassmannian_class(n).evaluate(1), n
+
+
+def test_tangent_top_chern_integrates_to_cell_count():
+    check_tangent_top_chern()
+
+
 def test_euler_characteristic_examples():
     # (6,5), (8,4) and (7,7) are acceptance criteria 4 and 5
     assert euler_characteristic_ci(4, 0) == 6
@@ -148,6 +159,16 @@ def test_chi_y_pure_tate_grassmannian():
         assert chi_y_ci(n, 0) == expected
 
 
+def check_chi_y_known_sections():
+    assert chi_y_ci(6, 6) == [2, -20, 2]
+    assert chi_y_ci(7, 7) == [0, 49, -49, 0]  # chi(O) = 0: trivial canonical class
+    assert chi_y_ci(9, 9)[0] == 0
+
+
+def test_chi_y_known_sections():
+    check_chi_y_known_sections()
+
+
 def test_chi_zero_of_general_type_surface_section():
     # X(7,8) is a degree-42 surface with canonical class the hyperplane class,
     # so p_g = h^0(O(1)) = 13 and chi(O) = 14; Noether's formula cross-check:
@@ -159,12 +180,32 @@ def test_chi_zero_of_general_type_surface_section():
     assert 12 * chi[0] == 42 + euler
 
 
+def test_chi_y_at_minus_one_matches_euler():
+    # every section of n 4..24 against the Euler characteristic of both engines
+    for n in range(4, 25):
+        for k in range(2 * (n - 2) + 1):
+            value = sum(c * (-1) ** p for p, c in enumerate(chi_y_ci(n, k)))
+            for engine in ENGINES:
+                assert value == euler_characteristic_ci(n, k, engine), (engine, n, k)
+
+
+def check_fano_chi_zero():
+    # chi(O) = 1 on every Fano section (k < n) of n 4..24
+    for n in range(4, 25):
+        for k in range(min(n, 2 * (n - 2) + 1)):
+            assert chi_y_ci(n, k)[0] == 1, (n, k)
+
+
+def test_chi_y_at_zero_is_one_for_fano():
+    check_fano_chi_zero()
+
+
 @pytest.mark.parametrize("n", [13, 16, 19, 24])
 def test_chi_y_identities_past_the_golden_grid(n):
     # identities that share no code with `_chi_polys`: Serre duality and
     # chi(O) of a Calabi-Yau (k = n) section; chi(O) of a Fano (k < n) is
-    # acceptance criterion 6, and chi_y(-1) against the Euler characteristic
-    # of both engines is test_engines_agree_on_invariants
+    # check_fano_chi_zero, and chi_y(-1) against the Euler characteristic of
+    # both engines is test_chi_y_at_minus_one_matches_euler
     for k in range(2 * (n - 2) + 1):
         chi = chi_y_ci(n, k)
         d = 2 * (n - 2) - k
@@ -172,6 +213,22 @@ def test_chi_y_identities_past_the_golden_grid(n):
         assert all(chi[p] == (-1) ** d * chi[d - p] for p in range(d + 1)), (n, k)
         if k == n:
             assert chi[0] == 1 + (-1) ** d, (n, k)
+
+
+def check_middle_hodge_known_values():
+    # the Fano threefold V14 of the (6,5) pair has h^{1,2} = 5; (7,7) is
+    # acceptance criterion 5
+    h = middle_hodge(6, 5)
+    assert (h.middle_hodge, h.middle_betti) == ((0, 5, 5, 0), 10)
+    # h^{2,0} >= 1 of the K3 section (6,6) and of the general-type surface (7,8)
+    h = middle_hodge(6, 6)
+    assert (h.middle_hodge, h.middle_betti) == ((1, 20, 1), 22)
+    h = middle_hodge(7, 8)
+    assert h.dim == 2 and h.middle_hodge[0] >= 1
+
+
+def test_middle_hodge_known_values():
+    check_middle_hodge_known_values()
 
 
 def test_middle_hodge_pure_tate_at_k0():
@@ -221,8 +278,7 @@ def test_chi_euler_mismatch_names_both_values(monkeypatch):
 def test_engines_agree_on_invariants():
     # every section of n 4..24, past the smooth bound: middle_hodge checks
     # chi_y's degree, Serre duality and proved digit width and chi_y(-1)
-    # against the engine's Euler characteristic, and its record holds both;
-    # the suite's one check of chi_y(-1) = Euler
+    # against the engine's Euler characteristic, and its record holds both
     for n in range(4, 25):
         for k in range(2 * (n - 2) + 1):
             assert middle_hodge(n, k, "pieri") == middle_hodge(n, k, "lr"), (n, k)

@@ -19,6 +19,32 @@ from pgpairs.ring import MAX_DEGREE, LPoly, projective_class
 from pgpairs.schubert import grassmannian_class, hyperplane_section_class
 
 
+def check_grassmannian_product_identity():
+    assert eval_dsl("Gr(2,5) == P(4) * SumEven(5)") is True
+
+
+def test_grassmannian_product_identity():
+    check_grassmannian_product_identity()
+
+
+def check_decomposable_identity():
+    assert eval_dsl("P(6)*H(2,7) == P(5)*Gr(2,7)") is True
+
+
+def test_decomposable_identity():
+    check_decomposable_identity()
+
+
+def check_non_exact_division_raises():
+    with pytest.raises(EvalError) as exc:
+        eval_dsl("(1 + L) div (1 + L*L)")
+    assert "non-exact" in str(exc.value)
+
+
+def test_non_exact_division_raises():
+    check_non_exact_division_raises()
+
+
 def test_atoms_and_precedence():
     assert eval_dsl("L") == LPoly.monomial(1)
     assert eval_dsl("7") == LPoly({0: 7})

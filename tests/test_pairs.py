@@ -129,7 +129,8 @@ def test_poincare_x_quadric_threefold():
 
 
 def test_poincare_x_known_middles():
-    # (7,7), (6,5) and b_8 of (8,4) are acceptance criteria 4 and 5
+    # (6,5) is check_known_duals, and (7,7) and b_8 of (8,4) acceptance
+    # criteria 5 and 4
     assert poincare_x(5, 4) == TPoly.from_coeffs([1, 0, 5, 0, 1])  # quintic del Pezzo
     assert [poincare_x(8, 4).coefficient(2 * j) for j in range(4)] == [1, 1, 2, 2]
 
@@ -149,6 +150,30 @@ def test_variable_betti_examples():
 
 
 # -- the relation ----------------------------------------------------------------
+
+
+def check_fixed_point_duals():
+    # at n = k odd the derived dual polynomial is the section's own
+    for n in (5, 7, 9):
+        p_x = poincare_x(n, n)
+        assert derive_poincare_y(make_pair(n, n), p_x) == p_x, n
+
+
+def test_derive_equal_parameters_returns_section_polynomial():
+    check_fixed_point_duals()
+
+
+def check_known_duals():
+    # the cubic threefold has its section's polynomial; the cubic fourfold
+    # and the quartic K3 surface
+    p_y = {(n, k): derive_poincare_y(make_pair(n, k), poincare_x(n, k)) for n, k in ((6, 5), (6, 6), (8, 4))}
+    assert p_y[6, 5] == poincare_x(6, 5) == TPoly.from_coeffs([1, 0, 1, 10, 1, 0, 1])
+    assert p_y[6, 6] == TPoly.from_coeffs([1, 0, 1, 0, 23, 0, 1, 0, 1])
+    assert p_y[8, 4] == TPoly.from_coeffs([1, 0, 22, 0, 1])
+
+
+def test_derive_known_duals():
+    check_known_duals()
 
 
 def test_derive_zero_dimensional_duals_count_points():
@@ -207,6 +232,30 @@ def test_cayley_hypersurface_collapses_for_one_cut():
     assert cayley_hypersurface_class(pair, p_x) == p_x
 
 
+def check_dual_shape_sweep():
+    # every dual of the 47-row grid has degree 2 dim Y, is palindromic with
+    # nonnegative coefficients, has constant and top coefficient 1 when
+    # positive-dimensional and counts at least two points otherwise;
+    # returns the pairs swept
+    pairs = valid_pairs(4, 12)
+    assert pairs
+    for pair in pairs:
+        p_y = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
+        assert p_y.degree == 2 * pair.dim_y, (pair.n, pair.k)
+        assert p_y.is_palindromic(pair.dim_y), (pair.n, pair.k)
+        assert min(p_y.coeffs_dense()) >= 0
+        if pair.dim_y >= 1:
+            assert p_y.constant_term == 1, (pair.n, pair.k)
+            assert p_y.coefficient(2 * pair.dim_y) == 1, (pair.n, pair.k)
+        else:
+            assert p_y.constant_term >= 2, (pair.n, pair.k)
+    return pairs
+
+
+def test_dual_shape_sweep():
+    check_dual_shape_sweep()
+
+
 # -- catalogues and statuses -------------------------------------------------------
 
 
@@ -228,6 +277,10 @@ def check_link_on_verified_range():
     for n in range(5, MAX_NK + 1, 2):
         with pytest.raises(NegativeDimension):
             make_pair(n, 2)
+
+
+def test_variable_betti_link_on_verified_range():
+    check_link_on_verified_range()
 
 
 def test_variable_betti_link_examples():
@@ -258,7 +311,7 @@ def test_nl_status_catalogue():
 
 
 def test_motivic_equivalence_status():
-    # (7,7) "applies" is acceptance criterion 5
+    # (7,7) "applies" is check_calabi_yau_threefold_report
     def status(n, k):
         return build_pair_report(n, k)["motivic_equivalence"]["status"]
 
@@ -277,7 +330,8 @@ def test_transcendental_proxy_labels():
 
 
 def test_hypersurface_oracle_examples():
-    # the cubic fourfold and the quintic threefold are acceptance criterion 4
+    # the cubic fourfold is check_even_n_duals and check_known_duals, and the
+    # quintic threefold acceptance criterion 4
     assert hypersurface_poincare_oracle(1, 3) == TPoly.from_coeffs([1, 0, 1, 0, 1])
     assert hypersurface_poincare_oracle(2, 4) == TPoly.from_coeffs([1, 0, 1, 0, 1, 0, 1])
     with pytest.raises(InvalidParameter):
@@ -286,7 +340,38 @@ def test_hypersurface_oracle_examples():
         hypersurface_poincare_oracle(3, 1)
 
 
+def check_even_n_duals():
+    # every positive-dimensional dual with even n on the 47-row grid is a
+    # hypersurface of degree n/2 in P^(k-1); returns them by (n, k)
+    p_y = {}
+    for pair in valid_pairs(4, 12):
+        if pair.n % 2 == 0 and pair.dim_y >= 1:
+            p_y[pair.n, pair.k] = derive_poincare_y(pair, poincare_x(pair.n, pair.k))
+            assert p_y[pair.n, pair.k] == hypersurface_poincare_oracle(pair.n // 2, pair.k - 1), (pair.n, pair.k)
+    return p_y
+
+
+def test_dual_matches_oracle_for_even_n():
+    check_even_n_duals()
+
+
 # -- the projectivized-bundle divisor --------------------------------------------------
+
+
+def check_cayley_trick_fano_nineteenfold():
+    # the divisor [Gr][P^3] + [X] L^4 in the projectivized rank-5 bundle over
+    # Gr(2,10) whose section cuts out the (10,5) section X
+    u_class = grassmannian_class(10)
+    p_s = poincare_x(10, 5)
+    p_z = cayley_hypersurface_class(make_pair(10, 5), p_s)
+    assert p_z == p_s.shift(8) + u_class.to_poincare() * projective_class(3).to_poincare()
+    assert p_z.degree == 38
+    assert p_z.is_palindromic(19)
+    assert p_z.constant_term == 1
+
+
+def test_cayley_trick_fano_nineteenfold():
+    check_cayley_trick_fano_nineteenfold()
 
 
 def test_cayley_trick_rejects_impossible_section_locus():
@@ -296,6 +381,37 @@ def test_cayley_trick_rejects_impossible_section_locus():
 
 
 # -- reports ------------------------------------------------------------------------------
+
+
+def check_calabi_yau_threefold_report():
+    # returns the (7,7) report
+    rep = build_pair_report(7, 7)
+    assert rep["poincare_x"] == rep["poincare_y"]
+    assert rep["euler"] == -98
+    assert rep["hodge"]["middle_hodge"] == [1, 50, 50, 1]
+    assert rep["motivic_equivalence"]["status"] == "applies"
+    assert rep["all_checks_pass"]
+    assert rep["findings"] == []
+    return rep
+
+
+def test_report_calabi_yau_threefold_pair():
+    check_calabi_yau_threefold_report()
+
+
+def check_pfaffian_cubic_fourfold_report():
+    # the degree-4 bookkeeping gap of (6,6) is flagged, and nothing repaired
+    rep = build_pair_report(6, 6)
+    assert rep["poincare_y"][4] == 23  # the derived value is not altered
+    assert rep["poincare_x"][2] == 22  # nor is the surface input
+    assert len(rep["findings"]) == 1
+    assert "22" in rep["findings"][0] and "23" in rep["findings"][0]
+    assert "unaccounted" in rep["findings"][0]
+    assert rep["all_checks_pass"]
+
+
+def test_report_pfaffian_cubic_fourfold_finding():
+    check_pfaffian_cubic_fourfold_report()
 
 
 def test_report_eightfold():

@@ -8,6 +8,11 @@ import pytest
 
 from pgpairs.errors import InvalidParameter, NegativeCoefficient, NonExactDivision
 from pgpairs.ring import MAX_DEGREE, LPoly, TPoly, projective_class
+from test_ring_properties import check_degree_of_product, check_div_exact, check_ring_axioms
+
+# the ring laws are written once, in test_ring_properties.py; its hypothesis
+# test of to_poincare is also collected here, under the name it shares
+from test_ring_properties import test_to_poincare_is_multiplicative  # noqa: F401
 
 
 def L(coeffs):
@@ -85,6 +90,18 @@ def _random_poly(rng, max_deg=40, max_terms=8):
     )
 
 
+def test_ring_axioms_on_random_supports():
+    rng = random.Random(20240611)
+    for _ in range(120):
+        check_ring_axioms(*(_random_poly(rng) for _ in range(3)))
+
+
+def test_div_mul_round_trip():
+    rng = random.Random(987)
+    for _ in range(80):
+        check_div_exact(_random_poly(rng), _random_poly(rng))
+
+
 def test_evaluate_at_one_is_coefficient_sum():
     rng = random.Random(31337)
     for _ in range(50):
@@ -92,6 +109,10 @@ def test_evaluate_at_one_is_coefficient_sum():
         assert a.evaluate(1) == sum(a.coeffs_dense())
     for n in range(0, 12):
         assert projective_class(n).evaluate(1) == n + 1
+
+
+def test_degree_of_product():
+    check_degree_of_product(L([3, 0, 2]), L([0, 5]))
 
 
 def test_pretty_printing():

@@ -62,6 +62,10 @@ def check_gr_class(n_min, n_max):
         assert grassmannian_class(n) == base * sum_even_powers(n), n
 
 
+def test_grassmannian_class_two_methods_agree():
+    check_gr_class(4, 14)
+
+
 def test_grassmannian_class_examples():
     assert grassmannian_class(4) == LPoly.from_coeffs([1, 1, 2, 1, 1])
     assert grassmannian_class(4) == projective_class(2) * LPoly.from_coeffs([1, 0, 1])
@@ -87,6 +91,10 @@ def check_hyperplane_class(n_min, n_max):
         assert hyperplane_section_class(n) == LPoly(expected), n
 
 
+def test_hyperplane_section_class_by_weak_lefschetz():
+    check_hyperplane_class(4, 14)
+
+
 def test_difference_of_classes_is_even_tail():
     # what subtracting the hyperplane class from the Grassmannian really leaves:
     # L^s + L^(s+2) + ... + L^(2n-4); it collapses to two terms only for n = 4, 5,
@@ -95,6 +103,18 @@ def test_difference_of_classes_is_even_tail():
         s = lefschetz_shift(n)
         tail = LPoly({j: 1 for j in range(s, 2 * n - 3, 2)})
         assert grassmannian_class(n) - hyperplane_section_class(n) == tail
+
+
+def check_decomposable_identity_for_odd_n():
+    # [P^(n-1)][H(2,n)] = [P^(n-2)][Gr(2,n)], the L-equivalence identity
+    for n in range(5, 14, 2):
+        assert projective_class(n - 1) * hyperplane_section_class(n) == projective_class(
+            n - 2
+        ) * grassmannian_class(n), n
+
+
+def test_decomposable_identity_for_odd_n():
+    check_decomposable_identity_for_odd_n()
 
 
 def test_sum_even_powers():
@@ -176,6 +196,18 @@ def test_betti_closed_form_counts_the_box_partitions():
         for j in range(-2, 4 * (n - 2) + 3):
             expected = sizes.count(j // 2) if j >= 0 and j % 2 == 0 else 0
             assert betti(n, j) == expected, (n, j)
+
+
+def check_betti_middle_difference():
+    # b_(2n-4) - b_(2n-4-2k') for n 6..14 and k' 1..3
+    for n in range(6, 15):
+        for kp in (1, 2, 3):
+            want = math.ceil(kp / 2) if n % 2 == 0 else kp // 2
+            assert betti(n, 2 * n - 4) - betti(n, 2 * n - 4 - 2 * kp) == want, (n, kp)
+
+
+def test_betti_middle_difference_identity():
+    check_betti_middle_difference()
 
 
 def check_products(n_min, n_max):
