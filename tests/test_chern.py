@@ -19,6 +19,7 @@ from pgpairs.chern import (
 from pgpairs.errors import InconsistentEuler, InvalidParameter
 from pgpairs.pairs import hypersurface_poincare_oracle
 from pgpairs.schubert import ENGINES, ChowClass, ChowRing, betti, box_partitions, grassmannian_class
+from test_localization import _interpolate, _log_q
 
 
 def _delta(chow):
@@ -351,22 +352,6 @@ def _ser_div(a, b, trunc):
     return out
 
 
-def _interpolate_divided_differences(values):
-    """Newton's divided differences on the nodes 0..m-1, in Fractions."""
-    m = len(values)
-    dd = [Fraction(v) for v in values]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j  # x_i - x_{i-j} = j on the integer grid
-    coeffs = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        # coeffs <- coeffs*(x - i) + dd[i]
-        shifted = [Fraction(0)] + coeffs[:-1]
-        coeffs = [s - i * c for s, c in zip(shifted, coeffs)]
-        coeffs[0] += dd[i]
-    return coeffs
-
-
 @st.composite
 def _integer_series_power(draw):
     a0 = draw(st.integers(-30, 30).filter(lambda v: v not in (-1, 0, 1)))
@@ -436,17 +421,6 @@ def test_direct_power_sums_match_newton_on_tangent_chern():
             assert _tangent_power_sums(chow)[1:] == newton, (engine, n)
 
 
-def _ser_log(a, trunc):
-    # a[0] must be 1; from a = exp(l):  m*a_m = sum_{j<=m} j*l_j*a_{m-j}
-    out = [Fraction(0)] * (trunc + 1)
-    for m in range(1, trunc + 1):
-        acc = m * (a[m] if m < len(a) else Fraction(0))
-        for j in range(1, m):
-            acc -= j * out[j] * (a[m - j] if m - j < len(a) else Fraction(0))
-        out[m] = acc / m
-    return out
-
-
 def _chow_exp(arg, chow):
     """exp of a class with no degree-zero part, truncated at the ring dimension."""
     out = chow.one()
@@ -478,19 +452,17 @@ def _schubert_chi_y(n, engine):
     dim = chow.dim
     psums = _tangent_power_sums(chow)
     exp_neg = [Fraction((-1) ** j, factorial(j)) for j in range(dim + 1)]
-    b_ser = [Fraction((-1) ** j, factorial(j + 1)) for j in range(dim + 1)]  # (1 - e^-x)/x
     nodes = []
     for y0 in range(dim + 1):
         a_ser = [Fraction(1 + y0)] + [y0 * c for c in exp_neg[1:]]  # 1 + y e^-x
-        q_ser = _ser_div(a_ser, b_ser, dim)
-        g_ser = _ser_log([c / (1 + y0) for c in q_ser], dim)
+        g_ser = _log_q(Fraction(y0), dim)
         arg = chow.add(*(chow.scale(psums[m], g_ser[m]) for m in range(1, dim + 1)))
         t_y = chow.scale(_chow_exp(arg, chow), Fraction(1 + y0) ** dim)
         normal = _ser_div([Fraction(0)] + [-x for x in exp_neg[1:]], a_ser, dim)
         nodes.append(_series_power_pairings(chow.sigma1_moments(t_y), normal))
     out = []
     for k in range(dim + 1):
-        coeffs = _interpolate_divided_differences([node[k] for node in nodes])
+        coeffs = _interpolate([node[k] for node in nodes])
         assert not any(coeffs[dim - k + 1 :]), (engine, n, k)
         out.append(coeffs[: dim - k + 1])
     return out

@@ -176,6 +176,15 @@ MUTANTS = {
         lambda: make_pair(7, 7),
         (InconsistentEuler, "shift m"),
     ),
+    # the relation's decomposable terms: the Gr side [Gr(2,n)][P^(k-2)] 1 too big at t^0 for
+    # each k >= 2, so k - 1 too big through its recursion on k
+    "decomposables_gr+1-n7k7": Mutant(
+        _swap(pairs, "_decomposables", lambda f: lambda n, k: f(n, k) if k < 2 else (
+            f(n, k)[0] + TPoly({0: 1}), f(n, k)[1]
+        )),
+        _report(7, 7),
+        (NonExactDivision, "remainder of degree 0 left by division"),
+    ),
     "oracle_never_palindromic-d2N4": Mutant(
         lambda mp: mp.setattr(TPoly, "is_palindromic", lambda self, d: False),
         lambda: hypersurface_poincare_oracle(2, 4),
