@@ -1,5 +1,9 @@
 """pgpairs: exact invariants and consistency checks for linear sections of
-Gr(2,n) and their Pfaffian duals."""
+Gr(2,n) and their Pfaffian duals.
+
+Every memo of the package is a module-level `functools` cache keyed on
+integers, partitions and engine names: per process, unlocked, not for
+concurrent threads."""
 
 from . import errors
 from .chern import (

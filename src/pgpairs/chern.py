@@ -14,7 +14,7 @@ the Chern roots of S^dual.  Each invariant takes its own route from there:
   Chern class c(T) = P/(1 - delta) with P = (1 + sigma_1 + sigma_{1,1})^n and
   delta = u^2 = sigma_1^2 - 4 sigma_{1,1}, built degree by degree from
   products by sigma_1 and sigma_{1,1} alone, each read off the engine's
-  n-free table by `schubert.add_product` (`tangent_chern`), read through
+  n-free rows by `schubert.add_product` (`tangent_chern`), read through
   the degree vector of the Schubert cells in closed form, and paired with
   the k-th power of the normal series sigma_1/(1 + sigma_1);
 - chi_y, with no Schubert product and no engine.  With the root series
@@ -86,7 +86,7 @@ def tangent_chern(n: int, engine: str = "pieri") -> ChowClass:
     c(T) = P/(1 - delta) with P = c(S^dual)^n = (1 + sigma_1 + sigma_{1,1})^n.
     Both are built degree by degree with products by sigma_1 and sigma_{1,1}
     only, on graded {partition: int} classes by `schubert.add_product`,
-    which reads the engine's n-free tables and drops every term outside the
+    which reads the engine's n-free rows and drops every term outside the
     2 x (n-2) box as the recurrences run (a ring map, so nothing else
     changes).  The degree derivation (d on degree d) gives Miller's
     recurrence
@@ -132,10 +132,6 @@ def _sigma1_moments(cls: ChowClass) -> list:
         degree = comb(p + q, q) - comb(p + q, q - 1) if q else 1
         out[ring.dim - a - b] += v * degree
     return out
-
-
-# The memos below are per process and unlocked, so they are not for
-# concurrent threads.
 
 
 @cache

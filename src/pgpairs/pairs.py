@@ -90,11 +90,10 @@ def make_pair(n: int, k: int) -> PGPair:
 # every n and k of a CLI `pair` or `grid` request lies in -MAX_NK..MAX_NK
 MAX_NK = 24
 
-# The memos below are per process and unlocked, so they are not for
-# concurrent threads.  Each holds classes built from its arguments and the
-# class constructors of `schubert` and `ring` alone; lefschetz_shift, betti
-# and the Euler characteristic, which tests replace by wrong formulas, are
-# read by their callers, so no memo serves a value from before the swap.
+# Each memo below holds classes built from its arguments and the class
+# constructors of `schubert` and `ring` alone; lefschetz_shift, betti and
+# the Euler characteristic, which tests replace by wrong formulas, are read
+# by their callers, so no memo serves a value from before the swap.
 # [Gr(2,n)] reads `schubert.betti`, not this module's name for it, so a test
 # that replaces `schubert.betti` must clear `_ambient` and its users.
 #

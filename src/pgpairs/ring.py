@@ -61,9 +61,6 @@ class LPoly:
     One operation does each job: zero is `LPoly()`, one `from_coeffs([1])`,
     -p is `LPoly() - p`, c * p is `p * LPoly({0: c})`, and a quotient by L^j
     is `div_exact(monomial(j))`.  Instances are immutable and hashable.
-    They hold no memo table; the product tables of `schubert` and the memos
-    of `chern` and `pairs`, all keyed on integers, partitions and engine
-    names, are per process and are not for concurrent threads.
     """
 
     __slots__ = ("_c",)

@@ -4,10 +4,10 @@ The Chow ring in the basis of Schubert classes sigma_{a,b}, indexed by
 partitions (a, b) with n-2 >= a >= b >= 0.  Structure constants of two-row
 partitions do not depend on n: H*(Gr(2,n)) is the quotient of the ring of
 two-row Schur classes by the sigma_nu with nu_0 > n-2, and that quotient is a
-ring map (Fulton, Young Tableaux, 9.4).  So each engine keeps one n-free
-table per factor, {lam: sigma_lam * sigma_mu} of `product_rows`, and one
-loop, `add_product`, reads it for every product of every ring: it drops each
-nu outside the box as it adds up.  Production reaches it through the Chern
+ring map (Fulton, Young Tableaux, 9.4).  So each engine's rows sigma_lam *
+sigma_mu are n-free, memoized once by `_product_row`, and one loop,
+`add_product`, reads them for every product of every ring: it drops each nu
+outside the box as it adds up.  Production reaches it through the Chern
 class recurrences of `chern.tangent_chern`; `ChowRing.product` and the
 product of two `ChowClass`es run the same loop.  A `ChowClass` has int
 coefficients and only a product, components, an integral and equality: the
@@ -23,6 +23,8 @@ each against an oracle that shares no code with it.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import AmbientMismatch, InvalidParameter
 from .ring import LPoly, projective_class
@@ -152,44 +154,25 @@ def _product_lr(lam, mu) -> dict:
     return out
 
 
-class _Rows(dict):
-    """{lam: row} for every two-row partition lam, each row computed by
-    `row(lam)` on first use and kept."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        super().__init__()
-        self.row = row
-
-    def __missing__(self, lam):
-        out = self[lam] = self.row(lam)
-        return out
-
-
-def product_rows(engine: str, mu) -> _Rows:
-    """The engine's n-free table {lam: sigma_lam * sigma_mu as {nu:
-    coefficient}} for every two-row partition lam, with no box: the same for
-    every n, filled on first use and kept for the life of the process."""
-    rows = _PRODUCTS.get((engine, mu))
-    if rows is None:
-        if engine not in ENGINES:
-            raise InvalidParameter(f"unknown engine {engine!r}")
-        product = _product_pieri if engine == "pieri" else _product_lr
-        rows = _PRODUCTS[engine, mu] = _Rows(lambda lam: product(lam, mu))
-    return rows
+@cache
+def _product_row(engine: str, mu, lam) -> dict:
+    """The engine's sigma_lam * sigma_mu as {nu: coefficient}, with no box:
+    the same for every n, so one memo serves the rings of every n."""
+    if engine not in ENGINES:
+        raise InvalidParameter(f"unknown engine {engine!r}")
+    return (_product_pieri if engine == "pieri" else _product_lr)(lam, mu)
 
 
 def add_product(engine: str, mu, terms: dict, side: int, weight=1, acc: dict | None = None) -> dict:
     """acc + weight * sigma_mu * terms for terms {lam: coefficient}, read off
-    the engine's table `product_rows(engine, mu)`, with each nu, nu_0 > side
-    dropped as it adds: the image in H*(Gr(2, side + 2)).  The quotient is a
-    ring map, so a product may be cut before it is multiplied further."""
+    the engine's n-free rows `_product_row(engine, mu, lam)`, with each nu,
+    nu_0 > side dropped as it adds: the image in H*(Gr(2, side + 2)).  The
+    quotient is a ring map, so a product may be cut before it is multiplied
+    further."""
     acc = {} if acc is None else acc
-    rows = product_rows(engine, mu)
     for lam, v in terms.items():
         v *= weight
-        for nu, c in rows[lam].items():
+        for nu, c in _product_row(engine, mu, lam).items():
             if nu[0] <= side:
                 acc[nu] = acc.get(nu, 0) + v * c
     return acc
@@ -197,9 +180,8 @@ def add_product(engine: str, mu, terms: dict, side: int, weight=1, acc: dict | N
 
 class ChowRing:
     """The Chow ring of Gr(2,n) under one engine.  It holds no table: its
-    products read the engine's n-free tables of `product_rows`, shared by
-    the rings of every n in one process, with no locking, so not for
-    concurrent threads.
+    products read the engine's n-free rows of `_product_row`, shared by the
+    rings of every n.
     """
 
     def __init__(self, n: int, engine: str = "pieri"):
@@ -287,9 +269,3 @@ class ChowClass:
             and self.ring.engine == other.ring.engine
             and self.terms == other.terms
         )
-
-
-# The engines' product tables, (engine, mu) -> `product_rows(engine, mu)`:
-# per process and unlocked, so not for concurrent threads.
-_PRODUCTS: dict = {}
-

@@ -2,29 +2,41 @@
 around a test; `valid_pairs`; and `run_checks`, the script mode of the test
 modules whose checks CI also runs over ranges too wide for tier-1."""
 
+import importlib
+import pkgutil
 import sys
 
 import pytest
 
-from pgpairs import chern, pairs, schubert
+import pgpairs
+from pgpairs import pairs
 from pgpairs.errors import PGError
 
-# every memo of pgpairs; tests/test_mutants.py fails if one is left off
-MEMOS = (pairs._ambient, pairs._decomposables, pairs.check_l_equivalence, chern._euler_pairing, chern._chi_polys)
+
+def memos() -> dict:
+    """{'module.name': memo} for every memo of pgpairs, a module-level object
+    with `cache_clear`, once under its first name, the package's re-exports
+    last."""
+    modules = [importlib.import_module(f"pgpairs.{m.name}") for m in pkgutil.iter_modules(pgpairs.__path__)]
+    found = {}
+    for module in [*modules, pgpairs]:
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear"):
+                found.setdefault(id(obj), (f"{module.__name__}.{name}", obj))
+    return dict(found.values())
 
 
-def clear_memos(monkeypatch):
-    """A fresh `schubert._PRODUCTS`, which monkeypatch restores, and every memo of MEMOS empty."""
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
-    for memo in MEMOS:
+def clear_memos():
+    """Every memo of pgpairs empty."""
+    for memo in memos().values():
         memo.cache_clear()
 
 
 @pytest.fixture
-def cold_memos(monkeypatch):
-    clear_memos(monkeypatch)
+def cold_memos():
+    clear_memos()
     yield
-    clear_memos(monkeypatch)
+    clear_memos()
 
 
 def valid_pairs(n_min, n_max, k_max=10):

@@ -26,10 +26,7 @@ class LPoly:
     """Polynomial in one formal variable with exact arbitrary-precision
     integer coefficients.
 
-    Instances are immutable and hashable.  They hold no memo table; the
-    product tables of `schubert` and the memos of `chern` and `pairs`, all
-    keyed on integers, partitions and engine names, are per process and are
-    not for concurrent threads.
+    Instances are immutable and hashable.
     """
 
     __slots__ = ("_c",)

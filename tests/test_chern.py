@@ -45,13 +45,13 @@ def test_whitney_identity_to_top_degree():
             ), (engine, n)
 
 
-def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
-    # the rings of every n share one n-free product table per engine and
-    # factor, which c(T) reads too; filling them from n = 18 down or from
-    # n = 4 up gives the same tables, c(T), sigma_1 moments and ring products
+def test_fill_order_of_the_shared_product_table_does_not_matter():
+    # the rings of every n share one n-free memo of product rows per engine,
+    # which c(T) reads too; filling it from n = 18 down or from n = 4 up
+    # gives the same rows, c(T), sigma_1 moments and ring products
     runs = []
     for order in (range(18, 3, -1), range(4, 19)):
-        monkeypatch.setattr(schubert, "_PRODUCTS", {})
+        schubert._product_row.cache_clear()
         chern._euler_pairing.cache_clear()
         run = {}
         for n in order:
@@ -60,10 +60,28 @@ def test_fill_order_of_the_shared_product_table_does_not_matter(monkeypatch):
                 ring = ChowRing(n, engine)
                 products = {(lam, mu): ring.product(lam, mu) for lam in ring.basis() for mu in ((1, 0), (1, 1))}
                 run[n, engine] = (products, tangent_chern(n, engine), pairing)
-        run["products"] = {key: dict(rows) for key, rows in schubert._PRODUCTS.items()}
+        run["filled"] = schubert._product_row.cache_info().currsize
+        run["rows"] = {
+            (engine, mu, lam): schubert._product_row(engine, mu, lam)
+            for engine in ENGINES
+            for mu in ((1, 0), (1, 1))
+            for lam in schubert.box_partitions(18)
+        }
         runs.append(run)
     chern._euler_pairing.cache_clear()
     assert runs[0] == runs[1]
+
+
+def test_the_rows_of_n_18_serve_every_smaller_n(cold_memos):
+    # the product rows are n-free: c(T) of Gr(2,18) fills every row that
+    # c(T) of Gr(2,n), n < 18, reads, under either engine
+    for engine in ENGINES:
+        chern._euler_pairing(18, engine)
+        before = schubert._product_row.cache_info()
+        for n in range(4, 18):
+            chern._euler_pairing(n, engine)
+        after = schubert._product_row.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits, engine
 
 
 def test_n_free_rows_cut_to_the_box_are_the_ring_products():
@@ -81,7 +99,7 @@ def test_n_free_rows_cut_to_the_box_are_the_ring_products():
             delta_class = _delta(chow)
             for lam in chow.ring.basis():
                 for mu in ((1, 0), (1, 1)):
-                    row = schubert.product_rows(engine, mu)[lam]
+                    row = schubert._product_row(engine, mu, lam)
                     in_box = {nu: c for nu, c in row.items() if nu[0] <= side}
                     assert add_product(engine, mu, {lam: 1}, side) == in_box, (engine, n, lam, mu)
                 steps = []

@@ -170,12 +170,12 @@ def test_grid_deterministic_across_runs():
     assert code1 == code2 == 0
 
 
-def test_far_grid_passes_under_both_engines_with_the_same_rows(monkeypatch, cold_memos):
+def test_far_grid_passes_under_both_engines_with_the_same_rows(cold_memos):
     # n 4..24, k 1..12, past the golden range: each engine, from memos as
-    # cold as a fresh process's, fills its own table across every n
+    # cold as a fresh process's, fills its own rows across every n
     rows = []
     for engine in ENGINES:
-        clear_memos(monkeypatch)
+        clear_memos()
         text, code = run_grid(4, 24, 1, 12, engine=engine)
         assert code == 0, engine
         rows.append(json.loads(text)["rows"])

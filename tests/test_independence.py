@@ -3,8 +3,7 @@ independent of.
 
 A `sys.setprofile` hook records every Python function a call enters, keyed
 on module and `co_name`, and each case names the functions its call may not
-enter.  Memos and product tables are cleared first, so a cached value cannot
-hide a call.
+enter.  Every memo is cleared first, so a cached value cannot hide a call.
 """
 
 import pkgutil

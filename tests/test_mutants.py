@@ -19,17 +19,16 @@ Two mutants pass every report for n 4..12, k 1..10, so they are not rows:
   values of `test_pairs.py::test_nl_status_catalogue` catch it.
 """
 
-import importlib
-import pkgutil
 from collections import namedtuple
 from functools import cache, partial
 
 import pytest
 
-import pgpairs
-from conftest import MEMOS, clear_memos
+from conftest import clear_memos, memos
 from pgpairs import chern, pairs, schubert
 from pgpairs.chern import chi_y_ci, middle_hodge, tangent_chern
+from pgpairs.cli import run_grid
+from pgpairs.dsl import eval_dsl
 from pgpairs.errors import InconsistentEuler, NonExactDivision, NonIntegralGenus
 from pgpairs.pairs import build_pair_report, hypersurface_poincare_oracle, make_pair
 from pgpairs.ring import LPoly, TPoly
@@ -226,7 +225,7 @@ def test_each_mutant_is_caught(name, monkeypatch, cold_memos):
     patch, call, catcher = MUTANTS[name]
     if isinstance(catcher, set):
         assert call()["all_checks_pass"]
-        clear_memos(monkeypatch)
+        clear_memos()
         patch(monkeypatch)
         assert {c["name"] for c in call()["checks"] if c["status"] == "fail"} == catcher
     else:
@@ -247,22 +246,28 @@ def test_the_chi_y_8_4_survivor_passes_the_report_but_not_localization(monkeypat
         check_chi_y_range(8, 8)
 
 
-def _unlisted_memos() -> list:
-    """'module.name' of every memo of pgpairs, an object with `cache_clear`,
-    that conftest's MEMOS leaves off."""
-    modules = [pgpairs] + [importlib.import_module(f"pgpairs.{m.name}") for m in pkgutil.iter_modules(pgpairs.__path__)]
-    return sorted(
-        f"{module.__name__}.{name}"
-        for module in modules
-        for name, obj in vars(module).items()
-        if hasattr(obj, "cache_clear") and obj not in MEMOS
-    )
-
-
-def test_cold_memos_clears_every_memo():
-    assert _unlisted_memos() == []
+def test_cold_memos_clears_every_memo(cold_memos):
+    for engine in ENGINES:
+        run_grid(4, 9, 1, 10, engine=engine)
+        tangent_chern(9, engine)
+    eval_dsl("F1(9)")
+    found = memos()
+    assert sorted(found) == [
+        "pgpairs.chern._chi_polys",
+        "pgpairs.chern._euler_pairing",
+        "pgpairs.pairs._ambient",
+        "pgpairs.pairs._decomposables",
+        "pgpairs.pairs.check_l_equivalence",
+        "pgpairs.schubert._product_row",
+    ]
+    assert all(memo.cache_info().currsize for memo in found.values())
+    clear_memos()
+    assert [name for name, memo in found.items() if memo.cache_info().currsize] == []
 
 
 def test_a_memo_left_off_cold_memos_is_named(monkeypatch):
     monkeypatch.setattr(pairs, "_extra", cache(lambda n: n), raising=False)
-    assert _unlisted_memos() == ["pgpairs.pairs._extra"]
+    pairs._extra(1)
+    assert memos()["pgpairs.pairs._extra"] is pairs._extra
+    clear_memos()
+    assert pairs._extra.cache_info().currsize == 0

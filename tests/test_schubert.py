@@ -245,22 +245,21 @@ def test_table_fill_matches_unpruned_lr_candidates():
                     assert ring.product(lam, mu) == in_box, (n, ring.engine, lam, mu)
 
 
-def test_each_engine_fills_its_own_table(monkeypatch):
+def test_each_engine_fills_its_own_table(monkeypatch, cold_memos):
     # the rings of every n share structure constants within an engine, never
     # across engines, so lr stays an independent cross-check of pieri
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
     monkeypatch.setattr(schubert, "_product_lr", lambda lam, mu: {})
     assert ChowRing(6, "pieri").product((1, 0), (1, 0)) == {(1, 1): 1, (2, 0): 1}
     assert ChowRing(6, "lr").product((1, 0), (1, 0)) == {}
 
 
 @pytest.mark.parametrize("engine", ["Pieri", "bogus", "", None], ids=repr)
-def test_unknown_engine_makes_no_table(engine, monkeypatch):
-    # an engine outside ENGINES is an error, never an lr table under its name
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+def test_unknown_engine_makes_no_table(engine):
+    # an engine outside ENGINES is an error, never an lr row under its name
+    schubert._product_row.cache_clear()
     with pytest.raises(InvalidParameter):
-        schubert.product_rows(engine, (1, 0))
-    assert schubert._PRODUCTS == {}
+        schubert._product_row(engine, (1, 0), (1, 0))
+    assert schubert._product_row.cache_info().currsize == 0
 
 
 def test_lr_count_values():
@@ -334,16 +333,16 @@ def test_chow_class_rejects_terms_outside_the_box(bad):
 
 
 @pytest.mark.parametrize("bad", [(7, 0), (4, 0), (1, 2), (2, -1), (1,), (1, 0, 0)], ids=repr)
-def test_product_rejects_keys_outside_the_box(bad, monkeypatch):
+def test_product_rejects_keys_outside_the_box(bad):
     # the engines take any two-row partition, so the ring checks its keys
-    # before it makes a table or fills a row
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    # before it fills a row
+    schubert._product_row.cache_clear()
     for engine in ENGINES:
         r = ChowRing(5, engine)
         for lam, mu in ((bad, (1, 0)), ((1, 0), bad)):
             with pytest.raises(InvalidParameter):
                 r.product(lam, mu)
-    assert schubert._PRODUCTS == {}
+    assert schubert._product_row.cache_info().currsize == 0
 
 
 _coefficient = st.integers(-30, 30) | st.fractions(min_value=-8, max_value=8, max_denominator=9)
