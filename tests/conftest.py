@@ -1,10 +1,8 @@
 """Shared by the tests: the fixture `cold_memos`, every memo of pgpairs empty
-around a test; `valid_pairs`; and `run_checks`, the script mode of the test
-modules whose checks CI also runs over ranges too wide for tier-1."""
+around a test, and `valid_pairs`."""
 
 import importlib
 import pkgutil
-import sys
 
 import pytest
 
@@ -50,14 +48,3 @@ def valid_pairs(n_min, n_max, k_max=10):
                 pass
     return out
 
-
-def run_checks(checks, args):
-    """`N_MIN N_MAX [WORD]`: run checks[WORD], the first word by default, for
-    n in N_MIN..N_MAX.  Any other argument list prints the usage with every
-    word to stderr and exits 2."""
-    words = list(checks)
-    if len(args) in (2, 3) and all(a.isdigit() for a in args[:2]) and (len(args) == 2 or args[2] in checks):
-        checks[args[2] if len(args) == 3 else words[0]](int(args[0]), int(args[1]))
-        return
-    print(f"usage: N_MIN N_MAX [WORD], WORD one of {', '.join(words)} (default {words[0]})", file=sys.stderr)
-    sys.exit(2)

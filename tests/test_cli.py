@@ -327,6 +327,20 @@ def test_eval_past_the_work_budget_is_a_typed_error(capsys):
     assert error["message"].endswith("units: ((P(1000) * P(1000)) * P(1000))")
 
 
+@pytest.mark.parametrize(
+    "source, code, out",
+    [
+        ("Gr(2,1000) == P(998)*SumEven(1000)", 0, "true"),
+        ("Gr(2,700) div P(698) == SumEven(700)", 0, "true"),
+        ("P(1000)*P(1000)*P(1000)", 2, ""),  # past the work budget
+    ],
+    ids=["gr_class", "div", "cube"],
+)
+def test_eval_at_the_largest_constructor_argument_exits_with_its_code(source, code, out, capsys):
+    assert main(["eval", source]) == code
+    assert capsys.readouterr().out.strip() == out
+
+
 def test_eval_value_of_no_known_type_is_an_eval_error(monkeypatch, capsys):
     monkeypatch.setattr("pgpairs.cli.eval_dsl", lambda source: 3)
     assert main(["eval", "1"]) == 1

@@ -41,26 +41,19 @@ at it, b_2p the Betti numbers of the derived P(Y).
 
 None of these routes reads a structure constant, a Catalan weight or the
 chi_y coordinate v of `chern`, so they check `chern` and the derived P(Y)
-from outside; `chi_o_y` reads nothing from pgpairs at all.
-
-Run as a script, `python tests/test_localization.py N_MIN N_MAX [WORD]`
-checks, for n in N_MIN..N_MAX, the Euler characteristic of every k under both
-engines (`euler`, the default), chi_y of every k (`chi_y`), e(Y) (`e_y`) or
-chi_y(Y) with chi(O_Y) and Y's middle Hodge row (`chi_y_y`) of every pair
-with odd n.
+from outside.  The cases marked `slow` run the same checks over the widest
+ranges, with `-m slow`.
 """
 
-import importlib
-import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
 
 import pytest
 
-from conftest import run_checks, valid_pairs
+from conftest import valid_pairs
 from pgpairs.chern import chi_y_ci, euler_characteristic_ci
-from pgpairs.pairs import derive_poincare_y, make_pair, poincare_x
+from pgpairs.pairs import chi_o_y, derive_poincare_y, make_pair, poincare_x
 from pgpairs.schubert import ENGINES
 
 
@@ -230,22 +223,6 @@ def localized_chi_y_y(n, k):
     return _chi_y(points, d, (n, k))
 
 
-def chi_o_y(n, k):
-    """chi(O_Y) of the pair (n, k), the constant term of chi_y(Y), from Y's
-    free resolution on P^N, N = k - 1: 0 -> O(-n/2) -> O for even n, and the
-    Buchsbaum-Eisenbud complex 0 -> O(-n) -> O(-m-1)^n -> O(-m)^n -> O for
-    odd n = 2m + 1, with chi(P^N, O(j)) = C(N + j, N) read as a polynomial
-    in j."""
-    dim = k - 1
-    if n % 2 == 0:
-        twists = [(1, 0), (-1, -n // 2)]
-    else:
-        m = n // 2
-        twists = [(1, 0), (-n, -m), (n, -m - 1), (-1, -n)]
-    # C(N + j, N) = (j + 1) ... (j + N) / N!, a product of N consecutive ints
-    return sum(sign * prod(range(j + 1, j + dim + 1)) // factorial(dim) for sign, j in twists)
-
-
 def odd_pairs(n_min, n_max):
     """Every pair (n, k) with odd n in n_min..n_max that `make_pair` accepts."""
     return [p for p in valid_pairs(n_min, n_max, 2 * (n_max - 2)) if p.n % 2]
@@ -301,7 +278,7 @@ def test_localized_euler_of_small_grassmannians():
     assert localized_euler(5)[5:] == [0, 5]
 
 
-@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("n", range(4, 19))
 def test_euler_characteristic_matches_localization(n):
     # every k, past the smooth bound, under both engines
     check_range(n, n)
@@ -319,7 +296,7 @@ def test_localized_chi_y_of_known_sections():
             assert sum(c * (-1) ** p for p, c in enumerate(chi_y)) == euler
 
 
-@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("n", [*range(4, 10), *(pytest.param(n, marks=pytest.mark.slow) for n in (10, 11, 12))])
 def test_chi_y_matches_localization(n):
     # every k, past the smooth bound
     check_chi_y_range(n, n)
@@ -333,10 +310,10 @@ def test_localized_euler_of_the_pfaffian_calabi_yau():
     assert localized_euler_y(5, 4) == 5
 
 
-@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("n", [5, 7, 9, 11, pytest.param(13, marks=pytest.mark.slow)])
 def test_euler_of_y_matches_localization(n):
-    # every pair with odd n <= 11: 24 of them
-    assert len(odd_pairs(n, n)) == {5: 3, 7: 7, 9: 7, 11: 7}[n]
+    # every pair with odd n <= 11, 24 of them, and the 7 with n = 13
+    assert len(odd_pairs(n, n)) == {5: 3, 7: 7, 9: 7, 11: 7, 13: 7}[n]
     check_euler_y_range(n, n)
 
 
@@ -347,25 +324,9 @@ def test_localized_middle_row_of_the_pfaffian_calabi_yau():
     assert check_chi_y_y(make_pair(7, 8)) == [0, 13, 99, 13, 0]
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("n", [5, 7, 9, *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 13))])
 def test_chi_y_of_y_matches_the_derived_betti_numbers(n):
-    # every pair with odd n <= 9: 17 of them, chi(O_Y) included
+    # every pair with odd n <= 9, 17 of them, and the 14 with n = 11, 13,
+    # chi(O_Y) included
     check_chi_y_y_range(n, n)
 
-
-CHECKS = {"euler": check_range, "chi_y": check_chi_y_range, "e_y": check_euler_y_range, "chi_y_y": check_chi_y_y_range}
-
-
-@pytest.mark.parametrize("module", ["test_localization", "test_schubert"])
-@pytest.mark.parametrize("args", [["4", "5", "nope"], ["4"], ["4", "x"], ["4", "5", "euler", "e_y"]], ids=" ".join)
-def test_script_mode_exits_2_with_its_words_on_a_bad_argument_list(module, args, capsys):
-    checks = importlib.import_module(module).CHECKS
-    with pytest.raises(SystemExit) as exit_:
-        run_checks(checks, args)
-    assert exit_.value.code == 2
-    words = ", ".join(checks)
-    assert capsys.readouterr() == ("", f"usage: N_MIN N_MAX [WORD], WORD one of {words} (default {next(iter(checks))})\n")
-
-
-if __name__ == "__main__":
-    run_checks(CHECKS, sys.argv[1:])

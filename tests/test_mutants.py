@@ -8,15 +8,9 @@ it, at the parameters that end the name.  The catcher is an error type, an
 cold around each row (`cold_memos` in conftest.py), so no value from before
 a patch hides it.
 
-Two mutants pass every report for n 4..12, k 1..10, so they are not rows:
-- chi_y(8,4) = [1, -1, 2, -4, 20, -4, 2, -1, 1] in place of
-  [1, -1, 2, -3, 22, -3, 2, -1, 1] keeps Serre duality, chi_y(-1) = Euler
-  and the row sum (ROADMAP item 18).  The suite still catches it:
-  Atiyah-Bott's chi_y in tests/test_localization.py refuses it, as
-  `test_the_chi_y_8_4_survivor_passes_the_report_but_not_localization`
-  shows;
-- any flip of `nl_status`: no report check reads it, and only the pinned
-  values of `test_pairs.py::test_nl_status_catalogue` catch it.
+One mutant passes every report for n 4..12, k 1..10, so it is not a row:
+any flip of `nl_status`.  No report check reads it, and only the pinned
+values of `test_pairs.py::test_nl_status_catalogue` catch it.
 """
 
 from collections import namedtuple
@@ -33,7 +27,6 @@ from pgpairs.errors import InconsistentEuler, NonExactDivision, NonIntegralGenus
 from pgpairs.pairs import build_pair_report, hypersurface_poincare_oracle, make_pair
 from pgpairs.ring import LPoly, TPoly
 from pgpairs.schubert import ENGINES, betti, lefschetz_shift
-from test_localization import check_chi_y_range
 
 Mutant = namedtuple("Mutant", "patch call catcher")
 
@@ -151,6 +144,32 @@ MUTANTS = {
             (10, -1, (NonIntegralGenus, "degree 10 above dim X = 3")),
         )
     },
+    # chi(O_Y) through the relation against Y's free resolution, from either side.  chi_y(8,4) =
+    # [1, -1, 2, -4, 20, -4, 2, -1, 1] in place of [1, -1, 2, -3, 22, -3, 2, -1, 1] keeps Serre
+    # duality, chi_y(-1) = Euler and the row sum, so only this check catches it
+    "chi_y_8_4_survivor-n8k4": Mutant(
+        _swap(chern, "_chi_polys", lambda f: lambda n: [
+            [1, -1, 2, -4, 20, -4, 2, -1, 1] if (n, k) == (8, 4) else poly for k, poly in enumerate(f(n))
+        ]),
+        _report(8, 4),
+        (InconsistentEuler, r"chi\(O_Y\) = 3 from the relation, 2 from the resolution"),
+    ),
+    "hodge_side_b_0+1-n7k7": Mutant(
+        _betti_plus(lambda n, j: j == 0, chern),
+        _report(7, 7),
+        (InconsistentEuler, r"chi\(O_Y\) = -1 from the relation, 0 from the resolution"),
+    ),
+    "chi_o_y+1-n8k4": Mutant(
+        _swap(pairs, "chi_o_y", lambda f: lambda n, k: f(n, k) + 1),
+        _report(8, 4),
+        (InconsistentEuler, r"chi\(O_Y\) = 2 from the relation, 3 from the resolution"),
+    ),
+    # a Tate class too many in degree 0 leaves h^(0,8) of (8,4) at 1 - 2
+    "hodge_side_b_0+1-n8k4": Mutant(
+        _betti_plus(lambda n, j: j == 0, chern),
+        partial(middle_hodge, 8, 4),
+        (InconsistentEuler, r"middle Hodge number h\^\(0,8\) = -1 < 0"),
+    ),
     # the packed chi_y's digit width
     **{
         f"digit_width_of_largest_coefficient-n{n}": Mutant(_width_of_largest, _sections([n]), _SERRE)
@@ -184,6 +203,20 @@ MUTANTS = {
         _report(7, 7),
         (NonExactDivision, "remainder of degree 0 left by division"),
     ),
+    # the dual side: a class of the Gr side too many at t^(2s + 2) lands in P(Y)'s t^2 alone
+    "decomposables_gr+t^(2s+2)-n7k7": Mutant(
+        _swap(pairs, "_decomposables", lambda f: lambda n, k: (
+            f(n, k)[0] + TPoly({2 * lefschetz_shift(n) + 2: 1}), f(n, k)[1]
+        )),
+        _report(7, 7),
+        (InconsistentEuler, "derived dual polynomial is not palindromic"),
+    ),
+    # the oracle's Euler characteristic without its i = 0 term
+    "oracle_without_i0_term-d2N4": Mutant(
+        _swap(pairs, "comb", lambda f: lambda a, b: f(a, b) if b else 0),
+        lambda: hypersurface_poincare_oracle(2, 4),
+        (InconsistentEuler, "impossible middle Betti number -16"),
+    ),
     "oracle_never_palindromic-d2N4": Mutant(
         lambda mp: mp.setattr(TPoly, "is_palindromic", lambda self, d: False),
         lambda: hypersurface_poincare_oracle(2, 4),
@@ -200,7 +233,7 @@ MUTANTS = {
     ),
     # each report check that can fail reads `fail`, and no other check does
     "euler+2-n7k7": Mutant(_euler_plus(2), _report(7, 7), {"chi_euler_match", "hodge_consistency"}),
-    "hodge_side_b_0+1-n7k7": Mutant(_betti_plus(lambda n, j: j == 0, chern), _report(7, 7), {"hodge_consistency"}),
+    "hodge_side_b_2+1-n7k7": Mutant(_betti_plus(lambda n, j: j == 2, chern), _report(7, 7), {"hodge_consistency"}),
     "oracle_middle+2-n8k4": Mutant(
         _swap(pairs, "hypersurface_poincare_oracle", lambda f: lambda d, N: f(d, N) + TPoly({N - 1: 2})),
         _report(8, 4),
@@ -233,17 +266,6 @@ def test_each_mutant_is_caught(name, monkeypatch, cold_memos):
         patch(monkeypatch)
         with pytest.raises(error, match=pattern):
             call()
-
-
-def test_the_chi_y_8_4_survivor_passes_the_report_but_not_localization(monkeypatch, cold_memos):
-    survivor = [1, -1, 2, -4, 20, -4, 2, -1, 1]
-    _swap(chern, "_chi_polys", lambda f: lambda n: [
-        [*survivor, *poly[9:]] if (n, k) == (8, 4) else poly for k, poly in enumerate(f(n))
-    ])(monkeypatch)
-    report = build_pair_report(8, 4)
-    assert report["all_checks_pass"] and report["hodge"]["middle_hodge"] == [0, 0, 0, 2, 20, 2, 0, 0, 0]
-    with pytest.raises(AssertionError, match=r"^\(8, 4\)"):
-        check_chi_y_range(8, 8)
 
 
 def test_cold_memos_clears_every_memo(cold_memos):

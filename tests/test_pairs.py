@@ -21,6 +21,7 @@ from pgpairs.pairs import (
     cayley_hypersurface_class,
     cayley_hypersurface_class_dual,
     check_l_equivalence,
+    chi_o_y,
     derive_poincare_y,
     fiber_classes,
     hypersurface_poincare_oracle,
@@ -31,7 +32,6 @@ from pgpairs.pairs import (
 )
 from pgpairs.ring import LPoly, TPoly, projective_class
 from pgpairs.schubert import ENGINES, betti, grassmannian_class, hyperplane_section_class, lefschetz_shift
-from test_localization import chi_o_y
 from test_mutants import MUTANTS
 
 
@@ -140,6 +140,8 @@ def test_poincare_x_smooth_range_enforced():
         poincare_x(6, 7)
     with pytest.raises(NegativeDimension):
         poincare_x(4, 6)
+    with pytest.raises(InvalidParameter, match="^negative number of hyperplanes: -1$"):
+        poincare_x(7, -1)
 
 
 def test_variable_betti_examples():
@@ -423,6 +425,18 @@ def test_report_eightfold():
     assert checks["hypersurface_oracle"] == "pass"
 
 
+def check_reports_pass(n_min, n_max):
+    # every pair with n in n_min..n_max that make_pair accepts
+    for pair in valid_pairs(n_min, n_max):
+        assert build_pair_report(pair.n, pair.k)["all_checks_pass"], (pair.n, pair.k)
+
+
+@pytest.mark.parametrize("n_min, n_max", [(25, 36), pytest.param(37, 48, marks=pytest.mark.slow)])
+def test_reports_pass_past_the_cli_domain(n_min, n_max):
+    # 72 reports in each range, up to twice MAX_NK
+    check_reports_pass(n_min, n_max)
+
+
 def _count_calls(monkeypatch, sites):
     """Count the calls through each (module, name) binding by name; returns
     the counter {name: [arguments of each call]}."""
@@ -447,7 +461,7 @@ def test_decomposables_match_the_products_by_projective_classes():
 
 
 def test_report_builds_each_polynomial_once(monkeypatch):
-    names = ("poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect")
+    names = ("poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect", "chi_o_y")
     sites = [(pairs_module, name) for name in names]
     sites += [(pairs_module, "euler_characteristic_ci"), (chern_module, "euler_characteristic_ci")]
     for n, k in ((8, 4), (7, 7), (9, 4), (6, 6)):

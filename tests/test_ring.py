@@ -130,12 +130,24 @@ def test_pretty_printing():
         ({"1": 1}, LPoly),
         ({0: 2.9}, TPoly),
         ({0: 1, 1: 2.0}, LPoly),
+        ({-1: 1}, LPoly),
+        ([1, 1.5], LPoly),
     ],
-    ids=["fraction_coeffs", "integral_fraction", "float_exponent", "str_exponent", "float_tpoly", "float_coeff"],
+    ids=[
+        "fraction_coeffs",
+        "integral_fraction",
+        "float_exponent",
+        "str_exponent",
+        "float_tpoly",
+        "float_coeff",
+        "negative_exponent",
+        "float_dense_coeff",
+    ],
 )
 def test_non_integer_exponents_and_coefficients_rejected(coeffs, cls):
+    # a list is the dense form of from_coeffs
     with pytest.raises(InvalidParameter):
-        cls(coeffs)
+        cls(coeffs) if isinstance(coeffs, dict) else cls.from_coeffs(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -182,4 +194,7 @@ def test_exponents_past_the_bound_are_refused_at_once():
         with pytest.raises(InvalidParameter, match=f"^exponent \\d+ exceeds MAX_DEGREE = {MAX_DEGREE}$"):
             build()
         assert time.perf_counter() - start < 0.1
+    # a dense list already holds every slot, so it is refused by its length
+    with pytest.raises(InvalidParameter, match=f"^exponent {MAX_DEGREE + 1} exceeds MAX_DEGREE = {MAX_DEGREE}$"):
+        LPoly.from_coeffs([0] * (MAX_DEGREE + 2))
     assert LPoly.monomial(MAX_DEGREE).degree == LPoly({MAX_DEGREE: 2}).degree == MAX_DEGREE

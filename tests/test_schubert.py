@@ -1,13 +1,11 @@
 """Schubert calculus: classes, multiplication engines, pairing, Betti numbers.
 
-Run as a script, `python tests/test_schubert.py N_MIN N_MAX [WORD]` runs
-`check_gr_class` (`gr_class`, the default) or `check_products` (`products`)
-for n in N_MIN..N_MAX.
+The cases marked `slow` run `check_gr_class` and `check_products` over their
+widest ranges, with `-m slow`.
 """
 
 import math
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgpairs
-from conftest import run_checks
 from dict_chow import DictChow
 from pgpairs import schubert
 from pgpairs.errors import AmbientMismatch, InvalidParameter
@@ -62,8 +59,10 @@ def check_gr_class(n_min, n_max):
         assert grassmannian_class(n) == base * sum_even_powers(n), n
 
 
-def test_grassmannian_class_two_methods_agree():
-    check_gr_class(4, 14)
+@pytest.mark.parametrize("n_min, n_max", [(4, 14), pytest.param(15, 1000, marks=pytest.mark.slow)])
+def test_grassmannian_class_two_methods_agree(n_min, n_max):
+    # with 4..14, every n of the DSL domain, whose largest argument is 1000
+    check_gr_class(n_min, n_max)
 
 
 def test_grassmannian_class_examples():
@@ -71,8 +70,9 @@ def test_grassmannian_class_examples():
     assert grassmannian_class(4) == projective_class(2) * LPoly.from_coeffs([1, 0, 1])
     assert grassmannian_class(5) == projective_class(4) * LPoly.from_coeffs([1, 0, 1])
     for n in (-3, 0, 1, 2, 3):
-        with pytest.raises(InvalidParameter, match=f"Gr\\(2,{n}\\) needs n >= 4"):
-            grassmannian_class(n)
+        for build in (grassmannian_class, lambda n: betti(n, 0), ChowRing):
+            with pytest.raises(InvalidParameter, match=f"Gr\\(2,{n}\\) needs n >= 4"):
+                build(n)
 
 
 def test_hyperplane_section_class_examples():
@@ -121,6 +121,8 @@ def test_sum_even_powers():
     assert sum_even_powers(5) == LPoly.from_coeffs([1, 0, 1])
     assert sum_even_powers(6) == LPoly.from_coeffs([1, 0, 1, 0, 1])
     assert sum_even_powers(7) == LPoly.from_coeffs([1, 0, 1, 0, 1])
+    with pytest.raises(InvalidParameter, match="^sum_even_powers needs n >= 2, got 1$"):
+        sum_even_powers(1)
 
 
 def test_multiply_pieri_examples():
@@ -220,8 +222,10 @@ def check_products(n_min, n_max):
                 assert schubert._product_pieri(lam, mu) == schubert._product_lr(lam, mu), (n, lam, mu)
 
 
-def test_engines_agree_on_full_tables():
-    check_products(4, 9)
+@pytest.mark.parametrize("n_min, n_max", [(4, 9), pytest.param(24, 24, marks=pytest.mark.slow)])
+def test_engines_agree_on_full_tables(n_min, n_max):
+    # n = 24, the largest of the CLI domain, has 76,176 pairs of partitions
+    check_products(n_min, n_max)
 
 
 def test_table_fill_matches_unpruned_lr_candidates():
@@ -257,8 +261,9 @@ def test_each_engine_fills_its_own_table(monkeypatch, cold_memos):
 def test_unknown_engine_makes_no_table(engine):
     # an engine outside ENGINES is an error, never an lr row under its name
     schubert._product_row.cache_clear()
-    with pytest.raises(InvalidParameter):
-        schubert._product_row(engine, (1, 0), (1, 0))
+    for call in (lambda: schubert._product_row(engine, (1, 0), (1, 0)), lambda: ChowRing(4, engine)):
+        with pytest.raises(InvalidParameter, match=f"^unknown engine {engine!r}$"):
+            call()
     assert schubert._product_row.cache_info().currsize == 0
 
 
@@ -406,9 +411,3 @@ def test_star_import_binds_exactly_the_public_names():
     for name in pgpairs.__all__:
         assert namespace[name] is getattr(pgpairs, name)
 
-
-CHECKS = {"gr_class": check_gr_class, "products": check_products}
-
-
-if __name__ == "__main__":
-    run_checks(CHECKS, sys.argv[1:])
