@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from operator import add, eq, mul, sub
 
-from .errors import EvalError, InvalidParameter, NonExactDivision, ParseError, PGError
+from .errors import EvalError, InvalidParameter, NonExactDivision, ParseError
 from .ring import LPoly, projective_class
 from .schubert import grassmannian_class, hyperplane_section_class, sum_even_powers
 from .pairs import fiber_classes
@@ -228,10 +228,7 @@ def _eval(node, budget: list):
         if not (args[:-1] == fixed and args[-1] >= low):
             raise EvalError(f"{name} takes {takes}", _show(node))
         _charge(budget, cost(args[-1]), node)
-        try:
-            return build(args[-1])
-        except PGError as exc:
-            raise EvalError(str(exc), _show(node)) from exc
+        return build(args[-1])
     op, lhs, rhs = node[1], _eval(node[2], budget), _eval(node[3], budget)
     if isinstance(lhs, bool) or isinstance(rhs, bool):
         raise EvalError("comparison results cannot feed arithmetic", _show(node))

@@ -15,7 +15,11 @@ cross-checks, and the Noether-Lefschetz catalogue.
 
 `build_pair_report` is the one route to a pair's invariants: the variable
 Betti number, the middle-Betti link and the motivic-equivalence status read
-the P(X) and P(Y) it computes once.
+the P(X) and P(Y) it computes once.  The Tate remainder T, the difference of
+the relation's decomposable terms divided by t^(2 min(k-1, s))
+(`_tate_remainder`), says how the two sides differ in Betti numbers: it
+decides where the middle-Betti link is checked, and it writes the report's
+findings.
 """
 
 from __future__ import annotations
@@ -244,12 +248,36 @@ def _dual_defect(pair: PGPair, p_y: TPoly) -> str | None:
     return None
 
 
-def _link_covered(pair: PGPair) -> bool:
-    """Whether the middle-Betti link, v(X) = b_mid(Y) - 1, is established for
-    the pair: n even with k in {2,4}, n odd with k in {2,4,6}."""
-    return (pair.n % 2 == 0 and pair.k in (2, 4)) or (
-        pair.n % 2 == 1 and pair.k in (2, 4, 6)
-    )
+def _tate_remainder(pair: PGPair) -> LPoly:
+    """T = D / t^(2 min(k-1, s)) as a polynomial in t, where D is the
+    difference [P^(k-1)][H(2,n)] - [P^(k-2)][Gr(2,n)] of the relation's
+    decomposable terms.  The relation reads L^(k-1) P(X) - L^s P(Y) = D, so
+    T = P(X) - t^(2m) P(Y) for m >= 0 and t^(-2m) P(X) - P(Y) for m < 0: in
+    Betti numbers one side is the other moved by L^|m| plus T's Tate classes.
+
+    An LPoly, since its coefficients may be negative; they must all have one
+    sign."""
+    gr, h = _decomposables(pair.n, pair.k)
+    d = (LPoly() + h - gr).coeffs_dense()
+    twist = 2 * min(pair.k - 1, pair.s)
+    below = LPoly.from_coeffs(d[:twist])
+    if not below.is_zero():
+        raise NonExactDivision(
+            f"remainder of degree {below.degree} left by division of the decomposable difference "
+            f"of ({pair.n},{pair.k}) by t^{twist}"
+        )
+    tate = LPoly.from_coeffs(d[twist:])
+    coeffs = tate.coeffs_dense()
+    if min(coeffs) < 0 < max(coeffs):
+        raise InconsistentEuler(f"Tate remainder {coeffs} in t of ({pair.n},{pair.k}) has both signs")
+    return tate
+
+
+def _link_covered(pair: PGPair, tate: LPoly) -> bool:
+    """Whether the middle-Betti link, v(X) = b_mid(Y) - 1, follows from the
+    relation: T has b_dimX(Gr(2,n)) - 1 classes in the common middle degree,
+    since that count is b_mid(X) - b_mid(Y)."""
+    return tate.coefficient(max(pair.dim_x, pair.dim_y)) == _ambient(pair.n)[2].coefficient(pair.dim_x) - 1
 
 
 @cache
@@ -365,6 +393,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     euler = p_x.evaluate(-1)
     easy = cayley_hypersurface_class(pair, p_x)
     p_y = _solve_poincare_y(pair, easy)
+    tate = _tate_remainder(pair)
     chi_y, row = _middle_row(n, k)
     # chi(O_Y) through the relation: Y's classes off its middle degree are
     # powers of L, so h^(0,q)(Y) = 0 for 0 < q < dim Y, and h^(0,dim Y)(Y) is
@@ -400,7 +429,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
         "variable_nonneg": (v >= 0, f"variable Betti number {v}"),
         "middle_betti_link": (
             (v == p_y.coefficient(pair.dim_y) - 1, f"{v} = {p_y.coefficient(pair.dim_y)} - 1")
-            if _link_covered(pair)
+            if _link_covered(pair, tate)
             else (None, "outside the verified (n,k) range")
         ),
         "l_equivalence": (
@@ -426,17 +455,17 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
         checks.append({"name": name, "status": _STATUS[passed], "detail": detail})
 
     findings = []
-    if (n, k) == (6, 6):
-        # bookkeeping of the known decomposition of the dual cubic fourfold:
-        # a K3 surface summand shifted by one plus two Tate classes
-        stated = p_x.coefficient(2)
-        derived = p_y.coefficient(4)
-        if stated != derived:
-            findings.append(
-                "dual cubic fourfold: the K3-plus-two-Tate-classes decomposition "
-                f"accounts for {stated} classes in degree 4 but the derived Poincare "
-                f"polynomial has {derived}; one middle Tate class is unaccounted for"
-            )
+    # m < 0 and b_mid(Y) > b_mid(X): Y's middle holds Tate classes that X
+    # moved by L^|m| does not account for.  T is palindromic about dim Y, so
+    # its classes off the middle come in pairs
+    unaccounted = -tate.coefficient(pair.dim_y)
+    if pair.m < 0 and unaccounted > 0:
+        findings.append(
+            f"dual of dimension {pair.dim_y}: X moved by L^{-pair.m} plus {-tate.evaluate(1) - unaccounted} "
+            f"Tate classes accounts for {p_x.coefficient(pair.dim_x)} classes in degree {pair.dim_y} but the "
+            f"derived Poincare polynomial has {p_y.coefficient(pair.dim_y)}; {unaccounted} middle Tate "
+            f"class{' is' if unaccounted == 1 else 'es are'} unaccounted for"
+        )
 
     return {
         "schema_version": SCHEMA_VERSION,

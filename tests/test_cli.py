@@ -372,7 +372,7 @@ def test_grid_error_row_leaves_the_cells_after_its_status_empty(monkeypatch, out
 
 def test_pair_markdown_ends_with_the_finding():
     text, _ = run_pair(6, 6, output_format="markdown")
-    assert text.splitlines()[-1].startswith("finding: dual cubic fourfold: ")
+    assert text.splitlines()[-1].startswith("finding: dual of dimension 4: ")
 
 
 def test_grid_empty_parameter_range_rejected():
@@ -457,9 +457,9 @@ _PINNED_OUTPUTS = [
     ("pair --n 5 --k 4 --format json", False, "dcd7c5a4e500a552", _EMPTY, 0),
     ("pair --n 5 --k 4 --format markdown", False, "ece8808bf50839c4", _EMPTY, 0),
     ("pair --n 5 --k 4 --format csv", False, "f34338009ba5a52d", _EMPTY, 0),
-    ("pair --n 6 --k 6 --format json", False, "8aaeb567268aae3f", _EMPTY, 0),
-    ("pair --n 6 --k 6 --format markdown", False, "7f86a952490cd175", _EMPTY, 0),
-    ("pair --n 6 --k 6 --format csv", False, "bd9518f6b482912c", _EMPTY, 0),
+    ("pair --n 6 --k 6 --format json", False, "a23fec640ffb8dd7", _EMPTY, 0),
+    ("pair --n 6 --k 6 --format markdown", False, "7dda33adb5caae3d", _EMPTY, 0),
+    ("pair --n 6 --k 6 --format csv", False, "2a02b01167c242ca", _EMPTY, 0),
     ("pair --n 7 --k 7 --format json", False, "b852f7a74755ee9d", _EMPTY, 0),
     ("pair --n 7 --k 7 --format markdown", False, "9581c33436bf7ec8", _EMPTY, 0),
     ("pair --n 7 --k 7 --format csv", False, "cbb91322c242ba06", _EMPTY, 0),
@@ -470,10 +470,10 @@ _PINNED_OUTPUTS = [
     ("pair --n 9 --k 4 --format markdown", False, "827af121f0315c8e", _EMPTY, 0),
     ("pair --n 9 --k 4 --format csv", False, "2b4ccc20ec95f3c5", _EMPTY, 0),
     ("pair --n 7 --k 7 --engine lr --checks fiber_shift,dual_shape", False, "0292a52e5632372d", _EMPTY, 0),
-    ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format json", False, "cdaad755d7214876", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format json", False, "4980b240f3b028ce", _EMPTY, 0),
     ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format markdown", False, "7629f8555fb137b5", _EMPTY, 0),
     ("grid --n-min 4 --n-max 12 --k-min 0 --k-max 11 --format csv", False, "31a7e2ed333ece5e", _EMPTY, 0),
-    ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format json", False, "6daba261f5643a45", _EMPTY, 0),
+    ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format json", False, "9024fa57e06f3fbd", _EMPTY, 0),
     ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format markdown", False, "0bbbe1011d82c97c", _EMPTY, 0),
     ("grid --n-min 4 --n-max 12 --k-min 1 --k-max 10 --format csv", False, "31a7e2ed333ece5e", _EMPTY, 0),
     (

@@ -247,8 +247,25 @@ def test_constructor_argument_past_the_bound_is_a_parse_error(source, column):
         # by a bit, so the dividend counts 3 * 1 units, times the divisor's
         # 2, after 2 * 2 for L * L, 3 + 1 for L * L - 1 and 2 + 1 for L - 1
         ("(L*L - 1) div (L - 1)", 4 + 4 + 3 + 6, "(((L * L) - 1) div (L - 1))"),
+        # each constructor at its lower bound and at MAX_ARG, where its class builder never raises:
+        # P and SumEven cost n, Gr 2n - 3, and H, F1 and F2 n^2
+        ("P(0)", 0, "P(0)"),
+        (f"P({MAX_ARG})", MAX_ARG, f"P({MAX_ARG})"),
+        ("Gr(2,4)", 5, "Gr(2, 4)"),
+        (f"Gr(2,{MAX_ARG})", 2 * MAX_ARG - 3, f"Gr(2, {MAX_ARG})"),
+        ("H(2,4)", 16, "H(2, 4)"),
+        (f"H(2,{MAX_ARG})", MAX_ARG**2, f"H(2, {MAX_ARG})"),
+        ("F1(4)", 16, "F1(4)"),
+        (f"F1({MAX_ARG})", MAX_ARG**2, f"F1({MAX_ARG})"),
+        ("F2(4)", 16, "F2(4)"),
+        (f"F2({MAX_ARG})", MAX_ARG**2, f"F2({MAX_ARG})"),
+        ("SumEven(2)", 2, "SumEven(2)"),
+        (f"SumEven({MAX_ARG})", MAX_ARG, f"SumEven({MAX_ARG})"),
     ],
-    ids=["constructors_and_operators", "coefficient_bits", "division"],
+    ids=[
+        "constructors_and_operators", "coefficient_bits", "division",
+        *(f"{name}_{bound}" for name in ("P", "Gr", "H", "F1", "F2", "SumEven") for bound in ("low", "max_arg")),
+    ],
 )
 def test_work_is_charged_step_by_step(monkeypatch, source, work, fragment):
     monkeypatch.setattr(dsl, "MAX_WORK", work)

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import test_localization
+from conftest import valid_pairs
 from pgpairs import chern, pairs, schubert
 from test_schubert import _class_by_cell_enumeration
 
@@ -98,6 +99,13 @@ CASES = [
         ("pgpairs.pairs", "chi_o_y"),
         {"pgpairs.schubert", "pgpairs.chern"},
         set(),
+    ),
+    (
+        "Tate remainder",  # the decomposable terms alone: no chi_y, no Euler characteristic, no P(X) or P(Y)
+        lambda: [pairs._tate_remainder(pair) for pair in valid_pairs(4, pairs.MAX_NK)],
+        ("pgpairs.pairs", "_tate_remainder"),
+        {"pgpairs.chern"},
+        {("pgpairs.pairs", "poincare_x"), ("pgpairs.pairs", "_solve_poincare_y")},
     ),
     (
         "cell enumeration",  # the oracle of grassmannian_class

@@ -44,6 +44,11 @@ def _betti_plus(where, *modules):
     return patch
 
 
+def _gr_side_plus(term):
+    """A patch that adds term(n, k) to the Gr side [Gr(2,n)][P^(k-2)] of `_decomposables`."""
+    return _swap(pairs, "_decomposables", lambda f: lambda n, k: (f(n, k)[0] + term(n, k), f(n, k)[1]))
+
+
 def _euler_plus(c):
     return _swap(pairs, "euler_characteristic_ci", lambda f: lambda n, k, engine="pieri": f(n, k, engine) + c)
 
@@ -197,19 +202,29 @@ MUTANTS = {
     # the relation's decomposable terms: the Gr side [Gr(2,n)][P^(k-2)] 1 too big at t^0 for
     # each k >= 2, so k - 1 too big through its recursion on k
     "decomposables_gr+1-n7k7": Mutant(
-        _swap(pairs, "_decomposables", lambda f: lambda n, k: f(n, k) if k < 2 else (
-            f(n, k)[0] + TPoly({0: 1}), f(n, k)[1]
-        )),
+        _gr_side_plus(lambda n, k: TPoly({0: int(k >= 2)})),
         _report(7, 7),
         (NonExactDivision, "remainder of degree 0 left by division"),
     ),
+    # the same terms as the Tate remainder reads them; a report solves for P(Y) first, whose
+    # division by t^(2s) checks these coefficients and more
+    "tate_remainder_of_decomposables_gr+1-n7k7": Mutant(
+        _gr_side_plus(lambda n, k: TPoly({0: int(k >= 2)})),
+        lambda: pairs._tate_remainder(make_pair(7, 7)),
+        (NonExactDivision, r"remainder of degree 0 left by division of the decomposable difference of \(7,7\) by t\^12"),
+    ),
     # the dual side: a class of the Gr side too many at t^(2s + 2) lands in P(Y)'s t^2 alone
     "decomposables_gr+t^(2s+2)-n7k7": Mutant(
-        _swap(pairs, "_decomposables", lambda f: lambda n, k: (
-            f(n, k)[0] + TPoly({2 * lefschetz_shift(n) + 2: 1}), f(n, k)[1]
-        )),
+        _gr_side_plus(lambda n, k: TPoly({2 * lefschetz_shift(n) + 2: 1})),
         _report(7, 7),
         (InconsistentEuler, "derived dual polynomial is not palindromic"),
+    ),
+    # a class of the Gr side too many at t^(2s + dim Y) = t^9 of (6,3) alone: the solve stays exact
+    # and P(Y) = [1, 3, 1] palindromic, but the Tate remainder 1 + t^2 + ... + t^10 gains -t^5
+    "decomposables_gr+t^(2s+dimY)-n6k3": Mutant(
+        _gr_side_plus(lambda n, k: TPoly({2 * lefschetz_shift(n) + 1: int((n, k) == (6, 3))})),
+        _report(6, 3),
+        (InconsistentEuler, r"Tate remainder \[1, 0, 1, 0, 1, -1, 1, 0, 1, 0, 1\] in t of \(6,3\) has both signs"),
     ),
     # the oracle's Euler characteristic without its i = 0 term
     "oracle_without_i0_term-d2N4": Mutant(
@@ -248,7 +263,7 @@ MUTANTS = {
         {"fiber_shift"},
     ),
     "link_covered_everywhere-n6k3": Mutant(
-        lambda mp: mp.setattr(pairs, "_link_covered", lambda pair: True), _report(6, 3), {"middle_betti_link"}
+        lambda mp: mp.setattr(pairs, "_link_covered", lambda pair, tate: True), _report(6, 3), {"middle_betti_link"}
     ),
 }
 

@@ -258,6 +258,48 @@ def test_dual_shape_sweep():
     check_dual_shape_sweep()
 
 
+# -- the Tate remainder ---------------------------------------------------------------
+
+
+def _tate(n, k):
+    return pairs_module._tate_remainder(make_pair(n, k)).coeffs_dense()
+
+
+def test_tate_remainder_values():
+    # coefficient lists in t; dim Y = 1 at (6,3) and (7,5), and (6,6) and
+    # (7,8) have the same remainder with m = -1
+    assert _tate(6, 3) == _tate(7, 5) == [1, 0] * 5 + [1]
+    assert _tate(7, 4) == [1, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 1]
+    assert _tate(6, 6) == _tate(7, 8) == [-1, 0, 0, 0, -1, 0, 0, 0, -1]
+    assert _tate(7, 7) == [0]
+
+
+def test_tate_remainder_has_one_sign_on_the_cli_domain():
+    # T >= 0 on the pairs with m > 0, T <= 0 on those with m < 0 and T = 0 on
+    # those with m = 0
+    census = {}
+    for pair in valid_pairs(4, MAX_NK):
+        tate = _tate(pair.n, pair.k)
+        sign = "zero" if tate == [0] else "nonneg" if min(tate) >= 0 else "nonpos"
+        census.setdefault(sign, []).append(pair.m)
+    assert {sign: len(ms) for sign, ms in census.items()} == {"nonneg": 107, "nonpos": 7, "zero": 5}
+    assert min(census["nonneg"]) > 0 and max(census["nonpos"]) < 0 and set(census["zero"]) == {0}
+
+
+def test_findings_come_from_the_middle_classes_of_the_tate_remainder():
+    # three of the 7 pairs with m < 0 have b_mid(Y) > b_mid(X); no pair with n 25..48 has m < 0
+    findings = {(p.n, p.k): build_pair_report(p.n, p.k)["findings"] for p in valid_pairs(4, MAX_NK) if p.m < 0}
+    tail = (
+        "Tate classes accounts for {} classes in degree {} but the derived Poincare polynomial has {}; "
+        "1 middle Tate class is unaccounted for"
+    )
+    assert findings.pop((7, 8)) == ["dual of dimension 4: X moved by L^1 plus 2 " + tail.format(124, 4, 125)]
+    assert findings.pop((7, 10)) == ["dual of dimension 6: X moved by L^3 plus 8 " + tail.format(42, 6, 43)]
+    assert len(findings.pop((6, 6))) == 1  # criterion 9
+    assert findings == dict.fromkeys([(4, 4), (5, 6), (7, 9), (9, 10)], [])
+    assert [p for p in valid_pairs(MAX_NK + 1, 2 * MAX_NK) if p.m < 0] == []
+
+
 # -- catalogues and statuses -------------------------------------------------------
 
 
@@ -265,16 +307,25 @@ def _link_status(n, k):
     return next(c["status"] for c in build_pair_report(n, k)["checks"] if c["name"] == "middle_betti_link")
 
 
+def _link_established(pair):
+    # the pairs where the link is established: n even with k in {2,4}, n odd
+    # with k in {2,4,6}; n odd with k = 2 has no pair, as its dual would have
+    # dimension -2
+    return pair.k in ((2, 4) if pair.n % 2 == 0 else (2, 4, 6))
+
+
+def _link_covered(pair):
+    return pairs_module._link_covered(pair, pairs_module._tate_remainder(pair))
+
+
 def check_link_on_verified_range():
-    # the link passes on exactly the pairs where it is established, n even
-    # with k in {2,4} and n odd with k in {2,4,6}, and is skipped on every
-    # other report of the CLI domain; n odd with k = 2 has no pair, as its
-    # dual would have dimension -2
+    # the link passes on exactly the pairs where it is established, and is
+    # skipped on every other report of the CLI domain
     pairs = valid_pairs(4, MAX_NK)
     assert len(pairs) == 119
     for pair in pairs:
-        covered = pair.k in ((2, 4) if pair.n % 2 == 0 else (2, 4, 6))
-        assert pairs_module._link_covered(pair) == covered, (pair.n, pair.k)
+        covered = _link_established(pair)
+        assert _link_covered(pair) == covered, (pair.n, pair.k)
         assert _link_status(pair.n, pair.k) == ("pass" if covered else "skip"), (pair.n, pair.k)
     for n in range(5, MAX_NK + 1, 2):
         with pytest.raises(NegativeDimension):
@@ -283,6 +334,13 @@ def check_link_on_verified_range():
 
 def test_variable_betti_link_on_verified_range():
     check_link_on_verified_range()
+
+
+def test_tate_remainder_decides_the_link_past_the_cli_domain():
+    # T makes the literal's decision on every pair with n 25..48 as well
+    pairs = valid_pairs(MAX_NK + 1, 2 * MAX_NK)
+    assert len(pairs) == 144
+    assert [p for p in pairs if _link_covered(p) != _link_established(p)] == []
 
 
 def test_variable_betti_link_examples():
@@ -461,7 +519,10 @@ def test_decomposables_match_the_products_by_projective_classes():
 
 
 def test_report_builds_each_polynomial_once(monkeypatch):
-    names = ("poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect", "chi_o_y")
+    names = (
+        "poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect", "chi_o_y",
+        "_tate_remainder",
+    )
     sites = [(pairs_module, name) for name in names]
     sites += [(pairs_module, "euler_characteristic_ci"), (chern_module, "euler_characteristic_ci")]
     for n, k in ((8, 4), (7, 7), (9, 4), (6, 6)):
