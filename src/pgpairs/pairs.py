@@ -15,10 +15,12 @@ cross-checks, and the Noether-Lefschetz catalogue.
 
 `build_pair_report` is the one route to a pair's invariants: the variable
 Betti number, the middle-Betti link and the motivic-equivalence status read
-the P(X) and P(Y) it computes once.  The Tate remainder T, the difference of
-the relation's decomposable terms divided by t^(2 min(k-1, s))
-(`_tate_remainder`), says how the two sides differ in Betti numbers: it
-decides where the middle-Betti link is checked, and it writes the report's
+the P(X), T and P(Y) it computes once.  The relation is divided once: the
+difference of its decomposable terms divided by t^(2 min(k-1, s)) is the Tate
+remainder T (`_tate_remainder`), and P(Y) is solved from P(X) and T.  So the
+data flow one way: decomposable terms -> T -> P(Y), the middle-Betti link
+decision and the findings.  T says how the two sides differ in Betti numbers:
+it decides where the middle-Betti link is checked, and it writes the report's
 findings.
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, lru_cache
-from itertools import zip_longest
 from math import comb, factorial, prod
 
 # middle_hodge stays importable from here, where perfbench/tracing.py wraps it
@@ -180,8 +181,9 @@ def _section_defect(n: int, k: int, p: LPoly) -> str | None:
         return f"odd middle Betti number {mid} in odd dimension {d}"
     if d % 2 == 0 and mid < betti(n, d):
         return f"middle Betti number {mid} below the ambient value {betti(n, d)}"
-    # on a palindrome about d, odd degree j > d mirrors the odd degree 2d - j < d
-    if not p.is_palindromic(d) or any(p.coeffs_dense()[1:d:2]):
+    # poincare_x builds p as a palindrome about d, so odd degree j > d mirrors
+    # the odd degree 2d - j < d
+    if any(p.coeffs_dense()[1:d:2]):
         return "section polynomial is not palindromic with odd degrees vanishing off the middle"
     return None
 
@@ -208,23 +210,24 @@ def cayley_hypersurface_class_dual(pair: PGPair, p_y: TPoly) -> TPoly:
 
 
 def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
-    """Solve the cut-and-paste relation for the Poincare polynomial of Y:
-    the incidence divisor class from the Grassmannian side minus the
-    dual-side class of an empty Y, [P^(k-1)][H], divided by t^(2s).
+    """Solve the cut-and-paste relation for the Poincare polynomial of Y from
+    P(X) and the Tate remainder T of the pair: divided by t^(2 min(k-1, s)),
+    the relation reads t^(2b) P(X) - T = t^(2a) P(Y) with a = max(m, 0) and
+    b = max(-m, 0), so P(Y) = (t^(2b) P(X) - T) / t^(2a).
 
     The division must be exact and the result must be a genuine Poincare
     polynomial; any failure signals an inconsistent input rather than being
     repaired.
     """
-    return _solve_poincare_y(pair, cayley_hypersurface_class(pair, p_x))
+    if not p_x.is_palindromic(pair.dim_x):
+        raise InvalidParameter("poincare_x is not palindromic about dim X")
+    return _solve_poincare_y(pair, p_x, _tate_remainder(pair))
 
 
-def _solve_poincare_y(pair: PGPair, easy: TPoly) -> TPoly:
-    """P(Y) from the Grassmannian-side class `easy` of the incidence
-    divisor, as in `derive_poincare_y`."""
-    twist = 2 * pair.s
-    h = _decomposables(pair.n, pair.k)[1].coeffs_dense()
-    num = [a - b for a, b in zip_longest(easy.coeffs_dense(), h, fillvalue=0)]
+def _solve_poincare_y(pair: PGPair, p_x: TPoly, tate: LPoly) -> TPoly:
+    """P(Y) from P(X) and the Tate remainder, as in `derive_poincare_y`."""
+    twist = 2 * max(pair.m, 0)
+    num = (LPoly() + p_x.shift(2 * max(-pair.m, 0)) - tate).coeffs_dense()
     below = LPoly.from_coeffs(num[:twist])
     if not below.is_zero():
         raise NonExactDivision(f"remainder of degree {below.degree} left by division")
@@ -338,6 +341,8 @@ def chi_o_y(n: int, k: int) -> int:
     Like the hypersurface oracle it reads nothing of the Schubert/Chern path,
     so it checks the chi_y route and the relation from outside.
     """
+    if n < 4 or k < 1:
+        raise InvalidParameter(f"chi(O_Y) needs n >= 4 and k >= 1, got ({n},{k})")
     dim = k - 1
     if n % 2 == 0:
         twists = [(1, 0), (-1, -n // 2)]
@@ -370,10 +375,7 @@ def hypersurface_poincare_oracle(d: int, ambient_dim: int) -> TPoly:
         raise InconsistentEuler(f"impossible middle Betti number {mid}")
     coeffs = [1, 0] * dim + [1]
     coeffs[dim] = mid
-    out = TPoly.from_coeffs(coeffs)
-    if not out.is_palindromic(dim):
-        raise InconsistentEuler(f"Poincare polynomial {out} of a degree-{d} hypersurface is not palindromic")
-    return out
+    return TPoly.from_coeffs(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +390,11 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     pair = make_pair(n, k)
     # each invariant once: P(X) solves its middle Betti number from the one
     # Euler characteristic, so P(X)(-1) is that Euler characteristic, and
-    # P(Y) is solved from the Grassmannian-side class the checks read
+    # P(Y) is solved from P(X) and the Tate remainder
     p_x = poincare_x(n, k, engine)
     euler = p_x.evaluate(-1)
-    easy = cayley_hypersurface_class(pair, p_x)
-    p_y = _solve_poincare_y(pair, easy)
     tate = _tate_remainder(pair)
+    p_y = _solve_poincare_y(pair, p_x, tate)
     chi_y, row = _middle_row(n, k)
     # chi(O_Y) through the relation: Y's classes off its middle degree are
     # powers of L, so h^(0,q)(Y) = 0 for 0 < q < dim Y, and h^(0,dim Y)(Y) is
@@ -407,6 +408,8 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     b_mid = p_x.coefficient(pair.dim_x)
     nl = nl_status(n, k)
     f1, f2 = fiber_classes(n)
+    # the incidence divisor class, read only by the cayley_* checks
+    easy = cayley_hypersurface_class(pair, p_x)
     dim_q = 2 * (n - 2) + k - 2
     chi_alt = sum(c * (-1) ** p for p, c in enumerate(chi_y))
 

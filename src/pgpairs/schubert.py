@@ -103,8 +103,6 @@ def lr_count(lam, mu, nu) -> int:
         j2 = mu[1] - j1
         if not 0 <= j2 <= len2:
             continue
-        if (len1 - j1) + (len2 - j2) != mu[0]:
-            continue
         row1 = [1] * (len1 - j1) + [2] * j1
         row2 = [1] * (len2 - j2) + [2] * j2
         ok = True

@@ -1,6 +1,8 @@
 """CLI surface: formats, exit codes, determinism, round trips."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -14,6 +16,7 @@ import pytest
 from conftest import clear_memos
 from pgpairs.cli import (
     MAX_NK,
+    _pair_csv,
     console_main,
     main,
     run_grid,
@@ -82,6 +85,13 @@ def test_run_pair_csv_round_trip_keys():
     assert text.startswith("key,value\n")
     assert "pair.dim_x,3" in text
     assert "variable_betti,10" in text
+
+
+def test_pair_csv_quotes_a_value_that_holds_commas_and_quotes():
+    finding = 'a finding, with "quotes" and commas'
+    report = {**pairs_module.build_pair_report(6, 6), "findings": [finding]}
+    rows = dict(csv.reader(io.StringIO(_pair_csv(report))))
+    assert rows["findings"] == finding
 
 
 def _ints(obj):
@@ -406,13 +416,17 @@ def test_internal_errors_exit_3(monkeypatch, capsys, error):
 
 def test_a_relation_that_fails_exits_3(monkeypatch, capsys, cold_memos):
     # a wrong [H(2,n)] breaks the cut-and-paste relation of (8,4): the
-    # division that solves it for P(Y) leaves a remainder
+    # division of its decomposable difference into the Tate remainder
+    # leaves a remainder
     h = pairs_module.hyperplane_section_class
     monkeypatch.setattr(pairs_module, "hyperplane_section_class", lambda n: h(n) + LPoly.monomial(1))
     assert main(["pair", "--n", "8", "--k", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"error": "NonExactDivision", "message": "remainder of degree 8 left by division"}
+    assert json.loads(captured.err) == {
+        "error": "NonExactDivision",
+        "message": "remainder of degree 4 left by division of the decomposable difference of (8,4) by t^6",
+    }
 
 
 @pytest.mark.parametrize("argv, code", [(["eval", "1"], 0), (["eval", "1 div 0"], 1), (["eval", "1 ++"], 2)])

@@ -46,6 +46,11 @@ def _lr_tables():
             schubert._product_lr(lam, mu)
 
 
+# P(X) of every pair of the CLI domain, computed before any trace: P(Y) is
+# solved from it and the Tate remainder alone
+_CLI_DOMAIN_P_X = [(pair, pairs.poincare_x(pair.n, pair.k)) for pair in valid_pairs(4, pairs.MAX_NK)]
+
+
 def _localization_case(name, call):
     """A localization oracle of tests/test_localization.py: it reads no
     Schubert table and no chi_y coordinate, so nothing in schubert or chern."""
@@ -106,6 +111,13 @@ CASES = [
         ("pgpairs.pairs", "_tate_remainder"),
         {"pgpairs.chern"},
         {("pgpairs.pairs", "poincare_x"), ("pgpairs.pairs", "_solve_poincare_y")},
+    ),
+    (
+        "P(Y) from P(X) and T",  # the relation divided once, by T's division: no incidence divisor class
+        lambda: [pairs.derive_poincare_y(pair, p_x) for pair, p_x in _CLI_DOMAIN_P_X],
+        ("pgpairs.pairs", "_tate_remainder"),
+        {"pgpairs.chern"},
+        {("pgpairs.pairs", "cayley_hypersurface_class"), ("pgpairs.pairs", "cayley_hypersurface_class_dual")},
     ),
     (
         "cell enumeration",  # the oracle of grassmannian_class

@@ -186,11 +186,12 @@ MUTANTS = {
         (NonIntegralGenus, "does not fit 5 digits of 1 bits"),
     ),
     # the pair side: an extra class in degree 2 moves [Gr(2,n)] and P(X)
-    # together, but not [H(2,n)], which reads no Betti number
+    # together, but not [H(2,n)], which reads no Betti number; at (8,4), (9,4)
+    # and (10,5) the Tate remainder, computed first, gains -1 in its top degrees
     **{
         f"b_2+1_everywhere-n{n}k{k}": Mutant(_betti_plus(lambda n, j: j == 2, schubert, pairs, chern), _report(n, k), e)
         for n, k, e in (
-            *((n, k, NonExactDivision) for n, k in ((8, 4), (9, 4), (10, 5))),
+            *((n, k, (InconsistentEuler, "has both signs")) for n, k in ((8, 4), (9, 4), (10, 5))),
             *((n, k, InconsistentEuler) for n, k in ((7, 7), (6, 6))),
         )
     },
@@ -200,17 +201,10 @@ MUTANTS = {
         (InconsistentEuler, "shift m"),
     ),
     # the relation's decomposable terms: the Gr side [Gr(2,n)][P^(k-2)] 1 too big at t^0 for
-    # each k >= 2, so k - 1 too big through its recursion on k
+    # each k >= 2, so k - 1 too big through its recursion on k; the Tate remainder's division fails
     "decomposables_gr+1-n7k7": Mutant(
         _gr_side_plus(lambda n, k: TPoly({0: int(k >= 2)})),
         _report(7, 7),
-        (NonExactDivision, "remainder of degree 0 left by division"),
-    ),
-    # the same terms as the Tate remainder reads them; a report solves for P(Y) first, whose
-    # division by t^(2s) checks these coefficients and more
-    "tate_remainder_of_decomposables_gr+1-n7k7": Mutant(
-        _gr_side_plus(lambda n, k: TPoly({0: int(k >= 2)})),
-        lambda: pairs._tate_remainder(make_pair(7, 7)),
         (NonExactDivision, r"remainder of degree 0 left by division of the decomposable difference of \(7,7\) by t\^12"),
     ),
     # the dual side: a class of the Gr side too many at t^(2s + 2) lands in P(Y)'s t^2 alone
@@ -231,11 +225,6 @@ MUTANTS = {
         _swap(pairs, "comb", lambda f: lambda a, b: f(a, b) if b else 0),
         lambda: hypersurface_poincare_oracle(2, 4),
         (InconsistentEuler, "impossible middle Betti number -16"),
-    ),
-    "oracle_never_palindromic-d2N4": Mutant(
-        lambda mp: mp.setattr(TPoly, "is_palindromic", lambda self, d: False),
-        lambda: hypersurface_poincare_oracle(2, 4),
-        (InconsistentEuler, "not palindromic"),
     ),
     # each message of _section_defect
     "euler+1000-n7k7": Mutant(

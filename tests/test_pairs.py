@@ -190,6 +190,13 @@ def test_derive_zero_dimensional_duals_count_points():
         assert derive_poincare_y(p, poincare_x(p.n, p.k)) == TPoly({0: points[p.n, p.k]}), (p.n, p.k)
 
 
+@pytest.mark.parametrize("n, k", [(4, 0), (3, 2), (2, 5), (6, -1)])
+def test_chi_o_y_rejects_what_is_not_a_pair(n, k):
+    # k = 0 would read chi on P^(-1), and Gr(2,n) for n < 4 has no pair
+    with pytest.raises(InvalidParameter, match=rf"^chi\(O_Y\) needs n >= 4 and k >= 1, got \({n},{k}\)$"):
+        chi_o_y(n, k)
+
+
 def test_derive_rejects_non_palindromic_input():
     pair = make_pair(7, 7)
     with pytest.raises(InvalidParameter):
@@ -204,9 +211,10 @@ def test_derive_rejects_disconnected_surgery():
 
 
 def test_derive_wrong_twist_is_non_exact():
-    # a deliberately wrong twist must be caught by the exactness assertion
+    # a deliberately wrong twist must be caught by the exactness assertion: the
+    # true m of (6,3) is 2, so P(X) - T = t^4 P(Y) has a part of degree 5 below t^(2m) = t^6
     bad = PGPair(n=6, k=3, dim_x=5, dim_y=1, s=5, m=3, smooth_range=True)
-    with pytest.raises(NonExactDivision, match="^remainder of degree 9 left by division$"):
+    with pytest.raises(NonExactDivision, match="^remainder of degree 5 left by division$"):
         derive_poincare_y(bad, poincare_x(6, 3))
 
 

@@ -273,6 +273,8 @@ def test_lr_count_values():
     assert lr_count((2, 0), (1, 1), (3, 1)) == 1
     assert lr_count((2, 0), (1, 1), (2, 2)) == 0
     assert lr_count((2, 1), (2, 1), (3, 3)) == 1
+    # nu holds lam but not |lam| + |mu| boxes
+    assert lr_count((1, 0), (1, 0), (3, 0)) == 0
 
 
 def test_multiply_commutative_associative_sampled():
