@@ -207,6 +207,12 @@ MUTANTS = {
         _report(7, 7),
         (NonExactDivision, r"remainder of degree 0 left by division of the decomposable difference of \(7,7\) by t\^12"),
     ),
+    # the same terms as the Tate remainder reads them, called directly rather than through a report
+    "tate_remainder_of_decomposables_gr+1-n7k7": Mutant(
+        _gr_side_plus(lambda n, k: TPoly({0: int(k >= 2)})),
+        lambda: pairs._tate_remainder(make_pair(7, 7)),
+        (NonExactDivision, r"remainder of degree 0 left by division of the decomposable difference of \(7,7\) by t\^12"),
+    ),
     # the dual side: a class of the Gr side too many at t^(2s + 2) lands in P(Y)'s t^2 alone
     "decomposables_gr+t^(2s+2)-n7k7": Mutant(
         _gr_side_plus(lambda n, k: TPoly({2 * lefschetz_shift(n) + 2: 1})),
