@@ -13,6 +13,11 @@ hypersurface oracle and chi(O_Y) from Y's free resolution (both on projective
 space, sharing no code with the Schubert engine) as the anti-self-confirmation
 cross-checks, and the Noether-Lefschetz catalogue.
 
+The decomposable terms are computed one way, by `_decomposables`: each
+coefficient of [P^j] C is the sum of j + 1 consecutive coefficients of C, a
+window sum over one prefix-sum pass.  The L-equivalence identity for odd n is
+their equality at k = n.
+
 `build_pair_report` is the one route to a pair's invariants: the variable
 Betti number, the middle-Betti link and the motivic-equivalence status read
 the P(X), T and P(Y) it computes once.  The relation is divided once: the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
 
 # middle_hodge stays importable from here, where perfbench/tracing.py wraps it
@@ -35,12 +41,11 @@ from .chern import _middle_row, euler_characteristic_ci, middle_hodge  # noqa: F
 from .errors import (
     InconsistentEuler,
     InvalidParameter,
-    NegativeCoefficient,
     NegativeDimension,
     NonExactDivision,
     OutOfSmoothRange,
 )
-from .ring import LPoly, TPoly, projective_class
+from .ring import LPoly, TPoly
 from .schubert import (
     betti,
     grassmannian_class,
@@ -120,13 +125,18 @@ def _ambient(n: int) -> tuple:
 @cache
 def _decomposables(n: int, k: int) -> tuple:
     """The decomposable terms of the two sides of the relation as Poincare
-    polynomials, [Gr(2,n)][P^(k-2)] and [H(2,n)][P^(k-1)] for k >= 1, each
-    from that of k - 1 by [P^j] = [P^(j-1)] + L^j."""
-    gr, h = _ambient(n)[2:]
-    if k == 1:
-        return TPoly(), h
-    gr_prev, h_prev = _decomposables(n, k - 1)
-    return gr_prev + gr.shift(2 * (k - 2)), h_prev + h.shift(2 * (k - 1))
+    polynomials, [Gr(2,n)][P^(k-2)] and [H(2,n)][P^(k-1)] for k >= 1.
+
+    [P^j] C = (1 + L + ... + L^j) C has in degree i the window sum of C's
+    coefficients in degrees i - j..i: a prefix sum of C minus the same sum
+    j + 1 places back, and 0 for j = -1."""
+
+    def times_projective(c: LPoly, j: int) -> TPoly:
+        sums = list(accumulate(c.coeffs_dense() + [0] * j))
+        return LPoly.from_coeffs([a - b for a, b in zip(sums, [0] * (j + 1) + sums)]).to_poincare()
+
+    gr, h = _ambient(n)[:2]
+    return times_projective(gr, k - 2), times_projective(h, k - 1)
 
 
 def fiber_classes(n: int):
@@ -164,35 +174,28 @@ def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
     chi = euler_characteristic_ci(n, k, engine)
     alt = sum(low[::2]) - sum(low[1::2])
     coeffs = low + [(-1) ** d * (chi - 2 * alt)] + low[::-1]
-    defect = _section_defect(n, k, LPoly.from_coeffs(coeffs))
+    defect = _section_defect(n, k, coeffs)
     if defect:
         raise InconsistentEuler(defect)
     return TPoly.from_coeffs(coeffs)
 
 
-def _section_defect(n: int, k: int, p: LPoly) -> str | None:
-    """What is wrong with p as the Poincare polynomial of X = Gr(2,n) cut by
-    k hyperplanes, or None."""
+def _section_defect(n: int, k: int, coeffs: list) -> str | None:
+    """What is wrong with the coefficients as the Poincare polynomial of
+    X = Gr(2,n) cut by k hyperplanes, or None."""
     d = 2 * (n - 2) - k
-    mid = p.coefficient(d)
+    mid = coeffs[d]
     if mid < 0:
         return f"middle Betti number {mid} < 0 for ({n},{k})"
     if d % 2 == 1 and mid % 2 == 1:
         return f"odd middle Betti number {mid} in odd dimension {d}"
     if d % 2 == 0 and mid < betti(n, d):
         return f"middle Betti number {mid} below the ambient value {betti(n, d)}"
-    # poincare_x builds p as a palindrome about d, so odd degree j > d mirrors
-    # the odd degree 2d - j < d
-    if any(p.coeffs_dense()[1:d:2]):
-        return "section polynomial is not palindromic with odd degrees vanishing off the middle"
+    # poincare_x builds the coefficients as a palindrome about d, so odd
+    # degree j > d mirrors the odd degree 2d - j < d
+    if any(coeffs[1:d:2]):
+        return f"nonzero odd-degree Betti number below the middle degree {d} of ({n},{k})"
     return None
-
-
-def _variable_part(n: int, d: int, p_x: TPoly) -> int:
-    v = p_x.coefficient(d) - betti(n, d)
-    if v < 0:
-        raise NegativeCoefficient(f"variable Betti number {v} of a section of Gr(2,{n}) is negative")
-    return v
 
 
 def cayley_hypersurface_class(pair: PGPair, p_x: TPoly) -> TPoly:
@@ -228,15 +231,21 @@ def _solve_poincare_y(pair: PGPair, p_x: TPoly, tate: LPoly) -> TPoly:
     """P(Y) from P(X) and the Tate remainder, as in `derive_poincare_y`."""
     twist = 2 * max(pair.m, 0)
     num = (LPoly() + p_x.shift(2 * max(-pair.m, 0)) - tate).coeffs_dense()
-    below = LPoly.from_coeffs(num[:twist])
-    if not below.is_zero():
-        raise NonExactDivision(f"remainder of degree {below.degree} left by division")
     # NegativeCoefficient on a bad relation
-    p_y = TPoly.from_coeffs(num[twist:])
+    p_y = TPoly.from_coeffs(_divide_by_t(num, twist))
     defect = _dual_defect(pair, p_y)
     if defect:
         raise InconsistentEuler(defect)
     return p_y
+
+
+def _divide_by_t(coeffs: list, j: int, of: str = "") -> list:
+    """The coefficients of a polynomial in t divided by t^j; NonExactDivision
+    names the top degree below j that is nonzero, and `of` what was divided."""
+    left = [d for d, c in enumerate(coeffs[:j]) if c]
+    if left:
+        raise NonExactDivision(f"remainder of degree {left[-1]} left by division{of}")
+    return coeffs[j:]
 
 
 def _dual_defect(pair: PGPair, p_y: TPoly) -> str | None:
@@ -263,13 +272,8 @@ def _tate_remainder(pair: PGPair) -> LPoly:
     gr, h = _decomposables(pair.n, pair.k)
     d = (LPoly() + h - gr).coeffs_dense()
     twist = 2 * min(pair.k - 1, pair.s)
-    below = LPoly.from_coeffs(d[:twist])
-    if not below.is_zero():
-        raise NonExactDivision(
-            f"remainder of degree {below.degree} left by division of the decomposable difference "
-            f"of ({pair.n},{pair.k}) by t^{twist}"
-        )
-    tate = LPoly.from_coeffs(d[twist:])
+    of = f" of the decomposable difference of ({pair.n},{pair.k}) by t^{twist}"
+    tate = LPoly.from_coeffs(_divide_by_t(d, twist, of))
     coeffs = tate.coeffs_dense()
     if min(coeffs) < 0 < max(coeffs):
         raise InconsistentEuler(f"Tate remainder {coeffs} in t of ({pair.n},{pair.k}) has both signs")
@@ -283,15 +287,15 @@ def _link_covered(pair: PGPair, tate: LPoly) -> bool:
     return tate.coefficient(max(pair.dim_x, pair.dim_y)) == _ambient(pair.n)[2].coefficient(pair.dim_x) - 1
 
 
-@cache
 def check_l_equivalence(n: int) -> bool:
     """The ingredient identity behind L-equivalence of the two sides for
-    n = k odd: [P^(n-1)] [H(2,n)] = [P^(n-2)] [Gr(2,n)], checked exactly
-    once per n."""
+    n = k odd: [P^(n-1)] [H(2,n)] = [P^(n-2)] [Gr(2,n)], the relation's two
+    decomposable terms at k = n, each a window sum of its ambient class
+    (`_decomposables`)."""
     if n % 2 == 0 or n < 5:
         raise InvalidParameter(f"L-equivalence check needs odd n >= 5, got {n}")
-    gr, h = _ambient(n)[:2]
-    return projective_class(n - 1) * h == projective_class(n - 2) * gr
+    gr, h = _decomposables(n, n)
+    return gr == h
 
 
 def nl_status(n: int, k: int) -> str:
@@ -404,9 +408,18 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     resolved = chi_o_y(n, k)
     if chi_o != resolved:
         raise InconsistentEuler(f"chi(O_Y) = {chi_o} from the relation, {resolved} from the resolution")
-    v = _variable_part(n, pair.dim_x, p_x)
     b_mid = p_x.coefficient(pair.dim_x)
+    # v >= 0: poincare_x has required b_mid >= b_dimX(Gr(2,n)), or b_mid >= 0 = b_dimX for odd dim X
+    v = b_mid - betti(n, pair.dim_x)
     nl = nl_status(n, k)
+    # a middle row zero off its centre makes every middle class a Hodge class,
+    # so the v variable ones break Noether-Lefschetz
+    centre = pair.dim_x // 2
+    if k % 2 == 0 and nl == "satisfied" and v > 0 and not any(row[:centre] + row[centre + 1 :]):
+        raise InconsistentEuler(
+            f"Noether-Lefschetz status of ({n},{k}) is satisfied, but its middle Hodge row {row} "
+            f"makes all {b_mid} middle classes Hodge classes, {v} more than Gr(2,{n}) has"
+        )
     f1, f2 = fiber_classes(n)
     # the incidence divisor class, read only by the cayley_* checks
     easy = cayley_hypersurface_class(pair, p_x)

@@ -512,3 +512,27 @@ def test_report_bytes_and_exit_code_are_pinned(monkeypatch, capsys, command, mut
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == out_sha
     assert hashlib.sha256(captured.err.encode()).hexdigest()[:16] == err_sha
+
+
+# the whole CLI domain at MAX_NK = 24: every `pair` with n 4..24 and k 1..12, accepted or
+# rejected, and the grid over the same ranges, in each format under each
+# engine; one sha256 over each command's stdout, stderr and exit code
+_DOMAIN_SHA = "84d7d6a203b41ed8"
+
+
+def _domain_commands():
+    for engine in ENGINES:
+        for fmt in ("json", "markdown", "csv"):
+            yield f"grid --n-min 4 --n-max 24 --k-min 1 --k-max 12 --format {fmt} --engine {engine}"
+            for n in range(4, 25):
+                for k in range(1, 13):
+                    yield f"pair --n {n} --k {k} --format {fmt} --engine {engine}"
+
+
+def test_cli_domain_bytes_and_exit_codes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for command in _domain_commands():
+        code = main(command.split())
+        captured = capsys.readouterr()
+        digest.update(f"{command}\0{captured.out}\0{captured.err}\0{code}\n".encode())
+    assert digest.hexdigest()[:16] == _DOMAIN_SHA

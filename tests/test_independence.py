@@ -120,6 +120,13 @@ CASES = [
         {("pgpairs.pairs", "cayley_hypersurface_class"), ("pgpairs.pairs", "cayley_hypersurface_class_dual")},
     ),
     (
+        "L-equivalence identity",  # the relation's decomposable terms at k = n, computed one way
+        lambda: [pairs.check_l_equivalence(n) for n in range(5, 62, 2)],
+        ("pgpairs.pairs", "_decomposables"),
+        {"pgpairs.chern"},
+        set(),
+    ),
+    (
         "cell enumeration",  # the oracle of grassmannian_class
         lambda: [_class_by_cell_enumeration(n) for n in range(4, 25)],
         ("test_schubert", "_class_by_cell_enumeration"),

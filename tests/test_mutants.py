@@ -8,9 +8,11 @@ it, at the parameters that end the name.  The catcher is an error type, an
 cold around each row (`cold_memos` in conftest.py), so no value from before
 a patch hides it.
 
-One mutant passes every report for n 4..12, k 1..10, so it is not a row:
-any flip of `nl_status`.  No report check reads it, and only the pinned
-values of `test_pairs.py::test_nl_status_catalogue` catch it.
+A flip of `nl_status` to `satisfied` on a pair whose middle Hodge row is
+zero off its centre raises; it has rows.  Every other flip passes every
+report for n 4..12, k 1..10, so it is not a row: no report check reads the
+status, and only the pinned values of
+`test_pairs.py::test_nl_status_catalogue` catch it.
 """
 
 from collections import namedtuple
@@ -201,7 +203,7 @@ MUTANTS = {
         (InconsistentEuler, "shift m"),
     ),
     # the relation's decomposable terms: the Gr side [Gr(2,n)][P^(k-2)] 1 too big at t^0 for
-    # each k >= 2, so k - 1 too big through its recursion on k; the Tate remainder's division fails
+    # each k >= 2; the Tate remainder's division fails
     "decomposables_gr+1-n7k7": Mutant(
         _gr_side_plus(lambda n, k: TPoly({0: int(k >= 2)})),
         _report(7, 7),
@@ -239,8 +241,19 @@ MUTANTS = {
     "euler+1-n7k7": Mutant(_euler_plus(1), _report(7, 7), (InconsistentEuler, "odd middle Betti number 101")),
     "euler-2-n4k4": Mutant(_euler_plus(-2), _report(4, 4), (InconsistentEuler, "below the ambient value 1")),
     "pair_side_b_1+1-n8k4": Mutant(
-        _betti_plus(lambda n, j: j == 1, pairs), _report(8, 4), (InconsistentEuler, "not palindromic with odd degrees")
+        _betti_plus(lambda n, j: j == 1, pairs),
+        _report(8, 4),
+        (InconsistentEuler, r"nonzero odd-degree Betti number below the middle degree 8 of \(8,4\)"),
     ),
+    # Noether-Lefschetz claimed on a pair whose middle row is pure (p,p): (4,2) is P^1 x P^1
+    **{
+        f"nl_status_satisfied-n{n}k{k}": Mutant(
+            _swap(pairs, "nl_status", lambda f: lambda n, k: "satisfied"),
+            _report(n, k),
+            (InconsistentEuler, "Noether-Lefschetz"),
+        )
+        for n, k in ((4, 2), (9, 4))
+    },
     # each report check that can fail reads `fail`, and no other check does
     "euler+2-n7k7": Mutant(_euler_plus(2), _report(7, 7), {"chi_euler_match", "hodge_consistency"}),
     "hodge_side_b_2+1-n7k7": Mutant(_betti_plus(lambda n, j: j == 2, chern), _report(7, 7), {"hodge_consistency"}),
@@ -289,7 +302,6 @@ def test_cold_memos_clears_every_memo(cold_memos):
         "pgpairs.chern._euler_pairing",
         "pgpairs.pairs._ambient",
         "pgpairs.pairs._decomposables",
-        "pgpairs.pairs.check_l_equivalence",
         "pgpairs.schubert._product_row",
     ]
     assert all(memo.cache_info().currsize for memo in found.values())

@@ -9,7 +9,6 @@ from pgpairs.chern import HodgeSummary, middle_hodge
 from pgpairs.errors import (
     InconsistentEuler,
     InvalidParameter,
-    NegativeCoefficient,
     NegativeDimension,
     NonExactDivision,
     OutOfSmoothRange,
@@ -359,11 +358,15 @@ def test_variable_betti_link_examples():
 
 
 def test_l_equivalence_check():
-    # the identity for odd n 5..13 is acceptance criterion 2
+    # the identity for odd n 5..13 is acceptance criterion 2; far past it the
+    # window sums of `_decomposables` still hold it, with no recursion on k
     with pytest.raises(InvalidParameter):
         check_l_equivalence(6)
     with pytest.raises(InvalidParameter):
         check_l_equivalence(3)
+    assert check_l_equivalence(601) and check_l_equivalence(999)
+    gr, h = pairs_module._decomposables(601, 601)
+    assert gr == h
 
 
 def test_nl_status_catalogue():
@@ -497,6 +500,30 @@ def check_reports_pass(n_min, n_max):
         assert build_pair_report(pair.n, pair.k)["all_checks_pass"], (pair.n, pair.k)
 
 
+# the even-k pairs of the CLI domain whose middle Hodge row is zero off its
+# centre: every middle class is a Hodge class
+_PURE_PAIRS = [
+    (4, 2), (4, 4), (5, 4), (5, 6), (6, 2), (6, 4), (7, 4), (7, 10),
+    *((n, 2) for n in range(8, MAX_NK + 1, 2)),
+    *((n, 4) for n in range(9, MAX_NK, 2)),
+]
+
+
+def test_pure_pairs_have_variable_classes_and_no_noether_lefschetz_claim():
+    # v > 0 on each, so Noether-Lefschetz fails there, and a report raises if
+    # the catalogue says `satisfied` (the MUTANTS rows nl_status_satisfied-*)
+    pure = []
+    for pair in valid_pairs(4, MAX_NK):
+        row = middle_hodge(pair.n, pair.k).middle_hodge
+        centre = pair.dim_x // 2
+        if pair.k % 2 == 0 and not any(row[:centre] + row[centre + 1 :]):
+            pure.append((pair.n, pair.k))
+    assert sorted(pure) == sorted(_PURE_PAIRS)
+    variable = {(n, k): build_pair_report(n, k)["variable_betti"] for n, k in _PURE_PAIRS}
+    assert min(variable.values()) == 1 and max(variable.values()) == 505
+    assert {nl_status(n, k) for n, k in _PURE_PAIRS} == {"unknown"}
+
+
 @pytest.mark.parametrize("n_min, n_max", [(25, 36), pytest.param(37, 48, marks=pytest.mark.slow)])
 def test_reports_pass_past_the_cli_domain(n_min, n_max):
     # 72 reports in each range, up to twice MAX_NK
@@ -595,12 +622,3 @@ def test_report_check_statuses():
     checks = {c["name"]: c["status"] for c in rep["checks"]}
     assert checks["l_equivalence"] == "skip"
     assert checks["middle_betti_link"] == "skip"
-
-
-# internal identities raise a typed error, also under python -O
-
-
-def test_negative_variable_betti_number_is_rejected():
-    # b_8 of Gr(2,8) is 3, so a middle Betti number 0 leaves -3
-    with pytest.raises(NegativeCoefficient, match="variable Betti number -3"):
-        pairs_module._variable_part(8, 8, TPoly({0: 1, 8: 0, 16: 1}))
