@@ -27,7 +27,10 @@ class AmbientMismatch(PGError):
 
 class OutOfSmoothRange(PGError):
     """k exceeds the bound keeping the dual section away from the singular
-    locus of the Pfaffian (k <= 6 for even n, k <= 10 for odd n)."""
+    locus of the Pfaffian: that locus is the skew forms of rank
+    2(n // 2) - 4 or less, of codimension C(n - rank, 2), and a general
+    P^(k-1) misses it exactly when k is at most that codimension
+    (`pairs.smooth_bound`)."""
 
 
 class NegativeDimension(PGError):

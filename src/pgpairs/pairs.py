@@ -71,9 +71,19 @@ CHECK_NAMES = (
 )
 
 
+def _stratum_codim(n: int, rank: int) -> int:
+    """Codimension C(n - rank, 2) of the skew n x n forms of rank <= rank, for even rank (Harris-Tu)."""
+    return comb(n - rank, 2)
+
+
 def smooth_bound(n: int) -> int:
-    """Largest k for which the dual section avoids the singular Pfaffian locus."""
-    return 6 if n % 2 == 0 else 10
+    """Largest k for which the dual section avoids the singular Pfaffian locus.
+
+    Y lies on the forms of rank <= 2(n // 2) - 2, and its singular locus is
+    the forms of rank <= 2(n // 2) - 4, of codimension C(4, 2) = 6 for even n
+    and C(5, 2) = 10 for odd n (`_stratum_codim`).  A general P^(k-1) misses
+    a locus of codimension c exactly when k - 1 < c, so the bound is c."""
+    return _stratum_codim(n, 2 * (n // 2) - 4)
 
 
 class PGPair(namedtuple("PGPair", "n k dim_x dim_y s m smooth_range")):
@@ -84,10 +94,14 @@ class PGPair(namedtuple("PGPair", "n k dim_x dim_y s m smooth_range")):
 
 
 def make_pair(n: int, k: int) -> PGPair:
+    """The pair (n, k), refused past `smooth_bound(n)`.  Y is P^(k-1) cut with
+    the forms of rank <= 2(n // 2) - 2, of codimension C(2, 2) = 1 for even n
+    (the Pfaffian hypersurface) and C(3, 2) = 3 for odd n, so
+    dim Y = k - 1 - c: k - 2 or k - 4."""
     if k < 1:
         raise InvalidParameter(f"pair ({n},{k}) needs k >= 1")
     dim_x = _section_params(n, k)
-    dim_y = k - 2 if n % 2 == 0 else k - 4
+    dim_y = k - 1 - _stratum_codim(n, 2 * (n // 2) - 2)
     if dim_y < 0:
         raise NegativeDimension(f"dim Y = {dim_y} for pair ({n},{k})")
     s = lefschetz_shift(n)
@@ -294,7 +308,9 @@ def check_l_equivalence(n: int) -> bool:
     (`_decomposables`)."""
     if n % 2 == 0 or n < 5:
         raise InvalidParameter(f"L-equivalence check needs odd n >= 5, got {n}")
-    gr, h = _decomposables(n, n)
+    # past the memo: a report reads (n, n) once, and a sweep over large n
+    # would otherwise keep both terms of each n for the life of the process
+    gr, h = _decomposables.__wrapped__(n, n)
     return gr == h
 
 
@@ -347,11 +363,10 @@ def chi_o_y(n: int, k: int) -> int:
     """
     if n < 4 or k < 1:
         raise InvalidParameter(f"chi(O_Y) needs n >= 4 and k >= 1, got ({n},{k})")
-    dim = k - 1
-    if n % 2 == 0:
-        twists = [(1, 0), (-1, -n // 2)]
+    dim, r = k - 1, n // 2
+    if _stratum_codim(n, 2 * r - 2) == 1:
+        twists = [(1, 0), (-1, -r)]
     else:
-        r = n // 2
         twists = [(1, 0), (-n, -r), (n, -r - 1), (-1, -n)]
     # C(N + j, N) = (j + 1) ... (j + N) / N!, a product of N consecutive ints
     return sum(sign * prod(range(j + 1, j + dim + 1)) // factorial(dim) for sign, j in twists)
@@ -400,6 +415,15 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     tate = _tate_remainder(pair)
     p_y = _solve_poincare_y(pair, p_x, tate)
     chi_y, row = _middle_row(n, k)
+    # X's shape: chi_y and the middle row have dim X + 1 entries, the row is
+    # symmetric, and a positive-dimensional X is connected (a zero-dimensional
+    # one counts its points)
+    connected = pair.dim_x == 0 or p_x.constant_term == 1
+    if not (len(chi_y) == len(row) == pair.dim_x + 1 and row == row[::-1] and connected):
+        raise InconsistentEuler(
+            f"X of ({n},{k}) has dimension {pair.dim_x}, chi_y {chi_y}, middle Hodge row {row} "
+            f"and b_0 = {p_x.constant_term}"
+        )
     # chi(O_Y) through the relation: Y's classes off its middle degree are
     # powers of L, so h^(0,q)(Y) = 0 for 0 < q < dim Y, and h^(0,dim Y)(Y) is
     # h^(m,dim X - m)(X), zero for m < 0; against Y's free resolution
@@ -409,8 +433,9 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     if chi_o != resolved:
         raise InconsistentEuler(f"chi(O_Y) = {chi_o} from the relation, {resolved} from the resolution")
     b_mid = p_x.coefficient(pair.dim_x)
-    # v >= 0: poincare_x has required b_mid >= b_dimX(Gr(2,n)), or b_mid >= 0 = b_dimX for odd dim X
-    v = b_mid - betti(n, pair.dim_x)
+    # v >= 0: poincare_x has required b_mid >= b_dimX(Gr(2,n)), or b_mid >= 0 = b_dimX for odd dim X.
+    # b_dimX(Gr(2,n)) is read from [Gr(2,n)], as `_link_covered` reads it: even degrees only
+    v = b_mid - _ambient(n)[2].coefficient(pair.dim_x)
     nl = nl_status(n, k)
     # a middle row zero off its centre makes every middle class a Hodge class,
     # so the v variable ones break Noether-Lefschetz
@@ -461,7 +486,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
                 p_y == hypersurface_poincare_oracle(n // 2, k - 1),
                 f"dual of degree {n // 2} in P^{k - 1} matches the projective oracle",
             )
-            if n % 2 == 0 and pair.dim_y >= 1
+            if k - 1 - pair.dim_y == 1 and pair.dim_y >= 1
             else (None, "dual is not a positive-dimensional hypersurface in projective space")
         ),
     }

@@ -307,6 +307,17 @@ def test_fiber_classes_past_the_cli_domain_keep_a_bounded_memo():
         assert pairs._ambient.cache_info().currsize <= MAX_NK
 
 
+@pytest.mark.parametrize("n_max", [199, pytest.param(999, marks=pytest.mark.slow)])
+def test_l_equivalence_past_the_cli_domain_keeps_no_decomposable_terms(n_max):
+    # check_l_equivalence reads the window sums past the decomposables memo:
+    # memoized, the odd n 5..999 left 498 entries holding 70 MiB
+    before = pairs._decomposables.cache_info().currsize
+    for n in range(5, n_max + 1, 2):
+        assert pairs.check_l_equivalence(n)
+    assert pairs._decomposables.cache_info().currsize == before
+    assert pairs._ambient.cache_info().currsize <= MAX_NK
+
+
 _BIG = "*".join(["9" * 1000] * 5)
 
 

@@ -6,14 +6,19 @@ on module and `co_name`, and each case names the functions its call may not
 enter.  Every memo is cleared first, so a cached value cannot hide a call.
 """
 
+import pkgutil
 import sys
 
 import pytest
 
+import pgpairs
 import test_localization
+import test_point_counts
 from conftest import valid_pairs
 from pgpairs import chern, pairs, schubert
 from test_schubert import _class_by_cell_enumeration
+
+_PGPAIRS = {"pgpairs", *(f"pgpairs.{m.name}" for m in pkgutil.iter_modules(pgpairs.__path__))}
 
 pytestmark = pytest.mark.usefixtures("cold_memos")
 
@@ -124,6 +129,15 @@ CASES = [
         lambda: [pairs.check_l_equivalence(n) for n in range(5, 62, 2)],
         ("pgpairs.pairs", "_decomposables"),
         {"pgpairs.chern"},
+        set(),
+    ),
+    (
+        "rank-stratum codimensions",  # the oracle of smooth_bound and dim Y: point counts, no code of pgpairs
+        lambda: [
+            test_point_counts.rank_stratum_codim(n, rank) for n in range(4, 49) for rank in (n - n % 2 - 2, n - n % 2 - 4)
+        ],
+        ("test_point_counts", "closed_rank_count"),
+        _PGPAIRS,
         set(),
     ),
     (

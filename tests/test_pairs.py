@@ -603,10 +603,10 @@ def test_memos_serve_no_value_from_before_a_mutant(monkeypatch):
     from pgpairs.cli import run_grid
 
     assert run_grid(7, 9, 1, 10)[1] == 0
-    b8 = MUTANTS["pair_side_b_8+1-n8k4"]
-    b8.patch(monkeypatch)
-    failing = {c["name"] for c in build_pair_report(8, 4)["checks"] if c["status"] == "fail"}
-    assert failing == b8.catcher
+    b2 = MUTANTS["hodge_side_b_2+1-n7k7"]
+    b2.patch(monkeypatch)
+    failing = {c["name"] for c in build_pair_report(7, 7)["checks"] if c["status"] == "fail"}
+    assert failing == b2.catcher
     monkeypatch.undo()
     monkeypatch.setattr("pgpairs.pairs.lefschetz_shift", lambda n: lefschetz_shift(n) + 1)
     f1, f2 = fiber_classes(7)

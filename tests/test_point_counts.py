@@ -9,14 +9,21 @@ enumerated as reduced row-echelon 2 x n matrices, a 2-form vanishes on a plane
 when it is zero on the plane's two basis rows, and the rank of a skew form
 comes from Gaussian elimination mod q.  Nothing here shares code
 with the Schubert ring or the LPoly algebra beyond evaluating the classes.
+
+The same ranks count the skew forms of each rank, against MacWilliams'
+closed count; its q-degree gives each rank stratum's codimension, which
+fixes dim Y and the smooth bound of `pairs` with no code of `pairs`.
 """
 
 import itertools
 import random
+from math import comb, prod
 
 import pytest
 
-from pgpairs.pairs import fiber_classes
+from pgpairs import pairs
+from pgpairs.errors import NegativeDimension, OutOfSmoothRange
+from pgpairs.pairs import fiber_classes, make_pair, smooth_bound
 from pgpairs.ring import projective_class
 from pgpairs.schubert import grassmannian_class, hyperplane_section_class, lefschetz_shift
 
@@ -148,3 +155,83 @@ def test_calabi_yau_pair_has_as_many_points_on_each_side():
     # L^6 ([X] - [Y]) = 0 at (7,7), by the relation and the L-equivalence identity
     x, y = _section_counts(7, 7, 2, 1)
     assert x == y > 0
+
+
+def _rank_counts(n, q):
+    """{rank: number of skew n x n forms over F_q of that rank}, ranking every form."""
+    counts = {}
+    for coeffs in itertools.product(range(q), repeat=comb(n, 2)):
+        rank = _rank(dict(zip(itertools.combinations(range(n), 2), coeffs)), n, q)
+        counts[rank] = counts.get(rank, 0) + 1
+    return counts
+
+
+def closed_rank_count(n, r, q):
+    """MacWilliams' count of the skew n x n forms over F_q of rank 2r:
+    q^(r(r-1)) prod_(i < 2r) (q^(n-i) - 1) / prod_(i = 1..r) (q^(2i) - 1)."""
+    num = q ** (r * (r - 1)) * prod(q ** (n - i) - 1 for i in range(2 * r))
+    den = prod(q ** (2 * i) - 1 for i in range(1, r + 1))
+    assert num % den == 0
+    return num // den
+
+
+_BIG_Q = 2**64
+
+
+def rank_stratum_codim(n, rank):
+    """Codimension of the skew n x n forms of rank <= rank (even) among all
+    C(n, 2) dimensions of them: C(n, 2) minus the q-degree of the count of
+    rank exactly `rank`, the dense part of the stratum.  The count is a
+    polynomial in q with leading coefficient 1, so at q = 2^64 it lies
+    within a factor 2 of q^degree, and its bit length is 64 degree or one
+    more."""
+    count = closed_rank_count(n, rank // 2, _BIG_Q)
+    degree = count.bit_length() // 64
+    assert _BIG_Q**degree // 2 < count < 2 * _BIG_Q**degree
+    return comb(n, 2) - degree
+
+
+def check_dual_strata(n):
+    """Y is P^(k-1) cut with the forms of rank <= top - 2, top the largest
+    rank, and its singular locus is those of rank <= top - 4: dim Y is k - 1
+    minus the first codimension, and a general P^(k-1) misses the second,
+    of codimension c, exactly when k <= c.  So `make_pair(n, k)` is refused
+    past c or at dim Y < 0, and `smooth_bound(n)` is c."""
+    top = 2 * (n // 2)
+    c_y, c_sing = rank_stratum_codim(n, top - 2), rank_stratum_codim(n, top - 4)
+    assert smooth_bound(n) == c_sing
+    for k in range(1, 2 * (n - 2) + 1):
+        dim_y = k - 1 - c_y
+        try:
+            got = make_pair(n, k).dim_y
+        except (NegativeDimension, OutOfSmoothRange):
+            got = None
+        assert got == (dim_y if k <= c_sing and dim_y >= 0 else None), (n, k)
+
+
+# n = 6 over F_2 (32,768 forms) and n = 5 over F_3 (59,049) take about a second each
+_RANK_FIELDS = [
+    (4, 2), (5, 2), (4, 3), pytest.param(6, 2, marks=pytest.mark.slow), pytest.param(5, 3, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("n, q", _RANK_FIELDS, ids=["n4/F_2", "n5/F_2", "n4/F_3", "n6/F_2", "n5/F_3"])
+def test_rank_counts_are_the_closed_count(n, q):
+    assert _rank_counts(n, q) == {2 * r: closed_rank_count(n, r, q) for r in range(n // 2 + 1)}
+
+
+def test_rank_strata_have_codimension_c_of_n_minus_rank_2():
+    # Harris-Tu's C(n - rank, 2), read off the closed count
+    assert all(rank_stratum_codim(n, rank) == comb(n - rank, 2) for n in range(4, 25) for rank in range(0, n + 1, 2))
+
+
+def test_rank_strata_give_dim_y_and_the_smooth_bound():
+    for n in range(4, 49):
+        check_dual_strata(n)
+
+
+def test_a_wrong_stratum_codimension_fails_the_strata_check(monkeypatch):
+    monkeypatch.setattr(pairs, "_stratum_codim", lambda n, rank: comb(n - rank + 1, 2))
+    for n in range(4, 49):
+        with pytest.raises(AssertionError):
+            check_dual_strata(n)
