@@ -38,7 +38,11 @@ class NegativeDimension(PGError):
 
 
 class InconsistentEuler(PGError):
-    """An Euler characteristic forces an impossible middle Betti number."""
+    """Two routes to an invariant disagree, or one gives an impossible value:
+    an Euler characteristic that forces an impossible middle Betti number, a
+    derived polynomial or Hodge row of the wrong shape, or a relation-side
+    value (the Tate remainder, chi(O_Y), Y's middle Hodge row) that its
+    oracle refutes.  The name is kept for callers."""
 
 
 class NonIntegralGenus(PGError):

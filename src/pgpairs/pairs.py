@@ -8,10 +8,12 @@ cut-and-paste relation
     [X] L^(k-1) + [P^(k-2)] [Gr(2,n)]  =  [Y] L^s + [P^(k-1)] [H(2,n)]
 
 is verified and solved at the level of Poincare polynomials, where every step
-is an exactness assertion.  The module also carries the classical smooth
-hypersurface oracle and chi(O_Y) from Y's free resolution (both on projective
-space, sharing no code with the Schubert engine) as the anti-self-confirmation
-cross-checks, and the Noether-Lefschetz catalogue.
+is an exactness assertion.  The module also carries the smooth hypersurface
+oracle with its Jacobian-ring Hodge row and chi(O_Y) from Y's free resolution
+(both on projective space, sharing no code with the Schubert engine), and the
+count of exceptional objects of homological projective duality (read off
+(n, k) alone), as the anti-self-confirmation cross-checks, and the
+Noether-Lefschetz catalogue.
 
 The decomposable terms are computed one way, by `_decomposables`: each
 coefficient of [P^j] C is the sum of j + 1 consecutive coefficients of C, a
@@ -46,12 +48,7 @@ from .errors import (
     OutOfSmoothRange,
 )
 from .ring import LPoly, TPoly
-from .schubert import (
-    betti,
-    grassmannian_class,
-    hyperplane_section_class,
-    lefschetz_shift,
-)
+from .schubert import grassmannian_class, hyperplane_section_class, lefschetz_shift
 
 SCHEMA_VERSION = 1
 
@@ -115,11 +112,11 @@ def make_pair(n: int, k: int) -> PGPair:
 MAX_NK = 24
 
 # Each memo below holds classes built from its arguments and the class
-# constructors of `schubert` and `ring` alone; lefschetz_shift, betti and
-# the Euler characteristic, which tests replace by wrong formulas, are read
-# by their callers, so no memo serves a value from before the swap.
-# [Gr(2,n)] reads `schubert.betti`, not this module's name for it, so a test
-# that replaces `schubert.betti` must clear `_ambient` and its users.
+# constructors of `schubert` and `ring` alone; lefschetz_shift and the Euler
+# characteristic, which tests replace by wrong formulas, are read by their
+# callers, so no memo serves a value from before the swap.  This module reads
+# `betti` only through [Gr(2,n)], whose constructor reads `schubert.betti`,
+# so a test that replaces `schubert.betti` must clear `_ambient` and its users.
 #
 # The ambient memo is bounded.  A pair report reads it for every k of its n,
 # and the CLI names n <= MAX_NK, so MAX_NK entries keep every n of that
@@ -131,9 +128,9 @@ MAX_NK = 24
 @lru_cache(maxsize=MAX_NK)
 def _ambient(n: int) -> tuple:
     """[Gr(2,n)], the class [H(2,n)] of its smooth hyperplane section, and
-    their Poincare polynomials."""
+    the Poincare polynomial of [Gr(2,n)]."""
     gr, h = grassmannian_class(n), hyperplane_section_class(n)
-    return gr, h, gr.to_poincare(), h.to_poincare()
+    return gr, h, gr.to_poincare()
 
 
 @cache
@@ -179,12 +176,12 @@ def _section_params(n: int, k: int):
 def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
     """Poincare polynomial of X = Gr(2,n) cut by k general hyperplanes.
 
-    Below the middle the Betti numbers are those of the Grassmannian (weak
+    Below the middle the Betti numbers are those of [Gr(2,n)] (weak
     Lefschetz), above they are forced by duality, and the middle one is solved
     from the Euler characteristic.
     """
     d = _section_params(n, k)
-    low = [betti(n, j) for j in range(d)]
+    low = _ambient(n)[2].coeffs_dense()[:d]
     chi = euler_characteristic_ci(n, k, engine)
     alt = sum(low[::2]) - sum(low[1::2])
     coeffs = low + [(-1) ** d * (chi - 2 * alt)] + low[::-1]
@@ -203,12 +200,10 @@ def _section_defect(n: int, k: int, coeffs: list) -> str | None:
         return f"middle Betti number {mid} < 0 for ({n},{k})"
     if d % 2 == 1 and mid % 2 == 1:
         return f"odd middle Betti number {mid} in odd dimension {d}"
-    if d % 2 == 0 and mid < betti(n, d):
-        return f"middle Betti number {mid} below the ambient value {betti(n, d)}"
-    # poincare_x builds the coefficients as a palindrome about d, so odd
-    # degree j > d mirrors the odd degree 2d - j < d
-    if any(coeffs[1:d:2]):
-        return f"nonzero odd-degree Betti number below the middle degree {d} of ({n},{k})"
+    # 0 in odd degree d, as [Gr(2,n)] has even degrees only
+    ambient = _ambient(n)[2].coefficient(d)
+    if mid < ambient:
+        return f"middle Betti number {mid} below the ambient value {ambient}"
     return None
 
 
@@ -372,9 +367,52 @@ def chi_o_y(n: int, k: int) -> int:
     return sum(sign * prod(range(j + 1, j + dim + 1)) // factorial(dim) for sign, j in twists)
 
 
+def hpd_exceptional_count(n: int, k: int) -> int:
+    """T(1) of the pair (n, k) by homological projective duality (Kuznetsov,
+    math/0610957): the exceptional objects of D(X) less those of D(Y).
+
+    D(Gr(2,n)) has a Lefschetz decomposition A_0, ..., A_(n-1) with |A_t| = r
+    for odd n = 2r + 1, and |A_t| = r for t < r, r - 1 for r <= t < n, for
+    even n = 2r.  D(X) holds A_k, ..., A_(n-1) and D(Y) the dual blocks of
+    |A_0| - |A_u| objects for u < k, A_u = 0 for u >= n, beside one component
+    common to both.  Each exceptional object adds one class to
+    HH_0 = sum of the h^(p,p), so P(X)(1) - P(Y)(1) is the difference; for
+    odd n it is m r.  It reads only (n, k), so it checks the relation's
+    decomposable terms from outside."""
+    if n < 4 or k < 1:
+        raise InvalidParameter(f"HPD count needs n >= 4 and k >= 1, got ({n},{k})")
+    r = n // 2
+
+    def block(t: int) -> int:
+        return 0 if t >= n else r - (n % 2 == 0 and t >= r)
+
+    return sum(block(t) for t in range(k, n)) - sum(block(0) - block(u) for u in range(k))
+
+
+def _jacobian_row(d: int, ambient_dim: int) -> list:
+    """The middle Hodge row h^(N-1-p,p), p = 0..N-1, of a smooth degree-d
+    hypersurface in P^N, N = ambient_dim (Griffiths, Ann. of Math. 1969).
+
+    Its primitive part is the degree j = (p+1)d - N - 1 piece of the Jacobian
+    ring, whose Hilbert series is ((1 - t^(d-1)) / (1 - t))^(N+1):
+    sum over i of (-1)^i C(N+1, i) C(j - i(d-1) + N, N), over the i with
+    j - i(d-1) >= 0.  The hyperplane class adds 1 at the centre when N - 1 is
+    even."""
+    N = ambient_dim
+    row = []
+    for p in range(N):
+        j = (p + 1) * d - N - 1
+        primitive = sum(
+            (-1) ** i * comb(N + 1, i) * comb(j - i * (d - 1) + N, N) for i in range(N + 2) if j >= i * (d - 1)
+        )
+        row.append(primitive + (2 * p == N - 1))
+    return row
+
+
 def hypersurface_poincare_oracle(d: int, ambient_dim: int) -> TPoly:
     """Betti numbers of a smooth degree-d hypersurface in projective space of
-    dimension ambient_dim, from the classical Euler-characteristic formula.
+    dimension ambient_dim: the middle one is the sum of the Jacobian-ring row
+    (`_jacobian_row`), the others are those of projective space.
 
     Deliberately shares no code with the Schubert/Chern path: its ambient is
     projective space, and it exists to cross-check the derived dual
@@ -384,16 +422,12 @@ def hypersurface_poincare_oracle(d: int, ambient_dim: int) -> TPoly:
         raise InvalidParameter(
             f"hypersurface oracle needs d >= 1 and N >= 2, got ({d}, {ambient_dim})"
         )
+    row = _jacobian_row(d, ambient_dim)
+    if min(row) < 0:
+        raise InconsistentEuler(f"Jacobian-ring row {row} of degree {d} in P^{ambient_dim} has a negative entry")
     dim = ambient_dim - 1
-    chi = d * sum(
-        comb(ambient_dim + 1, i) * (-d) ** (dim - i) for i in range(dim + 1)
-    )
-    evens_below = sum(1 for j in range(0, dim, 2))
-    mid = (-1) ** dim * (chi - 2 * evens_below)
-    if mid < 0 or (dim % 2 == 1 and mid % 2 == 1):
-        raise InconsistentEuler(f"impossible middle Betti number {mid}")
     coeffs = [1, 0] * dim + [1]
-    coeffs[dim] = mid
+    coeffs[dim] = sum(row)
     return TPoly.from_coeffs(coeffs)
 
 
@@ -414,6 +448,12 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     euler = p_x.evaluate(-1)
     tate = _tate_remainder(pair)
     p_y = _solve_poincare_y(pair, p_x, tate)
+    exceptional = hpd_exceptional_count(n, k)
+    if tate.evaluate(1) != exceptional:
+        raise InconsistentEuler(
+            f"Tate remainder of ({n},{k}) has {tate.evaluate(1)} classes, but homological projective "
+            f"duality counts {exceptional} exceptional objects"
+        )
     chi_y, row = _middle_row(n, k)
     # X's shape: chi_y and the middle row have dim X + 1 entries, the row is
     # symmetric, and a positive-dimensional X is connected (a zero-dimensional
@@ -432,9 +472,27 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
     resolved = chi_o_y(n, k)
     if chi_o != resolved:
         raise InconsistentEuler(f"chi(O_Y) = {chi_o} from the relation, {resolved} from the resolution")
+    # Y's middle row through the relation: its classes off the centre are X's
+    # moved by L^(-m), so X's row is 0 outside the window [m, dim X - m], and
+    # Y's row is X's on it with Y's centre solved from b_mid(Y)
+    window = range(pair.m, pair.dim_x - pair.m + 1)
+    if any(row[p] for p in range(len(row)) if p not in window):
+        raise InconsistentEuler(
+            f"middle Hodge row {row} of X of ({n},{k}) is nonzero outside its window [{window[0]}, {window[-1]}]"
+        )
+    hypersurface = k - 1 - pair.dim_y == 1 and pair.dim_y >= 1
+    if hypersurface:
+        row_y = [row[p] if 0 <= p <= pair.dim_x else 0 for p in window]
+        if pair.dim_y % 2 == 0:
+            row_y[pair.dim_y // 2] += p_y.coefficient(pair.dim_y) - sum(row_y)
+        griffiths = _jacobian_row(n // 2, k - 1)
+        if row_y != griffiths:
+            raise InconsistentEuler(
+                f"middle Hodge row {row_y} of Y of ({n},{k}) from the relation differs from the "
+                f"Jacobian-ring row {griffiths} of a degree-{n // 2} hypersurface in P^{k - 1}"
+            )
     b_mid = p_x.coefficient(pair.dim_x)
-    # v >= 0: poincare_x has required b_mid >= b_dimX(Gr(2,n)), or b_mid >= 0 = b_dimX for odd dim X.
-    # b_dimX(Gr(2,n)) is read from [Gr(2,n)], as `_link_covered` reads it: even degrees only
+    # v >= 0: poincare_x has required b_mid >= b_dimX(Gr(2,n)), read as here from [Gr(2,n)]
     v = b_mid - _ambient(n)[2].coefficient(pair.dim_x)
     nl = nl_status(n, k)
     # a middle row zero off its centre makes every middle class a Hodge class,
@@ -486,7 +544,7 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
                 p_y == hypersurface_poincare_oracle(n // 2, k - 1),
                 f"dual of degree {n // 2} in P^{k - 1} matches the projective oracle",
             )
-            if k - 1 - pair.dim_y == 1 and pair.dim_y >= 1
+            if hypersurface
             else (None, "dual is not a positive-dimensional hypersurface in projective space")
         ),
     }

@@ -99,6 +99,20 @@ CASES = [
         set(),
         {("pgpairs.schubert", "_product_pieri")},
     ),
+    (
+        "HPD count",  # Kuznetsov's exceptional objects: (n, k) alone
+        lambda: [pairs.hpd_exceptional_count(n, k) for n in range(4, 49) for k in range(1, 13)],
+        ("pgpairs.pairs", "hpd_exceptional_count"),
+        {"pgpairs.schubert", "pgpairs.chern", "pgpairs.ring"},
+        set(),
+    ),
+    (
+        "Jacobian-ring row",  # Griffiths' row of a hypersurface in P^N: no class of any ring
+        lambda: [pairs._jacobian_row(d, ambient_dim) for d in range(1, 14) for ambient_dim in range(2, 13)],
+        ("pgpairs.pairs", "_jacobian_row"),
+        {"pgpairs.schubert", "pgpairs.chern", "pgpairs.ring"},
+        set(),
+    ),
     _localization_case("localized_euler", lambda: test_localization.localized_euler(6)),
     _localization_case("localized_chi_y", lambda: test_localization.localized_chi_y(5)),
     _localization_case("localized_euler_y", lambda: test_localization.localized_euler_y(5, 5)),

@@ -80,6 +80,23 @@ def _width_of_largest(mp):
     mp.setattr(chern, "_digit_width", lambda n: max(abs(c) for poly in true[n] for c in poly).bit_length())
 
 
+def _symmetric_tate_pair(pair):
+    """t^(2a+2) + t^(2a+2 dim Y-2), a = max(m, 0), with the sign of T, which keeps one sign with it."""
+    a = max(pair.m, 0)
+    extra = LPoly({2 * a + 2: 1, 2 * a + 2 * pair.dim_y - 2: 1})
+    return extra if pair.m >= 0 else LPoly() - extra
+
+
+def _centre_classes_moved(at, j):
+    """A patch that moves two classes of the centre c of the middle row of the pair `at` to
+    h^(c-j, c+j) and h^(c+j, c-j)."""
+    def moved(n, k, row):
+        c = len(row) // 2
+        return [h - 2 * (p == c) + (abs(p - c) == j) for p, h in enumerate(row)] if (n, k) == at else row
+
+    return _swap(pairs, "_middle_row", lambda f: lambda n, k: (f(n, k)[0], moved(n, k, f(n, k)[1])))
+
+
 def _on_both_engines(name, patch, catcher):
     """One row for each engine and n in (4, 5, 7), caught by c(T)."""
     return {
@@ -98,6 +115,7 @@ def _report(n, k):
 _SERRE = (NonIntegralGenus, "breaks Serre duality")
 _CHI_EULER = (InconsistentEuler, "but the Euler characteristic is")
 _TOP_CLASS = (InconsistentEuler, "does not integrate to the number of Schubert cells")
+_HPD = (InconsistentEuler, "homological projective duality counts")
 
 MUTANTS = {
     # the Euler route: c(T) whose add_product(engine, mu, terms, side, -4, acc)
@@ -195,7 +213,7 @@ MUTANTS = {
     # together, but not [H(2,n)], which reads no Betti number; at (8,4), (9,4)
     # and (10,5) the Tate remainder, computed first, gains -1 in its top degrees
     **{
-        f"b_2+1_everywhere-n{n}k{k}": Mutant(_betti_plus(lambda n, j: j == 2, schubert, pairs, chern), _report(n, k), e)
+        f"b_2+1_everywhere-n{n}k{k}": Mutant(_betti_plus(lambda n, j: j == 2, schubert, chern), _report(n, k), e)
         for n, k, e in (
             *((n, k, (InconsistentEuler, "has both signs")) for n, k in ((8, 4), (9, 4), (10, 5))),
             *((n, k, InconsistentEuler) for n, k in ((7, 7), (6, 6))),
@@ -232,11 +250,34 @@ MUTANTS = {
         _report(6, 3),
         (InconsistentEuler, r"Tate remainder \[1, 0, 1, 0, 1, -1, 1, 0, 1, 0, 1\] in t of \(6,3\) has both signs"),
     ),
-    # the oracle's Euler characteristic without its i = 0 term
+    # the oracle's Jacobian-ring row without its i = 0 term C(N+1, 0) C(j + N, N)
     "oracle_without_i0_term-d2N4": Mutant(
         _swap(pairs, "comb", lambda f: lambda a, b: f(a, b) if b else 0),
         lambda: hypersurface_poincare_oracle(2, 4),
-        (InconsistentEuler, "impossible middle Betti number -16"),
+        (InconsistentEuler, r"Jacobian-ring row \[0, 0, -5, -35\] of degree 2 in P\^4 has a negative entry"),
+    ),
+    # a symmetric Tate pair too many in T: the division stays exact, T keeps one sign and P(Y) stays
+    # palindromic, but T(1) moves by 2 from the count of exceptional objects
+    **{
+        f"tate_remainder_plus_symmetric_pair-n{n}k{k}": Mutant(
+            _swap(pairs, "_tate_remainder", lambda f: lambda pair: f(pair) + _symmetric_tate_pair(pair)),
+            _report(n, k),
+            _HPD,
+        )
+        for n, k in ((7, 7), (8, 5), (9, 8), (7, 8))
+    },
+    # two centre classes of X's middle row moved out, each silent without the Hodge raises: to
+    # h^(2,6) and h^(6,2) of (8,4), outside the window [3, 5], and to the entries beside the centre
+    # of (12,6), inside the window, so Y's row from the relation leaves the Jacobian-ring row
+    "middle_row_centre_to_h26_h62-n8k4": Mutant(
+        _centre_classes_moved((8, 4), 2),
+        _report(8, 4),
+        (InconsistentEuler, r"row \[0, 0, 1, 1, 20, 1, 1, 0, 0\] of X of \(8,4\) is nonzero outside its window \[3, 5\]"),
+    ),
+    "middle_row_centre_to_neighbours-n12k6": Mutant(
+        _centre_classes_moved((12, 6), 1),
+        _report(12, 6),
+        (InconsistentEuler, r"of Y of \(12,6\) from the relation differs from the Jacobian-ring row"),
     ),
     # each message of _section_defect
     "euler+1000-n7k7": Mutant(
@@ -244,11 +285,8 @@ MUTANTS = {
     ),
     "euler+1-n7k7": Mutant(_euler_plus(1), _report(7, 7), (InconsistentEuler, "odd middle Betti number 101")),
     "euler-2-n4k4": Mutant(_euler_plus(-2), _report(4, 4), (InconsistentEuler, "below the ambient value 1")),
-    "pair_side_b_1+1-n8k4": Mutant(
-        _betti_plus(lambda n, j: j == 1, pairs),
-        _report(8, 4),
-        (InconsistentEuler, r"nonzero odd-degree Betti number below the middle degree 8 of \(8,4\)"),
-    ),
+    # P(X) reads its Betti numbers from [Gr(2,n)], which reads even degrees only
+    "pair_side_b_1+1-n8k4": Mutant(_betti_plus(lambda n, j: j == 1, schubert), _report(8, 4), UNREAD),
     # X's shape in the report: chi_y one entry too long (chi_y_ci's coeffs[: dim + 2]) and the
     # middle row without its last two entries (_middle_row's range(dim - 1)), each silent on
     # (8,4) without the raise
@@ -262,13 +300,18 @@ MUTANTS = {
         _report(8, 4),
         (InconsistentEuler, r"X of \(8,4\) has dimension 8, .* middle Hodge row \[0, 0, 0, 1, 22, 1, 0\]"),
     ),
-    # v reads b_dimX(Gr(2,n)) from [Gr(2,n)], as the link's gate does, not from `betti`: a wrong
-    # b_8(Gr(2,8)) leaves (8,4) alone, and `betti` 1 in odd degrees leaves the curves (5,5) and
-    # (7,9), where v reads b_1, alone, since [Gr(2,n)] has even degrees only
-    "pair_side_b_8+1-n8k4": Mutant(_betti_plus(lambda n, j: (n, j) == (8, 8), pairs), _report(8, 4), UNREAD),
+    # P(X), v and the link's gate read Gr(2,n)'s Betti numbers from [Gr(2,n)] alone: a wrong
+    # b_8(Gr(2,8)) moves the Gr side of the relation, so P(Y) of (8,4) comes out of degree 8,
+    # and `betti` 1 in odd degrees leaves the curves (5,5) and (7,9), where v reads b_1, alone,
+    # since [Gr(2,n)] has even degrees only
+    "pair_side_b_8+1-n8k4": Mutant(
+        _betti_plus(lambda n, j: (n, j) == (8, 8), schubert),
+        _report(8, 4),
+        (InconsistentEuler, "derived dual polynomial has degree 8, expected 4"),
+    ),
     **{
         f"betti_1_in_odd_degrees-n{n}k{k}": Mutant(
-            _betti_plus(lambda n, j: j % 2, schubert, pairs, chern), _report(n, k), UNREAD
+            _betti_plus(lambda n, j: j % 2, schubert, chern), _report(n, k), UNREAD
         )
         for n, k in ((5, 5), (7, 9))
     },

@@ -1,9 +1,13 @@
 """Pair bookkeeping: the cut-and-paste relation, dual polynomials, catalogues."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
 import pgpairs.chern as chern_module
 import pgpairs.pairs as pairs_module
+import pgpairs.schubert as schubert_module
 from conftest import valid_pairs
 from pgpairs.chern import HodgeSummary, middle_hodge
 from pgpairs.errors import (
@@ -23,6 +27,7 @@ from pgpairs.pairs import (
     chi_o_y,
     derive_poincare_y,
     fiber_classes,
+    hpd_exceptional_count,
     hypersurface_poincare_oracle,
     make_pair,
     nl_status,
@@ -194,6 +199,8 @@ def test_chi_o_y_rejects_what_is_not_a_pair(n, k):
     # k = 0 would read chi on P^(-1), and Gr(2,n) for n < 4 has no pair
     with pytest.raises(InvalidParameter, match=rf"^chi\(O_Y\) needs n >= 4 and k >= 1, got \({n},{k}\)$"):
         chi_o_y(n, k)
+    with pytest.raises(InvalidParameter, match=rf"^HPD count needs n >= 4 and k >= 1, got \({n},{k}\)$"):
+        hpd_exceptional_count(n, k)
 
 
 def test_derive_rejects_non_palindromic_input():
@@ -307,6 +314,16 @@ def test_findings_come_from_the_middle_classes_of_the_tate_remainder():
     assert [p for p in valid_pairs(MAX_NK + 1, 2 * MAX_NK) if p.m < 0] == []
 
 
+def test_homological_projective_duality_counts_the_tate_remainder():
+    # (7,7) is Borisov-Caldararu's derived equivalence; the count reads only (n, k), and equals
+    # T(1) for n up to twice MAX_NK, past the CLI domain
+    assert [hpd_exceptional_count(n, k) for n, k in ((7, 7), (6, 6), (8, 4), (7, 10))] == [0, -3, 12, -9]
+    domain = valid_pairs(4, 2 * MAX_NK, k_max=12)
+    assert len(domain) == 263
+    for pair in domain:
+        assert pairs_module._tate_remainder(pair).evaluate(1) == hpd_exceptional_count(pair.n, pair.k), pair
+
+
 # -- catalogues and statuses -------------------------------------------------------
 
 
@@ -409,6 +426,27 @@ def test_hypersurface_oracle_examples():
         hypersurface_poincare_oracle(0, 4)
     with pytest.raises(InvalidParameter):
         hypersurface_poincare_oracle(3, 1)
+
+
+def _euler_middle_betti(d, ambient_dim):
+    # the middle Betti number from the Euler characteristic d sum_i C(N+1, i) (-d)^(N-1-i)
+    dim = ambient_dim - 1
+    chi = d * sum(comb(ambient_dim + 1, i) * (-d) ** (dim - i) for i in range(dim + 1))
+    return (-1) ** dim * (chi - 2 * len(range(0, dim, 2)))
+
+
+def test_jacobian_ring_rows():
+    # the duals of (8,4), (10,5) and (6,6): a quartic surface, a quintic threefold and the
+    # Pfaffian cubic fourfold; each row sums to the middle Betti number from the Euler characteristic
+    assert pairs_module._jacobian_row(4, 3) == [1, 20, 1]
+    assert pairs_module._jacobian_row(5, 4) == [1, 101, 101, 1]
+    assert pairs_module._jacobian_row(3, 5) == [0, 1, 21, 1, 0]
+    for d in range(1, 14):
+        for ambient_dim in range(2, 13):
+            row = pairs_module._jacobian_row(d, ambient_dim)
+            assert min(row) >= 0 and row == row[::-1], (d, ambient_dim)
+            assert sum(row) == _euler_middle_betti(d, ambient_dim), (d, ambient_dim)
+            assert hypersurface_poincare_oracle(d, ambient_dim).coefficient(ambient_dim - 1) == sum(row)
 
 
 def check_even_n_duals():
@@ -596,6 +634,14 @@ def test_grid_builds_each_ambient_class_once_per_n(monkeypatch, cold_memos):
     assert run_grid(4, 12, 1, 10)[1] == 0
     for name, args in calls.items():
         assert sorted(args) == [(n,) for n in range(4, 13)], name
+
+
+def test_poincare_x_reads_betti_through_one_grassmannian_class_per_n(monkeypatch, cold_memos):
+    # P(X) of every pair of the CLI domain reads the 2n - 3 coefficients of [Gr(2,n)] once per n
+    calls = _count_calls(monkeypatch, [(schubert_module, "betti")])["betti"]
+    for pair in valid_pairs(4, MAX_NK):
+        poincare_x(pair.n, pair.k)
+    assert Counter(n for n, _ in calls) == {n: 2 * n - 3 for n in range(4, MAX_NK + 1)}
 
 
 def test_memos_serve_no_value_from_before_a_mutant(monkeypatch):
