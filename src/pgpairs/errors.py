@@ -40,8 +40,10 @@ class NegativeDimension(PGError):
 class InconsistentEuler(PGError):
     """Two routes to an invariant disagree, or one gives an impossible value:
     an Euler characteristic that forces an impossible middle Betti number, a
-    derived polynomial or Hodge row of the wrong shape, or a relation-side
-    value (the Tate remainder, chi(O_Y), Y's middle Hodge row) that its
+    derived polynomial or Hodge row of the wrong shape (X's middle row
+    nonzero outside the window that Y's row is read from), or a
+    relation-side value (the Tate remainder, chi(O_Y) and Y's middle Hodge
+    row, both read off the one row `pairs._dual_row` derives) that its
     oracle refutes.  The name is kept for callers."""
 
 

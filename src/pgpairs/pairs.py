@@ -28,7 +28,8 @@ remainder T (`_tate_remainder`), and P(Y) is solved from P(X) and T.  So the
 data flow one way: decomposable terms -> T -> P(Y), the middle-Betti link
 decision and the findings.  T says how the two sides differ in Betti numbers:
 it decides where the middle-Betti link is checked, and it writes the report's
-findings.
+findings.  Y's middle Hodge row is derived once, by `_dual_row` from X's row
+and P(Y), and chi(O_Y) and the Jacobian-ring comparison both read it.
 """
 
 from __future__ import annotations
@@ -181,30 +182,19 @@ def poincare_x(n: int, k: int, engine: str = "pieri") -> TPoly:
     from the Euler characteristic.
     """
     d = _section_params(n, k)
-    low = _ambient(n)[2].coeffs_dense()[:d]
+    gr = _ambient(n)[2]
+    low = gr.coeffs_dense()[:d]
     chi = euler_characteristic_ci(n, k, engine)
-    alt = sum(low[::2]) - sum(low[1::2])
-    coeffs = low + [(-1) ** d * (chi - 2 * alt)] + low[::-1]
-    defect = _section_defect(n, k, coeffs)
-    if defect:
-        raise InconsistentEuler(defect)
-    return TPoly.from_coeffs(coeffs)
-
-
-def _section_defect(n: int, k: int, coeffs: list) -> str | None:
-    """What is wrong with the coefficients as the Poincare polynomial of
-    X = Gr(2,n) cut by k hyperplanes, or None."""
-    d = 2 * (n - 2) - k
-    mid = coeffs[d]
+    mid = (-1) ** d * (chi - 2 * (sum(low[::2]) - sum(low[1::2])))
     if mid < 0:
-        return f"middle Betti number {mid} < 0 for ({n},{k})"
+        raise InconsistentEuler(f"middle Betti number {mid} < 0 for ({n},{k})")
     if d % 2 == 1 and mid % 2 == 1:
-        return f"odd middle Betti number {mid} in odd dimension {d}"
+        raise InconsistentEuler(f"odd middle Betti number {mid} in odd dimension {d}")
     # 0 in odd degree d, as [Gr(2,n)] has even degrees only
-    ambient = _ambient(n)[2].coefficient(d)
+    ambient = gr.coefficient(d)
     if mid < ambient:
-        return f"middle Betti number {mid} below the ambient value {ambient}"
-    return None
+        raise InconsistentEuler(f"middle Betti number {mid} below the ambient value {ambient}")
+    return TPoly.from_coeffs(low + [mid] + low[::-1])
 
 
 def cayley_hypersurface_class(pair: PGPair, p_x: TPoly) -> TPoly:
@@ -237,14 +227,19 @@ def derive_poincare_y(pair: PGPair, p_x: TPoly) -> TPoly:
 
 
 def _solve_poincare_y(pair: PGPair, p_x: TPoly, tate: LPoly) -> TPoly:
-    """P(Y) from P(X) and the Tate remainder, as in `derive_poincare_y`."""
+    """P(Y) from P(X) and the Tate remainder, as in `derive_poincare_y`;
+    InconsistentEuler on a dual of the wrong shape."""
     twist = 2 * max(pair.m, 0)
     num = (LPoly() + p_x.shift(2 * max(-pair.m, 0)) - tate).coeffs_dense()
     # NegativeCoefficient on a bad relation
     p_y = TPoly.from_coeffs(_divide_by_t(num, twist))
-    defect = _dual_defect(pair, p_y)
-    if defect:
-        raise InconsistentEuler(defect)
+    if p_y.degree != 2 * pair.dim_y:
+        raise InconsistentEuler(f"derived dual polynomial has degree {p_y.degree}, expected {2 * pair.dim_y}")
+    if not p_y.is_palindromic(pair.dim_y):
+        raise InconsistentEuler("derived dual polynomial is not palindromic")
+    if pair.dim_y >= 1 and p_y.constant_term != 1:
+        # a positive-dimensional dual section is connected
+        raise InconsistentEuler(f"derived dual polynomial has constant term {p_y.constant_term}")
     return p_y
 
 
@@ -255,18 +250,6 @@ def _divide_by_t(coeffs: list, j: int, of: str = "") -> list:
     if left:
         raise NonExactDivision(f"remainder of degree {left[-1]} left by division{of}")
     return coeffs[j:]
-
-
-def _dual_defect(pair: PGPair, p_y: TPoly) -> str | None:
-    """What is wrong with p_y as the Poincare polynomial of the dual Y, or None."""
-    if p_y.degree != 2 * pair.dim_y:
-        return f"derived dual polynomial has degree {p_y.degree}, expected {2 * pair.dim_y}"
-    if not p_y.is_palindromic(pair.dim_y):
-        return "derived dual polynomial is not palindromic"
-    if pair.dim_y >= 1 and p_y.constant_term != 1:
-        # a positive-dimensional dual section is connected
-        return f"derived dual polynomial has constant term {p_y.constant_term}"
-    return None
 
 
 def _tate_remainder(pair: PGPair) -> LPoly:
@@ -287,6 +270,22 @@ def _tate_remainder(pair: PGPair) -> LPoly:
     if min(coeffs) < 0 < max(coeffs):
         raise InconsistentEuler(f"Tate remainder {coeffs} in t of ({pair.n},{pair.k}) has both signs")
     return tate
+
+
+def _dual_row(pair: PGPair, row: list, p_y: TPoly) -> list:
+    """Y's middle Hodge row from X's symmetric one and P(Y).  Under E(L) = uv
+    the relation moves Y's classes off the centre to X's by L^m, so X's row is
+    0 outside the window [m, dim X - m], Y's row is X's on it (X's row with
+    |m| zeros on each side for m < 0), and Y's centre is solved from b_mid(Y)."""
+    m = pair.m
+    if any(row[: max(m, 0)]):
+        raise InconsistentEuler(
+            f"middle Hodge row {row} of X of ({pair.n},{pair.k}) is nonzero outside its window [{m}, {pair.dim_x - m}]"
+        )
+    row_y = row[m : len(row) - m] if m >= 0 else [0] * -m + row + [0] * -m
+    if pair.dim_y % 2 == 0:
+        row_y[pair.dim_y // 2] += p_y.coefficient(pair.dim_y) - sum(row_y)
+    return row_y
 
 
 def _link_covered(pair: PGPair, tate: LPoly) -> bool:
@@ -465,26 +464,16 @@ def build_pair_report(n: int, k: int, engine: str = "pieri") -> dict:
             f"and b_0 = {p_x.constant_term}"
         )
     # chi(O_Y) through the relation: Y's classes off its middle degree are
-    # powers of L, so h^(0,q)(Y) = 0 for 0 < q < dim Y, and h^(0,dim Y)(Y) is
-    # h^(m,dim X - m)(X), zero for m < 0; against Y's free resolution
-    h = row[pair.m] if pair.m >= 0 else 0
-    chi_o = 1 + (-1) ** pair.dim_y * h if pair.dim_y >= 1 else p_y.constant_term
+    # powers of L, so h^(0,q)(Y) = 0 for 0 < q < dim Y, and chi(O_Y) is
+    # 1 + (-1)^dimY h^(0,dimY)(Y) on a connected Y, P(Y)(0) on a
+    # zero-dimensional one; against Y's free resolution
+    row_y = _dual_row(pair, row, p_y)
+    chi_o = (pair.dim_y >= 1) + (-1) ** pair.dim_y * row_y[0]
     resolved = chi_o_y(n, k)
     if chi_o != resolved:
         raise InconsistentEuler(f"chi(O_Y) = {chi_o} from the relation, {resolved} from the resolution")
-    # Y's middle row through the relation: its classes off the centre are X's
-    # moved by L^(-m), so X's row is 0 outside the window [m, dim X - m], and
-    # Y's row is X's on it with Y's centre solved from b_mid(Y)
-    window = range(pair.m, pair.dim_x - pair.m + 1)
-    if any(row[p] for p in range(len(row)) if p not in window):
-        raise InconsistentEuler(
-            f"middle Hodge row {row} of X of ({n},{k}) is nonzero outside its window [{window[0]}, {window[-1]}]"
-        )
     hypersurface = k - 1 - pair.dim_y == 1 and pair.dim_y >= 1
     if hypersurface:
-        row_y = [row[p] if 0 <= p <= pair.dim_x else 0 for p in window]
-        if pair.dim_y % 2 == 0:
-            row_y[pair.dim_y // 2] += p_y.coefficient(pair.dim_y) - sum(row_y)
         griffiths = _jacobian_row(n // 2, k - 1)
         if row_y != griffiths:
             raise InconsistentEuler(

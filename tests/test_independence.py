@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import pgpairs
+import test_golden_audit
 import test_localization
 import test_point_counts
 from conftest import valid_pairs
@@ -151,6 +152,13 @@ CASES = [
             test_point_counts.rank_stratum_codim(n, rank) for n in range(4, 49) for rank in (n - n % 2 - 2, n - n % 2 - 4)
         ],
         ("test_point_counts", "closed_rank_count"),
+        _PGPAIRS,
+        set(),
+    ),
+    (
+        "golden audit",  # perfbench/golden.json from (n, k) and P^N alone: no code of pgpairs
+        test_golden_audit.audit,
+        ("test_golden_audit", "rebuild_poincare_x"),
         _PGPAIRS,
         set(),
     ),

@@ -97,6 +97,13 @@ def _centre_classes_moved(at, j):
     return _swap(pairs, "_middle_row", lambda f: lambda n, k: (f(n, k)[0], moved(n, k, f(n, k)[1])))
 
 
+def _dual_centre_unsolved(f):
+    """`_dual_row` without its centre solve: Y's centre stays X's centre."""
+    return lambda pair, row, p_y: [
+        row[pair.dim_x // 2] if 2 * p == pair.dim_y else h for p, h in enumerate(f(pair, row, p_y))
+    ]
+
+
 def _on_both_engines(name, patch, catcher):
     """One row for each engine and n in (4, 5, 7), caught by c(T)."""
     return {
@@ -279,7 +286,20 @@ MUTANTS = {
         _report(12, 6),
         (InconsistentEuler, r"of Y of \(12,6\) from the relation differs from the Jacobian-ring row"),
     ),
-    # each message of _section_defect
+    # Y's row from the relation with its centre left at X's, caught by each raise that reads Y's
+    # row; silent in the reports of odd n with dim Y >= 2, such as (7,8), where the pinned rows of
+    # test_pairs.py::test_dual_rows_from_the_relation catch it
+    "dual_row_centre_unsolved-n6k6": Mutant(
+        _swap(pairs, "_dual_row", _dual_centre_unsolved),
+        _report(6, 6),
+        (InconsistentEuler, r"middle Hodge row \[0, 1, 20, 1, 0\] of Y of \(6,6\) from the relation differs"),
+    ),
+    "dual_row_centre_unsolved-n7k4": Mutant(
+        _swap(pairs, "_dual_row", _dual_centre_unsolved),
+        _report(7, 4),
+        (InconsistentEuler, r"chi\(O_Y\) = 15 from the relation, 14 from the resolution"),
+    ),
+    # each message of poincare_x's middle Betti number
     "euler+1000-n7k7": Mutant(
         _euler_plus(1000), _report(7, 7), (InconsistentEuler, "middle Betti number -898 < 0")
     ),

@@ -464,6 +464,36 @@ def test_dual_matches_oracle_for_even_n():
     check_even_n_duals()
 
 
+def _dual_row_of(n, k):
+    """Y's middle row from the relation, with P(Y), as the report reads them."""
+    pair = make_pair(n, k)
+    p_y = derive_poincare_y(pair, poincare_x(n, k))
+    return pairs_module._dual_row(pair, pairs_module._middle_row(n, k)[1], p_y), p_y
+
+
+def test_dual_rows_from_the_relation():
+    # rows of a separate solve of E(Y) in Z[u,v] from E(X) and T(uv), then the Jacobian-ring rows
+    # of the quartic surface, the quintic threefold and the cubic fourfold
+    expected = {
+        (6, 5): [0, 5, 5, 0],
+        (7, 7): [1, 50, 50, 1],
+        (7, 8): [0, 13, 99, 13, 0],
+        (9, 9): [1, 163, 1784, 1784, 163, 1],
+        (9, 10): [0, 26, 971, 3129, 971, 26, 0],
+        (11, 10): [10, 1341, 20436, 49654, 20436, 1341, 10],
+        (8, 4): [1, 20, 1],
+        (10, 5): [1, 101, 101, 1],
+        (6, 6): [0, 1, 21, 1, 0],
+    }
+    assert {nk: _dual_row_of(*nk)[0] for nk in expected} == expected
+    domain = valid_pairs(4, MAX_NK)
+    assert len(domain) == 119
+    for pair in domain:
+        row_y, p_y = _dual_row_of(pair.n, pair.k)
+        assert len(row_y) == pair.dim_y + 1 and row_y == row_y[::-1] and min(row_y) >= 0, (pair.n, pair.k)
+        assert sum(row_y) == p_y.coefficient(pair.dim_y), (pair.n, pair.k)
+
+
 # -- the projectivized-bundle divisor --------------------------------------------------
 
 
@@ -593,8 +623,7 @@ def test_decomposables_match_the_products_by_projective_classes():
 
 def test_report_builds_each_polynomial_once(monkeypatch):
     names = (
-        "poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "_section_defect", "_dual_defect", "chi_o_y",
-        "_tate_remainder",
+        "poincare_x", "_solve_poincare_y", "cayley_hypersurface_class", "chi_o_y", "_tate_remainder", "_dual_row",
     )
     sites = [(pairs_module, name) for name in names]
     sites += [(pairs_module, "euler_characteristic_ci"), (chern_module, "euler_characteristic_ci")]
